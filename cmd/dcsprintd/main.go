@@ -194,6 +194,12 @@ func run(args []string) error {
 		// No WriteTimeout: the steps stream stays open for a session's life.
 	}
 
+	// Install the drain handler before the listener opens: once /healthz
+	// answers, a SIGTERM must drain rather than kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
@@ -224,8 +230,6 @@ func run(args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("dcsprintd: %v, draining\n", s)

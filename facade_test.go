@@ -70,13 +70,11 @@ var facadeFor = map[string]map[string]string{
 	"internal/sim": {
 		"ApplyDelta":        "ApplyDelta",
 		"Batch":             "Batch",
-		"BatchColumns":      "BatchColumns",
 		"BatchOptions":      "BatchOptions",
 		"BuildBoundTable":   "BuildBoundTable",
 		"CappingResult":     "CappingResult",
 		"DeltaVersion":      "DeltaVersion",
 		"Engine":            "Engine",
-		"ErrBadSlot":        "ErrBadSlot",
 		"ErrDeltaBase":      "ErrDeltaBase",
 		"ErrFinished":       "ErrEngineFinished",
 		"ErrSnapshotFaults": "ErrSnapshotFaults",

@@ -387,14 +387,22 @@ func (c *Controller) Tick(demand float64, dt time.Duration) TickResult {
 	return c.TickInput(Input{Demand: demand}, dt)
 }
 
+// SanitizeDemand is the demand a tick serves for a raw demand signal: a
+// corrupt (NaN or infinite) signal reads as full normal load, conservative
+// but serviceable.
+func SanitizeDemand(d float64) float64 {
+	if math.IsNaN(d) || math.IsInf(d, 0) {
+		return 1
+	}
+	return d
+}
+
 // TickInput advances the controller by dt under the given environment.
 func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 	// Sanitize the environment: a corrupt demand signal reads as full
-	// normal load (conservative but serviceable), a corrupt or negative
-	// supply limit as no limit information at all.
-	if math.IsNaN(in.Demand) || math.IsInf(in.Demand, 0) {
-		in.Demand = 1
-	}
+	// normal load, a corrupt or negative supply limit as no limit
+	// information at all.
+	in.Demand = SanitizeDemand(in.Demand)
 	if math.IsNaN(float64(in.SupplyLimit)) || math.IsInf(float64(in.SupplyLimit), 0) || in.SupplyLimit < 0 {
 		in.SupplyLimit = 0
 	}

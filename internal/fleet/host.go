@@ -27,10 +27,10 @@ var hostSeries = []string{
 }
 
 // binding ties a live session to its serving DC and retains the session's
-// latest plant probe — the daemon-side ledger feed. The probe is no longer
-// pushed per tick by a recorder callback: the host's refresh loop pulls
-// Manager.Probes, a fold over each shard worker's struct-of-arrays batch
-// columns, and writes the results here on the FoldEvery cadence.
+// latest plant probe — the daemon-side ledger feed. The host's refresh loop
+// pulls Manager.Probes, each session's Engine.Plant read on its shard
+// worker, and writes the results here on the FoldEvery cadence, so the step
+// hot path pays nothing for the fleet control plane.
 type binding struct {
 	mu   sync.Mutex
 	dc   int // serving DC index; -1 until bound (or never, for non-fleet sessions)
@@ -134,7 +134,7 @@ func NewHost(cfg HostConfig) (*Host, error) {
 		}
 	}
 	// The fold loop runs even without a Store: it is also the probe refresh
-	// that keeps the ledgers fed from the manager's batch columns.
+	// that keeps the ledgers fed from the manager's live engines.
 	h.wg.Add(1)
 	go h.foldLoop()
 	return h, nil
@@ -158,17 +158,14 @@ func (h *Host) Close() {
 }
 
 // Session implements service.PlantTap: every installed session gets a
-// binding that the probe refresh fills from the manager's batch columns.
-// The serving DC is bound right after Create returns; sessions created
-// outside the fleet API stay unbound and never feed a ledger. No recorder
-// is returned — the feed is pull-based, so the step hot path pays nothing
-// for the fleet control plane.
-func (h *Host) Session(id string) sim.PlantRecorder {
+// binding that the probe refresh fills from Manager.Probes. The serving DC
+// is bound right after Create returns; sessions created outside the fleet
+// API stay unbound and never feed a ledger.
+func (h *Host) Session(id string) {
 	b := &binding{dc: -1}
 	h.mu.Lock()
 	h.bindings[id] = b
 	h.mu.Unlock()
-	return nil
 }
 
 // Drop implements service.PlantTap.
@@ -209,7 +206,7 @@ func (h *Host) ledgersLocked() []Ledger {
 }
 
 // refreshProbes pulls the latest per-session plant state out of the
-// manager's shard batches and writes it into the bindings — the ledger
+// manager's live engines and writes it into the bindings — the ledger
 // feed's only sample source.
 func (h *Host) refreshProbes() {
 	h.mu.Lock()
@@ -338,7 +335,7 @@ func (h *Host) dcIndex(id string) int {
 	return -1
 }
 
-// foldLoop refreshes the ledger probes from the manager's batch columns and
+// foldLoop refreshes the ledger probes from the manager's live engines and
 // appends the per-DC ledger folds on the FoldEvery cadence.
 func (h *Host) foldLoop() {
 	defer h.wg.Done()

@@ -71,11 +71,20 @@ type PlantOptions struct {
 	Watchdog *tsdb.Watchdog
 	// Every is the fleet sampling cadence. Zero means 1 second.
 	Every time.Duration
-	// Tap is a second plant-probe consumer with the same recorder
-	// lifecycle as Sink (the fleet control plane's ledger feed). Nil
-	// disables it; see PlantTap. A tap may return nil recorders and read
-	// Manager.Probes instead — the batched-columns feed.
+	// Tap is told when sessions come and go (the fleet control plane's
+	// ledger feed, which reads their plant state through Manager.Probes).
+	// Nil disables it; see PlantTap.
 	Tap PlantTap
+}
+
+// PlantTap follows the session lifecycle alongside Config.Plant.Sink:
+// Session is called when a session is installed, Drop when it leaves. The
+// fleet control plane uses a tap to bind sessions to its per-DC capacity
+// ledgers without the service layer importing it, and pulls their plant
+// state through Manager.Probes, so the step hot path pays nothing for it.
+type PlantTap interface {
+	Session(id string)
+	Drop(id string)
 }
 
 // Config sizes a Manager. Zero values take defaults.
@@ -188,8 +197,8 @@ type shard struct {
 
 	// ---- worker-owned state below ----
 
-	// batch holds every adopted engine in struct-of-arrays form; sess maps
-	// its slots back to sessions.
+	// batch holds every adopted engine in its slot table; sess maps its
+	// slots back to sessions.
 	batch *sim.Batch
 	sess  []*session
 	// demands is the persistent StepAll input, Skip for every slot at rest;
@@ -588,7 +597,7 @@ func (m *Manager) handleCtl(sh *shard, c ctlMsg) (shutdown bool) {
 		c.evicted <- true
 		return false
 	case ctlProbe:
-		c.probes <- m.probeColumns(sh)
+		c.probes <- probeShard(sh)
 		return false
 	case ctlShutdown:
 		// Retire every live session — journals are kept (dropJournal is only
@@ -618,25 +627,23 @@ func (m *Manager) handleCtl(sh *shard, c ctlMsg) (shutdown bool) {
 	return false
 }
 
-// PlantProbe is one live session's plant state, read from its shard
-// worker's batch columns rather than a per-tick recorder callback.
+// PlantProbe is one live session's plant state, read from its engine on the
+// shard worker rather than from a per-tick recorder callback.
 type PlantProbe struct {
 	// ID is the session id.
 	ID string
 	// Dead marks a tripped or overheated facility.
 	Dead bool
-	// Sample carries the column-backed subset of the plant probe: tick,
-	// workload numbers, DC load, and the thermal and stored-energy state.
-	// Power flows the columns do not mirror (PDU, UPS, generator, cooling,
-	// grid) are zero.
+	// Sample is the engine's Engine.Plant: the sample a recorder attached
+	// to the session received for its last completed tick.
 	Sample sim.PlantSample
 }
 
-// Probes folds every shard's batch columns into per-session plant probes —
-// the pull-based fleet ledger feed. Each shard's fold runs on its worker
-// between quanta, so it reads consistent column state without locks; a
-// session that has not yet reached its worker reports nothing, exactly like
-// a recorder that has not yet seen a sample. Shards already shut down
+// Probes reads every live session's plant state into per-session probes —
+// the pull-based fleet ledger feed. Each shard's probes are read on its
+// worker between quanta, so they see consistent engine state without locks;
+// a session that has not yet reached its worker reports nothing, exactly
+// like a recorder that has not yet seen a sample. Shards already shut down
 // contribute nothing.
 func (m *Manager) Probes() []PlantProbe {
 	var out []PlantProbe
@@ -657,36 +664,16 @@ func (m *Manager) Probes() []PlantProbe {
 	return out
 }
 
-// probeColumns builds the shard's probe set from its batch columns — one
-// sequential pass over the struct-of-arrays plant state. Worker goroutine
-// only.
-func (m *Manager) probeColumns(sh *shard) []PlantProbe {
-	c := sh.batch.Columns()
+// probeShard reads the plant state of every engine in the shard batch.
+// Worker goroutine only.
+func probeShard(sh *shard) []PlantProbe {
 	out := make([]PlantProbe, 0, sh.batch.Len())
 	for slot, s := range sh.sess {
-		if s == nil || !c.Live[slot] {
+		if s == nil {
 			continue
 		}
-		tick := int(c.Tick[slot])
-		out = append(out, PlantProbe{
-			ID:   s.id,
-			Dead: c.Dead[slot],
-			Sample: sim.PlantSample{
-				Tick:           tick,
-				Now:            time.Duration(tick) * s.interval,
-				Demand:         c.Demand[slot],
-				Delivered:      c.Delivered[slot],
-				Degree:         c.Degree[slot],
-				Phase:          int(c.Phase[slot]),
-				DCLoadW:        c.DCLoadW[slot],
-				RoomTempC:      c.RoomTempC[slot],
-				ThermalMarginC: c.ThermalMarginC[slot],
-				BreakerStress:  c.BreakerStress[slot],
-				UPSSoC:         c.UPSSoC[slot],
-				TESSoC:         c.TESSoC[slot],
-				ChipHeadroomJ:  c.ChipHeadroomJ[slot],
-			},
-		})
+		eng := sh.batch.Engine(slot)
+		out = append(out, PlantProbe{ID: s.id, Dead: eng.Dead(), Sample: eng.Plant()})
 	}
 	return out
 }
@@ -847,8 +834,11 @@ func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) 
 	}
 	s.tick.Store(int64(eng.Tick()))
 	s.touch()
-	if rec := m.plantRecorder(s.id); rec != nil {
-		eng.AttachPlantRecorder(rec)
+	if m.cfg.Plant.Sink != nil {
+		eng.AttachPlantRecorder(m.cfg.Plant.Sink.Session(s.id))
+	}
+	if m.cfg.Plant.Tap != nil {
+		m.cfg.Plant.Tap.Session(s.id)
 	}
 	sh := s.sh
 	sh.mu.Lock()

@@ -1,104 +1,39 @@
 package sim
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Batch steps many sessions per scheduling quantum instead of one engine per
 // goroutine: the engines live in a slot table and StepAll advances every
-// live session one tick in a single cache-friendly loop, mirroring the hot
-// plant state — breaker thermal accumulators, UPS/TES stored-energy ledgers,
-// room and chip thermals — into struct-of-arrays columns as it goes. The
-// columns are what fleet ledger folds and plant samplers read: one
-// sequential pass over flat float64 slices instead of a mailbox round trip
-// per session.
+// live session one tick in a single loop. A reader that wants a session's
+// plant state asks its slot's engine for Engine.Plant between sweeps.
 //
 // A Batch is not safe for concurrent use; a serving layer confines each
 // batch to one worker goroutine (internal/service runs one batch per shard).
-// Stepping a slot individually (Step) and collectively (StepAll) produce
-// bit-identical engines — both funnel into the same Engine step path.
-
-// ErrBadSlot reports a batch operation on a slot that is out of range or
-// currently free.
-var ErrBadSlot = errors.New("sim: no engine in batch slot")
+// StepAll funnels into the same step path as Engine.Step, so a batched
+// session is bit-identical to an independently stepped engine.
 
 // Sample is one session's demand input for a batched step.
 type Sample struct {
 	// Demand is the normalized throughput demand for this tick.
 	Demand float64
-	// Skip leaves the session un-stepped this quantum while keeping its
-	// slot's columns intact — for sessions whose client is between requests
-	// in a lockstep protocol.
+	// Skip leaves the session un-stepped this quantum — for sessions whose
+	// client is between requests in a lockstep protocol.
 	Skip bool
 }
 
 // BatchOptions sizes a Batch. The zero value is valid.
 type BatchOptions struct {
-	// Capacity pre-sizes the slot table and columns; the batch grows past
-	// it on demand. Zero starts empty.
+	// Capacity pre-sizes the slot table; the batch grows past it on demand.
+	// Zero starts empty.
 	Capacity int
 }
 
-// BatchColumns is the struct-of-arrays mirror of per-session plant state,
-// indexed by batch slot and rewritten by every Step/StepAll. Free slots keep
-// Live false and stale values; consumers filter on Live. The slices are
-// owned by the batch — read, never resize.
-type BatchColumns struct {
-	// Live marks occupied slots.
-	Live []bool
-	// Tick is each session's completed tick count.
-	Tick []int64
-	// Demand, Delivered and Degree are the last tick's workload numbers.
-	Demand    []float64
-	Delivered []float64
-	Degree    []float64
-	// Phase is the sprint phase after the last tick (0 = not sprinting).
-	Phase []int8
-	// DCLoadW is the facility load on the DC breaker, watts.
-	DCLoadW []float64
-	// BreakerStress is the worst breaker thermal accumulator across the DC
-	// and PDU breakers (1.0 trips).
-	BreakerStress []float64
-	// UPSSoC is the battery fleet state of charge in [0, 1].
-	UPSSoC []float64
-	// TESSoC is the thermal store state of charge in [0, 1], -1 without TES.
-	TESSoC []float64
-	// RoomTempC and ThermalMarginC are the room thermal state.
-	RoomTempC      []float64
-	ThermalMarginC []float64
-	// ChipHeadroomJ is the remaining chip PCM budget, -1 without the model.
-	ChipHeadroomJ []float64
-	// Dead marks sessions whose facility is down (trip or overheat).
-	Dead []bool
-}
-
-func (c *BatchColumns) grow(n int) {
-	for len(c.Live) < n {
-		c.Live = append(c.Live, false)
-		c.Tick = append(c.Tick, 0)
-		c.Demand = append(c.Demand, 0)
-		c.Delivered = append(c.Delivered, 0)
-		c.Degree = append(c.Degree, 0)
-		c.Phase = append(c.Phase, 0)
-		c.DCLoadW = append(c.DCLoadW, 0)
-		c.BreakerStress = append(c.BreakerStress, 0)
-		c.UPSSoC = append(c.UPSSoC, 0)
-		c.TESSoC = append(c.TESSoC, -1)
-		c.RoomTempC = append(c.RoomTempC, 0)
-		c.ThermalMarginC = append(c.ThermalMarginC, 0)
-		c.ChipHeadroomJ = append(c.ChipHeadroomJ, -1)
-		c.Dead = append(c.Dead, false)
-	}
-}
-
-// Batch owns N engines in a slot table with struct-of-arrays plant columns.
+// Batch owns N engines in a slot table.
 type Batch struct {
 	engines []*Engine
 	free    []int // freed slots, reused LIFO
 	live    int
 
-	cols BatchColumns
 	decs []TickDecision // reused StepAll result buffer
 }
 
@@ -107,31 +42,8 @@ func NewBatch(opts BatchOptions) *Batch {
 	b := &Batch{}
 	if opts.Capacity > 0 {
 		b.engines = make([]*Engine, 0, opts.Capacity)
-		// Pre-extend the columns to capacity, then trim to zero length so
-		// Slots() stays consistent; growth now reuses the backing arrays.
-		b.cols.grow(opts.Capacity)
-		b.trimCols(0)
 	}
 	return b
-}
-
-// trimCols resets every column to length n, keeping capacity.
-func (b *Batch) trimCols(n int) {
-	c := &b.cols
-	c.Live = c.Live[:n]
-	c.Tick = c.Tick[:n]
-	c.Demand = c.Demand[:n]
-	c.Delivered = c.Delivered[:n]
-	c.Degree = c.Degree[:n]
-	c.Phase = c.Phase[:n]
-	c.DCLoadW = c.DCLoadW[:n]
-	c.BreakerStress = c.BreakerStress[:n]
-	c.UPSSoC = c.UPSSoC[:n]
-	c.TESSoC = c.TESSoC[:n]
-	c.RoomTempC = c.RoomTempC[:n]
-	c.ThermalMarginC = c.ThermalMarginC[:n]
-	c.ChipHeadroomJ = c.ChipHeadroomJ[:n]
-	c.Dead = c.Dead[:n]
 }
 
 // Len returns the number of live sessions.
@@ -140,10 +52,6 @@ func (b *Batch) Len() int { return b.live }
 // Slots returns the slot-table size (live sessions plus free slots); valid
 // slot indices are [0, Slots()).
 func (b *Batch) Slots() int { return len(b.engines) }
-
-// Columns returns the struct-of-arrays plant state, live through the next
-// Step/StepAll/Add/Remove.
-func (b *Batch) Columns() *BatchColumns { return &b.cols }
 
 // Engine returns the engine in a slot, or nil for a free or out-of-range
 // slot. The engine remains owned by the batch: callers may inspect it but
@@ -175,41 +83,9 @@ func (b *Batch) AddEngine(e *Engine) int {
 	} else {
 		slot = len(b.engines)
 		b.engines = append(b.engines, e)
-		b.cols.grow(slot + 1)
 	}
 	b.live++
-	b.cols.Live[slot] = true
-	b.cols.Tick[slot] = int64(e.Tick())
-	b.cols.Dead[slot] = e.Dead()
-	b.seedColumns(slot, e)
 	return slot
-}
-
-// seedColumns fills a freshly occupied slot's plant columns from engine
-// state, so ledger readers see sane values before the first step.
-func (b *Batch) seedColumns(slot int, e *Engine) {
-	c := &b.cols
-	c.Demand[slot], c.Delivered[slot], c.Degree[slot] = 0, 0, 0
-	c.Phase[slot] = 0
-	c.DCLoadW[slot] = 0
-	stress := e.p.tree.DCBreaker.Accumulator()
-	for _, pdu := range e.p.tree.PDUs {
-		if acc := pdu.Breaker.Accumulator(); acc > stress {
-			stress = acc
-		}
-	}
-	c.BreakerStress[slot] = stress
-	c.UPSSoC[slot] = e.p.tree.UPSSoC()
-	c.TESSoC[slot] = -1
-	if e.p.tank != nil {
-		c.TESSoC[slot] = e.p.tank.SoC()
-	}
-	c.RoomTempC[slot] = float64(e.p.room.State().Temp)
-	c.ThermalMarginC[slot] = e.p.room.Margin()
-	c.ChipHeadroomJ[slot] = -1
-	if e.p.chip != nil {
-		c.ChipHeadroomJ[slot] = float64(e.p.chip.Headroom())
-	}
 }
 
 // Remove releases a slot and returns its engine (nil if the slot was
@@ -223,46 +99,7 @@ func (b *Batch) Remove(slot int) *Engine {
 	b.engines[slot] = nil
 	b.free = append(b.free, slot)
 	b.live--
-	b.cols.Live[slot] = false
 	return e
-}
-
-// Step advances one slot's session a single tick, updating its columns —
-// the serving layer's path for sessions that arrive one request at a time.
-func (b *Batch) Step(slot int, demand float64) (TickDecision, error) {
-	e := b.Engine(slot)
-	if e == nil {
-		return TickDecision{}, fmt.Errorf("%w: %d", ErrBadSlot, slot)
-	}
-	var dec TickDecision
-	probe, err := e.stepInto(demand, &dec)
-	if err != nil {
-		return dec, err
-	}
-	b.updateColumns(slot, e, &dec, probe)
-	return dec, nil
-}
-
-// updateColumns writes one completed tick into the slot's columns.
-func (b *Batch) updateColumns(slot int, e *Engine, dec *TickDecision, probe stepProbe) {
-	c := &b.cols
-	c.Tick[slot] = int64(e.i)
-	c.Demand[slot] = dec.Demand
-	c.Delivered[slot] = dec.Delivered
-	c.Degree[slot] = dec.Degree
-	c.Phase[slot] = int8(dec.Phase)
-	c.DCLoadW[slot] = float64(dec.DCLoad)
-	c.BreakerStress[slot] = probe.stress
-	c.UPSSoC[slot] = probe.upsSoC
-	if e.p.tank != nil {
-		c.TESSoC[slot] = e.p.tank.SoC()
-	}
-	c.RoomTempC[slot] = float64(dec.RoomTemp)
-	c.ThermalMarginC[slot] = e.p.room.Margin()
-	if e.p.chip != nil {
-		c.ChipHeadroomJ[slot] = float64(e.p.chip.Headroom())
-	}
-	c.Dead[slot] = dec.Dead
 }
 
 // StepAll advances every live, non-skipped session one tick in slot order —
@@ -287,14 +124,9 @@ func (b *Batch) StepAll(demands []Sample) ([]TickDecision, error) {
 			b.decs[slot] = TickDecision{}
 			continue
 		}
-		probe, err := e.stepInto(demands[slot].Demand, &b.decs[slot])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("sim: batch slot %d: %w", slot, err)
-			}
-			continue
+		if err := e.stepInto(demands[slot].Demand, &b.decs[slot]); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("sim: batch slot %d: %w", slot, err)
 		}
-		b.updateColumns(slot, e, &b.decs[slot], probe)
 	}
 	return b.decs, firstErr
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -46,7 +45,7 @@ func TestBatchStepAllMatchesIndependentEngines(t *testing.T) {
 	}
 
 	demands := make([]Sample, b.Slots())
-	phasesSeen := map[int8]bool{}
+	phasesSeen := map[int]bool{}
 	for tick := 0; tick < tr.Len(); tick++ {
 		for i := range scs {
 			demands[slots[i]] = Sample{Demand: tr.Samples[tick]}
@@ -63,12 +62,10 @@ func TestBatchStepAllMatchesIndependentEngines(t *testing.T) {
 			if !reflect.DeepEqual(decs[slots[i]], want) {
 				t.Fatalf("session %d tick %d: batch decision diverged", i, tick)
 			}
-		}
-		for i := range scs {
-			phasesSeen[b.Columns().Phase[slots[i]]] = true
+			phasesSeen[decs[slots[i]].Phase] = true
 		}
 	}
-	for _, ph := range []int8{1, 2, 3} {
+	for _, ph := range []int{1, 2, 3} {
 		if !phasesSeen[ph] {
 			t.Errorf("batch run never entered phase %d (saw %v)", ph, phasesSeen)
 		}
@@ -97,60 +94,8 @@ func TestBatchStepAllMatchesIndependentEngines(t *testing.T) {
 	}
 }
 
-// TestBatchStepMatchesStepAll: stepping slots individually is bit-identical
-// to the lockstep sweep, so the serving layer's request-at-a-time path and
-// the campaign lockstep path can be mixed freely.
-func TestBatchStepMatchesStepAll(t *testing.T) {
-	tr := mustTrace(workload.SyntheticYahoo(5, 2.8, 6*time.Minute))
-	sc := Scenario{Trace: tr}
-	ba, bb := NewBatch(BatchOptions{}), NewBatch(BatchOptions{})
-	var sa, sb []int
-	for i := 0; i < 4; i++ {
-		slotA, err := ba.Add(sc)
-		if err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-		slotB, err := bb.Add(sc)
-		if err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-		sa, sb = append(sa, slotA), append(sb, slotB)
-	}
-	demands := make([]Sample, ba.Slots())
-	for tick := 0; tick < 200; tick++ {
-		d := tr.Samples[tick]
-		for i := range demands {
-			demands[i] = Sample{Demand: d}
-		}
-		if _, err := ba.StepAll(demands); err != nil {
-			t.Fatalf("StepAll: %v", err)
-		}
-		for _, slot := range sb {
-			if _, err := bb.Step(slot, d); err != nil {
-				t.Fatalf("Step: %v", err)
-			}
-		}
-	}
-	if !reflect.DeepEqual(ba.Columns(), bb.Columns()) {
-		t.Fatal("columns diverged between StepAll and per-slot Step")
-	}
-	for i := range sa {
-		ra, err := ba.Remove(sa[i]).Finish()
-		if err != nil {
-			t.Fatalf("Finish: %v", err)
-		}
-		rb, err := bb.Remove(sb[i]).Finish()
-		if err != nil {
-			t.Fatalf("Finish: %v", err)
-		}
-		if !reflect.DeepEqual(ra, rb) {
-			t.Fatalf("session %d: results diverged", i)
-		}
-	}
-}
-
 // TestBatchSlotReuse: removed slots are reused, skipped sessions hold their
-// tick, and bad slots error cleanly.
+// tick, and freed slots hold no engine.
 func TestBatchSlotReuse(t *testing.T) {
 	tr := mustTrace(workload.SyntheticYahoo(3, 2.0, 4*time.Minute))
 	sc := Scenario{Trace: tr}
@@ -173,17 +118,17 @@ func TestBatchSlotReuse(t *testing.T) {
 			t.Fatalf("StepAll: %v", err)
 		}
 	}
-	if got := b.Columns().Tick[s0]; got != 5 {
+	if got := b.Engine(s0).Tick(); got != 5 {
 		t.Fatalf("slot %d tick = %d, want 5", s0, got)
 	}
-	if got := b.Columns().Tick[s1]; got != 0 {
+	if got := b.Engine(s1).Tick(); got != 0 {
 		t.Fatalf("skipped slot %d tick = %d, want 0", s1, got)
 	}
 	if eng := b.Remove(s0); eng == nil || b.Len() != 1 {
 		t.Fatal("Remove did not release the slot")
 	}
-	if _, err := b.Step(s0, 1.0); !errors.Is(err, ErrBadSlot) {
-		t.Fatalf("Step on freed slot: %v, want ErrBadSlot", err)
+	if b.Engine(s0) != nil || b.Engine(-1) != nil || b.Engine(b.Slots()) != nil {
+		t.Fatal("Engine returned an engine for a freed or out-of-range slot")
 	}
 	if b.Remove(s0) != nil {
 		t.Fatal("double Remove returned an engine")

@@ -310,25 +310,17 @@ func (e *Engine) Dead() bool { return e.p.ctl.Dead() }
 // and returns the controller's decision for the tick.
 func (e *Engine) Step(demand float64) (TickDecision, error) {
 	var dec TickDecision
-	_, err := e.stepInto(demand, &dec)
+	err := e.stepInto(demand, &dec)
 	return dec, err
 }
 
-// stepProbe carries the per-tick plant readings Step computes anyway —
-// breaker stress scan and UPS state of charge — so batched callers can fill
-// their struct-of-arrays columns without re-walking the power tree.
-type stepProbe struct {
-	stress float64
-	upsSoC float64
-}
-
-// stepInto is Step writing the decision through a pointer (a TickDecision is
+// stepInto is Step writing the decision through a pointer: a TickDecision is
 // large enough that returning it by value costs a measurable fraction of a
-// batched step) and returning the tick's plant probe alongside.
-func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) {
+// batched step.
+func (e *Engine) stepInto(demand float64, dec *TickDecision) error {
 	if e.finished {
 		*dec = TickDecision{}
-		return stepProbe{}, ErrFinished
+		return ErrFinished
 	}
 	sc, step, i := &e.sc, e.step, e.i
 	in := core.Input{Demand: demand}
@@ -352,7 +344,6 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) 
 	if e.obs != nil {
 		e.obs.ObserveTick(time.Duration(i)*step, *tick)
 	}
-	upsSoC := e.p.tree.UPSSoC()
 	if len(e.required) == cap(e.required) {
 		e.growSeries()
 	}
@@ -363,7 +354,7 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) 
 	e.pduLoad = append(e.pduLoad, float64(tick.PDULoad))
 	e.upsPower = append(e.upsPower, float64(tick.UPSPower))
 	e.genPower = append(e.genPower, float64(tick.GenPower))
-	e.upsSoC = append(e.upsSoC, upsSoC)
+	e.upsSoC = append(e.upsSoC, e.p.tree.UPSSoC())
 	e.coolPower = append(e.coolPower, float64(tick.CoolingPower))
 	e.tesRate = append(e.tesRate, float64(tick.TESHeatRate))
 	e.roomTemp = append(e.roomTemp, float64(tick.RoomTemp))
@@ -375,12 +366,7 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) 
 		e.sprintSustained += step
 		e.excessServed += (tick.Delivered - 1) * step.Seconds()
 	}
-	stress := e.p.tree.DCBreaker.Accumulator()
-	for _, pdu := range e.p.tree.PDUs {
-		if acc := pdu.Breaker.Accumulator(); acc > stress {
-			stress = acc
-		}
-	}
+	stress := e.breakerStress()
 	if stress > e.maxStress {
 		e.maxStress = stress
 	}
@@ -392,9 +378,21 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) (stepProbe, error) 
 	}
 	e.i = i + 1
 	if e.rec != nil {
-		e.recordPlant(i, *tick, stress, upsSoC)
+		e.rec.RecordPlant(e.plantSample(stress))
 	}
-	return stepProbe{stress: stress, upsSoC: upsSoC}, nil
+	return nil
+}
+
+// breakerStress returns the worst thermal accumulator across the DC and PDU
+// breakers (1.0 trips).
+func (e *Engine) breakerStress() float64 {
+	stress := e.p.tree.DCBreaker.Accumulator()
+	for _, pdu := range e.p.tree.PDUs {
+		if acc := pdu.Breaker.Accumulator(); acc > stress {
+			stress = acc
+		}
+	}
+	return stress
 }
 
 // growSeries doubles the telemetry accumulators' capacity once a streaming
@@ -423,32 +421,22 @@ func (e *Engine) growSeries() {
 	e.phase = phase
 }
 
-// recordPlant assembles and delivers one PlantSample. Kept out of Step so
-// the detached hot path pays only the nil check.
-func (e *Engine) recordPlant(i int, tick TickDecision, stress, upsSoC float64) {
+// Plant returns the plant state after the last completed tick: that tick's
+// workload numbers and power flows with the live headroom ledgers. It is
+// the sample an attached PlantRecorder received for the same tick. Before
+// the first step the tick fields are zero and only the ledgers are live.
+func (e *Engine) Plant() PlantSample { return e.plantSample(e.breakerStress()) }
+
+// plantSample assembles the PlantSample for the last completed tick from the
+// engine's series and live component state; stress is the breaker scan the
+// caller already holds. Kept out of Step so the detached hot path pays only
+// the recorder's nil check.
+func (e *Engine) plantSample(stress float64) PlantSample {
 	s := PlantSample{
-		Tick:           i,
-		Now:            time.Duration(i) * e.step,
-		Demand:         tick.Demand,
-		Delivered:      tick.Delivered,
-		Degree:         tick.Degree,
-		Phase:          tick.Phase,
-		DCLoadW:        float64(tick.DCLoad),
-		PDULoadW:       float64(tick.PDULoad),
-		UPSPowerW:      float64(tick.UPSPower),
-		GenPowerW:      float64(tick.GenPower),
-		CoolPowerW:     float64(tick.CoolingPower),
-		TESRateW:       float64(tick.TESHeatRate),
-		GridDrawW:      float64(tick.DCLoad - tick.GenPower),
-		RoomTempC:      float64(tick.RoomTemp),
 		ThermalMarginC: e.p.room.Margin(),
 		BreakerStress:  stress,
-		UPSSoC:         upsSoC,
 		TESSoC:         -1,
 		ChipHeadroomJ:  -1,
-	}
-	if s.GridDrawW < 0 {
-		s.GridDrawW = 0
 	}
 	if e.p.tank != nil {
 		s.TESSoC = e.p.tank.SoC()
@@ -456,7 +444,30 @@ func (e *Engine) recordPlant(i int, tick TickDecision, stress, upsSoC float64) {
 	if e.p.chip != nil {
 		s.ChipHeadroomJ = float64(e.p.chip.Headroom())
 	}
-	e.rec.RecordPlant(s)
+	if e.i == 0 {
+		s.RoomTempC = float64(e.p.room.State().Temp)
+		s.UPSSoC = e.p.tree.UPSSoC()
+		return s
+	}
+	i := e.i - 1
+	s.Tick = i
+	s.Now = time.Duration(i) * e.step
+	// The required series keeps the raw input the Result echoes; the
+	// sample reports the demand the tick served.
+	s.Demand = core.SanitizeDemand(e.required[i])
+	s.Delivered = e.achieved[i]
+	s.Degree = e.degree[i]
+	s.Phase = e.phase[i]
+	s.DCLoadW = e.dcLoad[i]
+	s.PDULoadW = e.pduLoad[i]
+	s.UPSPowerW = e.upsPower[i]
+	s.GenPowerW = e.genPower[i]
+	s.CoolPowerW = e.coolPower[i]
+	s.TESRateW = e.tesRate[i]
+	s.GridDrawW = max(e.dcLoad[i]-e.genPower[i], 0)
+	s.RoomTempC = e.roomTemp[i]
+	s.UPSSoC = e.upsSoC[i]
+	return s
 }
 
 // Finish seals the engine and assembles the Result covering every step so

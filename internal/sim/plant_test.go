@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -14,8 +15,8 @@ type samplePlant struct {
 func (p *samplePlant) RecordPlant(s PlantSample) { p.samples = append(p.samples, s) }
 
 // TestPlantProbeMatchesTelemetry drives one engine with a recorder and
-// checks the samples agree with the Result's telemetry series and carry
-// sane headroom ledgers.
+// checks the samples agree with the Result's telemetry series, with the
+// tick's decision and with Engine.Plant, and carry sane headroom ledgers.
 func TestPlantProbeMatchesTelemetry(t *testing.T) {
 	eng, err := New(Scenario{Name: "probe"})
 	if err != nil {
@@ -23,15 +24,29 @@ func TestPlantProbeMatchesTelemetry(t *testing.T) {
 	}
 	rec := &samplePlant{}
 	eng.AttachPlantRecorder(rec)
-	const n = 120
+	const n, nanTick = 120, 90
 	for i := 0; i < n; i++ {
 		demand := 1.0
 		if i >= 20 && i < 80 {
 			demand = 3.0
 		}
-		if _, err := eng.Step(demand); err != nil {
+		if i == nanTick {
+			demand = math.NaN() // a corrupt demand signal
+		}
+		dec, err := eng.Step(demand)
+		if err != nil {
 			t.Fatalf("Step %d: %v", i, err)
 		}
+		s := rec.samples[len(rec.samples)-1]
+		if s.Demand != dec.Demand {
+			t.Fatalf("sample %d: demand %v, decision served %v", i, s.Demand, dec.Demand)
+		}
+		if got := eng.Plant(); !reflect.DeepEqual(got, s) {
+			t.Fatalf("tick %d: Plant() = %+v, recorder got %+v", i, got, s)
+		}
+	}
+	if s := rec.samples[nanTick]; s.Demand != 1 {
+		t.Fatalf("NaN-demand tick: sample demand %v, want the sanitised 1", s.Demand)
 	}
 	res, err := eng.Finish()
 	if err != nil {
@@ -103,6 +118,9 @@ func TestPlantProbeOptionalModels(t *testing.T) {
 	eng, err := New(Scenario{Name: "probe", NoTES: true, ChipPCMMinutes: 5})
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	if p := eng.Plant(); p.Tick != 0 || p.Degree != 0 || p.TESSoC != -1 || p.ChipHeadroomJ <= 0 || p.UPSSoC != 1 {
+		t.Fatalf("Plant() before the first step = %+v, want zero tick fields and full ledgers", p)
 	}
 	rec := &samplePlant{}
 	eng.AttachPlantRecorder(rec)

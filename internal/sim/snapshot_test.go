@@ -45,7 +45,7 @@ func runWithSnapshots(t *testing.T, sc Scenario, interval int) (*Result, []snapA
 			if n := len(eng.phase); n > 0 {
 				phase = eng.phase[n-1]
 			}
-			snaps = append(snaps, snapAt{tick: i, phase: phase, data: b})
+			snaps = append(snaps, snapAt{tick: i, phase: phase, data: b, plant: eng.Plant()})
 		}
 		if _, err := eng.Step(demand); err != nil {
 			t.Fatalf("Step %d: %v", i, err)
@@ -62,12 +62,14 @@ type snapAt struct {
 	tick  int
 	phase int
 	data  []byte
+	plant PlantSample // Engine.Plant at the snapshot tick
 }
 
 // TestSnapshotRestoreBitIdentical is the checkpoint property test: for every
 // strategy, snapshots taken throughout a long Yahoo burst — including ticks
-// inside sprinting phases 1, 2 and 3 — restore into engines whose remaining
-// run produces a Result bit-identical to the uninterrupted one.
+// inside sprinting phases 1, 2 and 3 — restore into engines that report the
+// original's plant state at that tick and whose remaining run produces a
+// Result bit-identical to the uninterrupted one.
 func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	tbl := buildTestTable(t)
 	tr := mustTrace(workload.SyntheticYahoo(7, 3.2, 15*time.Minute))
@@ -102,6 +104,9 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 				eng, err := Restore(sc, s.data)
 				if err != nil {
 					t.Fatalf("Restore at tick %d: %v", s.tick, err)
+				}
+				if got := eng.Plant(); !reflect.DeepEqual(got, s.plant) {
+					t.Fatalf("restore at tick %d (phase %d): Plant() = %+v, original %+v", s.tick, s.phase, got, s.plant)
 				}
 				for i := s.tick; i < len(eng.Scenario().Trace.Samples); i++ {
 					if _, err := eng.Step(eng.Scenario().Trace.Samples[i]); err != nil {

@@ -181,9 +181,7 @@ func (k *PlantSink) SampleFleet(extra map[string]float64) int64 {
 		worstStress     float64
 	)
 	for _, r := range recs {
-		r.mu.Lock()
-		s, ok := r.last, r.have
-		r.mu.Unlock()
+		s, ok := r.Last()
 		if !ok {
 			continue
 		}
@@ -243,6 +241,14 @@ type SessionRecorder struct {
 
 // ID returns the session id the recorder feeds.
 func (r *SessionRecorder) ID() string { return r.id }
+
+// Last returns the latest recorded sample; ok is false until the session's
+// first step.
+func (r *SessionRecorder) Last() (s sim.PlantSample, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.last, r.have
+}
 
 // RecordPlant implements sim.PlantRecorder.
 func (r *SessionRecorder) RecordPlant(s sim.PlantSample) {

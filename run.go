@@ -90,18 +90,13 @@ func RestoreObservedEngine(sc Scenario, snap []byte, obs Observer) (*Engine, err
 	return sim.RestoreObserved(sc, snap, obs)
 }
 
-// Batch owns N engines in struct-of-arrays plant state and advances every
-// live session one tick per StepAll sweep — the control plane's lockstep
-// stepping core; see sim.Batch.
+// Batch owns N engines in a slot table and advances every live session one
+// tick per StepAll sweep — the control plane's lockstep stepping core; see
+// sim.Batch.
 type Batch = sim.Batch
 
 // BatchOptions sizes a Batch; see sim.BatchOptions.
 type BatchOptions = sim.BatchOptions
-
-// BatchColumns is the batch's struct-of-arrays plant state — per-slot
-// columns for demand, delivered degree, breaker stress, storage ledgers and
-// thermals, refreshed by each StepAll sweep; see sim.BatchColumns.
-type BatchColumns = sim.BatchColumns
 
 // Sample is one slot's StepAll input: the tick's demand, or Skip for slots
 // that sit this quantum out; see sim.Sample.
@@ -109,9 +104,6 @@ type Sample = sim.Sample
 
 // NewBatch builds an empty batch; add engines with Batch.AddEngine.
 func NewBatch(opts BatchOptions) *Batch { return sim.NewBatch(opts) }
-
-// ErrBadSlot reports a Batch operation against a free or out-of-range slot.
-var ErrBadSlot = sim.ErrBadSlot
 
 // DeltaVersion is the delta snapshot codec version (DCSPDELT frames).
 const DeltaVersion = sim.DeltaVersion
