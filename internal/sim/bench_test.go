@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"dcsprint/internal/workload"
+)
 
 // BenchmarkEngineStep measures one bare tick of the streaming engine — the
 // floor under every per-step latency number the control-plane service can
@@ -45,4 +50,23 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 			b.Fatalf("Snapshot: %v", err)
 		}
 	}
+}
+
+// BenchmarkRunReference measures one whole reference run: sim.Run of
+// SyntheticYahoo(1, 3.2, 15m) on the default plant, 1800 one-second ticks
+// of idle, burst and recovery. ticks/s is the steady-state planning and
+// physics throughput; allocs/op pins the run's setup and history cost.
+func BenchmarkRunReference(b *testing.B) {
+	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(Scenario{Trace: tr}); err != nil {
+			b.Fatalf("Run: %v", err)
+		}
+	}
+	b.ReportMetric(float64(b.N*tr.Len())/b.Elapsed().Seconds(), "ticks/s")
 }
