@@ -1,0 +1,209 @@
+package core
+
+// The cap search warm-starts from the previous tick's answer. That returns
+// exactly what a full bisection returns only because plan feasibility is
+// monotone in the cap. These tests pin both: on every searching tick the
+// committed cap is the largest feasible one found by scanning every cap,
+// and feasibility over the scanned range is a prefix. A controller
+// restored from a snapshot starts cold and must decide exactly as the
+// original does.
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"dcsprint/internal/breaker"
+	"dcsprint/internal/cooling"
+	"dcsprint/internal/faults"
+	"dcsprint/internal/tes"
+	"dcsprint/internal/units"
+	"dcsprint/internal/ups"
+)
+
+// linearCap scans every cap in [NormalCores, capCores-1] and returns the
+// largest feasible one (-1 when none is), failing the test if a feasible
+// cap lies above an infeasible one.
+func linearCap(t *testing.T, c *Controller, capCores int, in Input, dt time.Duration) int {
+	t.Helper()
+	best, firstBad := -1, -1
+	for n := c.cfg.Server.NormalCores; n < capCores; n++ {
+		if _, ok := c.plan(n, in, dt, false); !ok {
+			if firstBad < 0 {
+				firstBad = n
+			}
+			continue
+		}
+		if firstBad >= 0 {
+			t.Fatalf("feasibility not monotone: cap %d fails but cap %d is feasible", firstBad, n)
+		}
+		best = n
+	}
+	return best
+}
+
+// randomDemand is one tick of a noisy duty cycle: a random walk around
+// normal load, then from tick 200 a sustained burst at level (long enough
+// for the thermal guard to cap the sprint), with occasional jumps and lulls
+// throughout.
+func randomDemand(rng *rand.Rand, tick int, level, demand float64) float64 {
+	switch r := rng.Float64(); {
+	case tick == 200:
+		demand = level
+	case tick == 1100:
+		demand = 0.8
+	case r < 0.01:
+		demand = 1 + 2.6*rng.Float64()
+	case r < 0.02:
+		demand = 0.4 + 0.5*rng.Float64()
+	case tick > 200 && tick < 1100 && r < 0.1:
+		demand = level + 0.3*(rng.Float64()-0.5)
+	default:
+		demand += 0.1 * (rng.Float64() - 0.5)
+	}
+	if demand < 0 {
+		demand = 0
+	}
+	return demand
+}
+
+func TestCapSearchMatchesLinearScan(t *testing.T) {
+	strategies := []Strategy{
+		Greedy{},
+		FixedBound{Bound: 2.5},
+		Heuristic{EstimatedAvgDegree: 2.2, Flexibility: 0.1},
+	}
+	weightSets := [][]float64{nil, {0.4, 0.8, 1.0, 1.2, 1.6}}
+	var searches, warm, hint int
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		opts := facilityOpts{
+			strategy:   strategies[rng.Intn(len(strategies))],
+			weights:    weightSets[rng.Intn(len(weightSets))],
+			noTES:      rng.Intn(4) == 0,
+			dcHeadroom: 0.02 + 0.18*rng.Float64(),
+		}
+		f := newFacility(t, opts)
+		var inj *faults.Injector
+		if seed%3 == 0 {
+			// Supervised: the planner reads the sensor bus while a random
+			// fault campaign attacks the plant.
+			bus := faults.NewSensorBus(f.tree, f.room, f.tank)
+			f.ctl.AttachSensors(bus)
+			inj = faults.NewInjector(faults.Random(seed, 1500*time.Second, len(f.tree.PDUs)), f.tree, f.tank, bus)
+			inj.BindChiller(f.ctl)
+		}
+		f.ctl.buf.onSearch = func(capCores int, in Input, dt time.Duration, best int) {
+			searches++
+			if hint >= 0 {
+				warm++
+			}
+			if want := linearCap(t, f.ctl, capCores, in, dt); best != want {
+				t.Fatalf("seed %d at %v: search chose cap %d, linear scan %d (caps up to %d)",
+					seed, f.ctl.now, best, want, capCores-1)
+			}
+		}
+		rated := f.tree.DCBreaker.Rated
+		level := 2 + 1.6*rng.Float64()
+		demand := 0.8
+		for i := 0; i < 1500; i++ {
+			demand = randomDemand(rng, i, level, demand)
+			in := Input{Demand: demand}
+			if rng.Float64() < 0.05 {
+				in.SupplyLimit = units.Watts(float64(rated) * (0.55 + 0.4*rng.Float64()))
+			}
+			if inj != nil {
+				inj.Advance(time.Second)
+				if frac := inj.SupplyFraction(); frac < 1 {
+					in.SupplyLimit = units.Watts(frac) * rated
+				}
+			}
+			hint = f.ctl.buf.capHint
+			f.ctl.TickInput(in, time.Second)
+		}
+	}
+	t.Logf("%d searching ticks, %d of them warm-started", searches, warm)
+	if searches < 1000 || warm < 1000 {
+		t.Fatalf("only %d searching ticks (%d warm-started); the property is barely exercised", searches, warm)
+	}
+}
+
+// plantState is a facility's component state, enough to rebuild the plant
+// in a fresh facility of the same shape.
+type plantState struct {
+	ctl  ControllerState
+	dc   breaker.State
+	pdus []breaker.State
+	upss []ups.State
+	room cooling.State
+	tank tes.State
+}
+
+func capturePlant(f *facility) plantState {
+	st := plantState{ctl: f.ctl.DumpState(), dc: f.tree.DCBreaker.State(), room: f.room.State(), tank: f.tank.State()}
+	for _, p := range f.tree.PDUs {
+		st.pdus = append(st.pdus, p.Breaker.State())
+		st.upss = append(st.upss, p.UPS.State())
+	}
+	return st
+}
+
+func TestRestoredControllerDecidesLikeOriginal(t *testing.T) {
+	opts := facilityOpts{weights: []float64{0.6, 0.9, 1.0, 1.1, 1.4}}
+	orig := newFacility(t, opts)
+	// A long burst drives the thermal guard into searching every tick.
+	demands := make([]float64, 0, 1500)
+	for i := 0; i < 300; i++ {
+		demands = append(demands, 0.8)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 900; i++ {
+		demands = append(demands, 3.2+0.3*(rng.Float64()-0.5))
+	}
+	for i := 0; i < 300; i++ {
+		demands = append(demands, 0.7)
+	}
+	cut := -1
+	for i, d := range demands {
+		orig.ctl.Tick(d, time.Second)
+		if i >= 400 && orig.ctl.buf.capHint >= 0 {
+			cut = i + 1
+			break
+		}
+	}
+	if cut < 0 {
+		t.Fatal("the burst never made the controller search for a cap")
+	}
+
+	snap := capturePlant(orig)
+	restored := newFacility(t, opts)
+	mustSet := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSet(restored.tree.DCBreaker.SetState(snap.dc))
+	for i, p := range restored.tree.PDUs {
+		mustSet(p.Breaker.SetState(snap.pdus[i]))
+		mustSet(p.UPS.SetState(snap.upss[i]))
+	}
+	mustSet(restored.room.SetState(snap.room))
+	mustSet(restored.tank.SetState(snap.tank))
+	mustSet(restored.ctl.RestoreState(snap.ctl))
+	if restored.ctl.buf.capHint != -1 {
+		t.Fatalf("restored controller carries cap hint %d; it must start cold", restored.ctl.buf.capHint)
+	}
+
+	for i := cut; i < len(demands); i++ {
+		a := orig.ctl.Tick(demands[i], time.Second)
+		b := restored.ctl.Tick(demands[i], time.Second)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("tick %d: restored controller decided %+v, original %+v", i, b, a)
+		}
+	}
+	if a, b := orig.ctl.DumpState(), restored.ctl.DumpState(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("final controller states differ:\n%+v\n%+v", a, b)
+	}
+}
