@@ -165,10 +165,12 @@ func (t *Tree) Step(f Flow, dt time.Duration) error {
 		return fmt.Errorf("power: flow width %d/%d, want %d", len(f.PDUServer), len(f.PDUUPS), len(t.PDUs))
 	}
 	var firstErr error
+	var dcLoad units.Watts
 	for i, p := range t.PDUs {
 		delivered := p.UPS.Discharge(f.PDUUPS[i], dt)
 		// Any shortfall the battery could not deliver falls back on the
-		// PDU feed: the servers draw it regardless.
+		// PDU feed, and through it on the DC feed: the servers draw it
+		// regardless.
 		shortfall := f.PDUUPS[i] - delivered
 		if shortfall < 0 {
 			shortfall = 0
@@ -177,8 +179,9 @@ func (t *Tree) Step(f Flow, dt time.Duration) error {
 		if err := p.Breaker.Step(load, dt); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		dcLoad += load
 	}
-	if err := t.DCBreaker.Step(f.DCLoad(), dt); err != nil && firstErr == nil {
+	if err := t.DCBreaker.Step(dcLoad+f.Cooling, dt); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -196,6 +196,30 @@ func TestUPSShortfallFallsBackToPDU(t *testing.T) {
 	}
 }
 
+func TestDCBreakerCarriesUPSShortfall(t *testing.T) {
+	tree := newTree(t, testConfig())
+	tree.PDUs[0].UPS.Fail()
+	// 4 kW planned on every group's battery; group 0's string is dead, so
+	// its 4 kW lands on its PDU feed and must reach the DC feed too.
+	f := uniformFlow(tree, 13000, 4000, 6000)
+	if err := tree.Step(f, time.Second); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	var pduSum units.Watts
+	for _, p := range tree.PDUs {
+		pduSum += p.Breaker.Load()
+	}
+	if got := tree.PDUs[0].Breaker.Load(); got != 13000 {
+		t.Fatalf("failed group's PDU breaker carries %v, want the full 13 kW", got)
+	}
+	if got, want := tree.DCBreaker.Load(), pduSum+f.Cooling; got != want {
+		t.Fatalf("DC breaker carries %v, want PDU loads %v + cooling %v = %v", got, pduSum, f.Cooling, want)
+	}
+	if got := tree.DCBreaker.Load(); got <= f.DCLoad() {
+		t.Fatalf("DC breaker carries %v, no more than the planned %v: the shortfall was dropped", got, f.DCLoad())
+	}
+}
+
 func TestStepFlowWidthMismatch(t *testing.T) {
 	tree := newTree(t, testConfig())
 	f := Flow{PDUServer: make([]units.Watts, 2), PDUUPS: make([]units.Watts, 2)}
