@@ -30,7 +30,7 @@ func TestModelMatchesConfig(t *testing.T) {
 			demands = append(demands, rng.Float64()*cfg.MaxThroughput()*1.2)
 		}
 		for _, d := range demands {
-			if got, want := m.CoresForThroughput(d), cfg.CoresForThroughput(d); got != want {
+			if got, want := m.CoresForThroughputPow(d, m.DemandPow(d)), cfg.CoresForThroughput(d); got != want {
 				t.Fatalf("CoresForThroughput(%v): model %d config %d", d, got, want)
 			}
 			for n := -1; n <= cfg.TotalCores+2; n++ {
