@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -368,8 +369,8 @@ func (c *Client) List(ctx context.Context) ([]SessionInfo, error) {
 type Stream struct {
 	pw      *io.PipeWriter
 	resp    *http.Response
-	enc     *json.Encoder
-	dec     *json.Decoder
+	br      *bufio.Reader // resp.Body, read a line at a time
+	buf     []byte        // the outgoing line, reused
 	c       *Client
 	session string
 	lastRID string
@@ -428,8 +429,7 @@ func (c *Client) Stream(ctx context.Context, id string) (*Stream, error) {
 			RetryAfter: retryAfterHeader(resp)}
 	}
 	s := &Stream{
-		pw: pw, resp: resp,
-		enc: json.NewEncoder(pw), dec: json.NewDecoder(resp.Body),
+		pw: pw, resp: resp, br: newLineReader(resp.Body),
 		c: c, session: id,
 	}
 	// Read the hello under the open context: tear the stream down on
@@ -438,7 +438,10 @@ func (c *Client) Stream(ctx context.Context, id string) (*Stream, error) {
 		pw.CloseWithError(octx.Err())
 		resp.Body.Close()
 	})
-	err = s.dec.Decode(&s.hello)
+	raw, err := readLine(s.br)
+	if err == nil {
+		err = json.Unmarshal(raw, &s.hello)
+	}
 	stop()
 	if cerr := ctx.Err(); cerr != nil {
 		err = cerr
@@ -544,11 +547,19 @@ func (s *Stream) Step(demand float64) (Decision, error) {
 
 func (s *Stream) stepRaw(demand float64, rid string) (Decision, error) {
 	seq := s.seq
-	if err := s.enc.Encode(StepRequest{Demand: demand, Seq: &seq, RID: rid}); err != nil {
+	var err error
+	if s.buf, err = appendStepRequest(s.buf[:0], &StepRequest{Demand: demand, Seq: &seq, RID: rid}); err != nil {
+		return Decision{}, err
+	}
+	if _, err = s.pw.Write(s.buf); err != nil {
+		return Decision{}, err
+	}
+	raw, err := readLine(s.br)
+	if err != nil {
 		return Decision{}, err
 	}
 	var line StepLine
-	if err := s.dec.Decode(&line); err != nil {
+	if err := decodeStepLine(raw, &line); err != nil {
 		return Decision{}, err
 	}
 	if line.Err != "" {

@@ -206,11 +206,16 @@ func (m *Manager) handleFinish(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, NewResultView(res))
 }
 
+// badLineGrace is how long a steps stream that rejected a line waits for
+// the client to finish its request body before dropping the connection.
+const badLineGrace = time.Second
+
 // handleSteps is the streaming loop: one StepRequest line in, one StepLine
 // out, flushed per line so a client can drive the session in lockstep.
 // Recoverable per-tick failures (backpressure, trace exhausted) are reported
 // as error lines with their HTTP code and the stream stays open; an unknown
-// session ends it.
+// session ends it, and so does an over-long or malformed input line, after
+// one 400 error line saying why.
 func (m *Manager) handleSteps(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tc := traceFrom(w, r)
@@ -231,33 +236,61 @@ func (m *Manager) handleSteps(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 
-	dec := json.NewDecoder(r.Body)
-	enc := json.NewEncoder(w)
 	// The greeting tells a resuming client where the session actually is.
 	// Because acks are sent only after the tick is journaled, this tick can
 	// never be behind lastAcked+1 — a client seeing otherwise knows state
 	// was lost and refuses the resume instead of silently skipping ticks.
-	if err := enc.Encode(StreamHello{Hello: true, ID: id, Tick: s.tick.Load()}); err != nil {
+	if err := json.NewEncoder(w).Encode(StreamHello{Hello: true, ID: id, Tick: s.tick.Load()}); err != nil {
 		return
 	}
 	if err := rc.Flush(); err != nil {
 		return
 	}
+	br := newLineReader(r.Body)
+	var (
+		in  StepRequest
+		buf []byte
+	)
+	send := func(l *StepLine) bool {
+		var err error
+		if buf, err = appendStepLine(buf[:0], l); err != nil {
+			return false
+		}
+		if _, err = w.Write(buf); err != nil {
+			return false
+		}
+		return rc.Flush() == nil
+	}
 	for {
-		var in StepRequest
-		if err := dec.Decode(&in); err != nil {
+		raw, err := readLine(br)
+		if err == nil {
+			err = decodeStepRequest(raw, &in)
+		} else if !errors.Is(err, errStepLineTooLong) {
 			// EOF is the client closing its side; anything else is a
-			// malformed line — either way the stream is over.
+			// broken connection — either way the stream is over.
 			return
 		}
-		var line StepLine
+		if err != nil {
+			// An over-long or malformed line: say why, then end the stream.
+			// The rest of the body is discarded here rather than by
+			// net/http after the handler returns: under full duplex, its
+			// post-handler drain reaching the body's end races the
+			// connection's next read. A client that does not finish its
+			// body within badLineGrace loses the connection instead.
+			send(&StepLine{Err: err.Error(), Code: http.StatusBadRequest})
+			rc.SetReadDeadline(time.Now().Add(badLineGrace)) //nolint:errcheck // best-effort
+			if _, err := io.Copy(io.Discard, br); err != nil {
+				panic(http.ErrAbortHandler)
+			}
+			return
+		}
 		lineTC := TraceContext{Trace: tc.Trace, Req: sanitizeID(in.RID)}
 		seq := int64(-1)
 		if in.Seq != nil {
 			seq = *in.Seq
 		}
 		d, err := m.StepSeqTraced(id, seq, in.Demand, lineTC)
-		line.RID = lineTC.Req
+		line := StepLine{RID: lineTC.Req}
 		if err != nil {
 			line.Err = err.Error()
 			line.Code = statusOf(err)
@@ -265,10 +298,7 @@ func (m *Manager) handleSteps(w http.ResponseWriter, r *http.Request) {
 		} else {
 			line.Decision = &d
 		}
-		if err := enc.Encode(line); err != nil {
-			return
-		}
-		if err := rc.Flush(); err != nil {
+		if !send(&line) {
 			return
 		}
 		if errors.Is(err, ErrNotFound) || errors.Is(err, ErrClosed) {

@@ -1,0 +1,433 @@
+package service
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"math"
+	"math/rand"
+	"net"
+	"net/http"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"dcsprint/internal/chaosnet"
+)
+
+// encoderLine is the reference: what json.Encoder writes for v.
+func encoderLine(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// wireFloats are the magnitudes where encoding/json's float format
+// switches, plus the values a plant reports.
+var wireFloats = []float64{0, math.Copysign(0, -1), 1, -1, 1.5, 3.2, 1e-6, 9.99e-7, 1e-7, -1e-7,
+	1.2345e-9, 1e20, 1e21, -1e21, 1.5e300, 5e-324, math.MaxFloat64, 123456.789, 2.5e6, 24.999999999}
+
+func randFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(4) {
+	case 0:
+		return wireFloats[rng.Intn(len(wireFloats))]
+	case 1:
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+	case 2:
+		return float64(rng.Intn(2_000_000)) / 8
+	default:
+		for {
+			f := math.Float64frombits(rng.Uint64())
+			if !math.IsNaN(f) && !math.IsInf(f, 0) {
+				return f
+			}
+		}
+	}
+}
+
+// randWireString mixes plain ids with everything encoding/json escapes:
+// quotes, HTML characters, control bytes, invalid UTF-8, U+2028/U+2029.
+func randWireString(rng *rand.Rand) string {
+	pieces := []string{"", "c1.42", "service: session queue full", `"`, `\`, "<", ">", "&",
+		"\n", "\t", "\r", "\b", "\f", "\x00", "\x1f", "\x7f", "é", "日本", "\u2028", "\u2029",
+		"\xff", "\xe2\x82", "\ufffd", "😀", "seq 3, next tick 4"}
+	var sb strings.Builder
+	for n := rng.Intn(5); n > 0; n-- {
+		sb.WriteString(pieces[rng.Intn(len(pieces))])
+	}
+	return sb.String()
+}
+
+func randStepLine(rng *rand.Rand) StepLine {
+	var l StepLine
+	if rng.Intn(4) > 0 {
+		l.Decision = &Decision{
+			Tick: rng.Intn(1 << 20), Demand: randFloat(rng), Delivered: randFloat(rng),
+			Degree: randFloat(rng), Bound: randFloat(rng), Phase: rng.Intn(4),
+			ActiveCores: rng.Intn(1 << 16), ITPowerW: randFloat(rng), CoolingPowerW: randFloat(rng),
+			DCLoadW: randFloat(rng), PDULoadW: randFloat(rng), UPSPowerW: randFloat(rng),
+			GenPowerW: randFloat(rng), TESHeatRateW: randFloat(rng), RoomTempC: randFloat(rng),
+			Tripped: rng.Intn(3) == 0, Dead: rng.Intn(3) == 0,
+		}
+	}
+	if rng.Intn(2) == 0 {
+		l.RID = randWireString(rng)
+	}
+	if l.Decision == nil || rng.Intn(5) == 0 {
+		l.Err = randWireString(rng)
+		l.Code = []int{0, 400, 404, 409, 429, 503}[rng.Intn(6)]
+		l.RetryAfterMs = []int64{0, 5, 100, 500, -1}[rng.Intn(5)]
+	}
+	return l
+}
+
+// TestStepWireMatchesEncoder is the byte-identity property: for random
+// decision lines (tripped, dead and error lines included) and request
+// lines, the codec writes exactly what json.Encoder writes, errors where
+// it errors, and decodes its own output back to the same value.
+func TestStepWireMatchesEncoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var buf []byte
+	for i := 0; i < 20000; i++ {
+		l := randStepLine(rng)
+		if i%500 == 0 && l.Decision != nil {
+			l.Decision.RoomTempC = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i/500%3]
+		}
+		want, werr := encoderLine(l)
+		var err error
+		buf, err = appendStepLine(buf[:0], &l)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("line %+v: codec err %v, encoder err %v", l, err, werr)
+		}
+		if err != nil {
+			continue
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("step line differs from json.Encoder:\n got %s\nwant %s", buf, want)
+		}
+		var back StepLine
+		if err := decodeStepLine(buf, &back); err != nil {
+			t.Fatalf("decode %s: %v", buf, err)
+		}
+		var ref StepLine
+		if err := json.Unmarshal(buf, &ref); err != nil {
+			t.Fatalf("unmarshal %s: %v", buf, err)
+		}
+		if !reflect.DeepEqual(back, ref) {
+			t.Fatalf("decode %s:\n got %+v\nwant %+v", buf, back, ref)
+		}
+
+		in := StepRequest{Demand: randFloat(rng), RID: randWireString(rng)}
+		if rng.Intn(4) > 0 {
+			seq := rng.Int63n(1<<40) - 2
+			in.Seq = &seq
+		}
+		if i%700 == 0 {
+			in.Demand = math.NaN()
+		}
+		want, werr = encoderLine(in)
+		buf, err = appendStepRequest(buf[:0], &in)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("request %+v: codec err %v, encoder err %v", in, err, werr)
+		}
+		if err == nil && !bytes.Equal(buf, want) {
+			t.Fatalf("step request differs from json.Encoder:\n got %s\nwant %s", buf, want)
+		}
+	}
+}
+
+// Seeds shared by the fuzzers: real lines, error lines, legacy lines and
+// the float forms at encoding/json's format boundaries.
+var wireSeeds = []string{
+	`{"demand":1.25,"seq":7,"rid":"t1.8"}`,
+	`{"demand":0.4}`,
+	`{"demand":0.4,"seq":null}`,
+	`{"demand":-0,"seq":0}`,
+	`{"demand":1e-7}`,
+	`{"demand":1e21,"rid":"x"}`,
+	` { "rid" : "a" , "demand" : 2 } `,
+	`{"tick":12,"demand":3.2,"delivered":3.2,"degree":1.6,"bound":2,"phase":1,"active_cores":4000,"it_power_w":412345.5,"cooling_power_w":80000,"dc_load_w":500000.25,"pdu_load_w":50000,"ups_power_w":0,"gen_power_w":0,"tes_heat_rate_w":0,"room_temp_c":24.9,"rid":"t1.13"}`,
+	`{"tick":0,"demand":0,"delivered":0,"degree":1,"bound":1,"phase":0,"active_cores":0,"it_power_w":0,"cooling_power_w":0,"dc_load_w":0,"pdu_load_w":0,"ups_power_w":0,"gen_power_w":0,"tes_heat_rate_w":0,"room_temp_c":22,"tripped":true,"dead":true}`,
+	`{"rid":"t1.9","error":"service: session queue full","code":429,"retry_after_ms":5}`,
+	`{"error":"service: step sequence out of order: seq 3, next tick 4","code":409}`,
+	`{"tick":null}`,
+	`{"Demand":1}`,
+	`{"demand":"1"}`,
+	`{"demand":1,"extra":{"a":[1]}}`,
+	`{"rid":"a\"b"}`,
+	`{"demand":01}`,
+	`{"demand":1e400}`,
+	`{"code":1.5}`,
+	`{"demand":1}{"demand":2}`,
+	`null`,
+	`{}`,
+	``,
+}
+
+// FuzzStepRequestWire: the request decoder agrees with json.Unmarshal on
+// every input — value and whether it errors — and an accepted request
+// re-encodes to json.Encoder's bytes and decodes back to itself.
+func FuzzStepRequestWire(f *testing.F) { fuzzWire(f, decodeStepRequest, appendStepRequest) }
+
+// FuzzStepLineWire is FuzzStepRequestWire for decision and error lines.
+func FuzzStepLineWire(f *testing.F) { fuzzWire(f, decodeStepLine, appendStepLine) }
+
+func fuzzWire[T any](f *testing.F, decode func([]byte, *T) error, encode func([]byte, *T) ([]byte, error)) {
+	for _, s := range wireSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, want T
+		err := decode(data, &got)
+		werr := json.Unmarshal(data, &want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%q: decode err %v, json.Unmarshal err %v", data, err, werr)
+		}
+		sameWireValue(t, data, got, want)
+		if err != nil {
+			return
+		}
+		line, err := encode(nil, &got)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", got, err)
+		}
+		if ref, _ := encoderLine(got); !bytes.Equal(line, ref) {
+			t.Fatalf("re-encode differs from json.Encoder:\n got %s\nwant %s", line, ref)
+		}
+		var back T
+		if err := decode(line[:len(line)-1], &back); err != nil {
+			t.Fatalf("decode re-encoded %s: %v", line, err)
+		}
+		sameWireValue(t, line, back, got)
+	})
+}
+
+// TestReadLine pins the framing: lines come back without their newline
+// (a CR stays, for the decoder to skip as whitespace), blank lines are
+// skipped as a json.Decoder skips whitespace between values, a final
+// unterminated line still counts, and a line over the cap is an error.
+func TestReadLine(t *testing.T) {
+	in := "{\"demand\":1}\n\n \t\r\n{\"demand\":2}\r\n{\"demand\":3}"
+	br := newLineReader(strings.NewReader(in))
+	for _, want := range []string{`{"demand":1}`, "{\"demand\":2}\r", `{"demand":3}`} {
+		got, err := readLine(br)
+		if err != nil || string(got) != want {
+			t.Fatalf("readLine = %q, %v; want %q", got, err, want)
+		}
+	}
+	if _, err := readLine(br); err != io.EOF {
+		t.Fatalf("after the last line: err %v, want EOF", err)
+	}
+	br = newLineReader(strings.NewReader(strings.Repeat(" ", maxStepLine-1) + "\n"))
+	if _, err := readLine(br); err != io.EOF {
+		t.Fatalf("blank line at the cap: err %v, want EOF", err)
+	}
+	br = newLineReader(strings.NewReader(strings.Repeat("x", maxStepLine) + "\n"))
+	if _, err := readLine(br); err != errStepLineTooLong {
+		t.Fatalf("line over the cap: err %v, want errStepLineTooLong", err)
+	}
+}
+
+// sameWireValue fails unless got and want are equal down to the sign of
+// zero and which pointers are set (json.Marshal tells both apart).
+func sameWireValue(t *testing.T, in []byte, got, want any) {
+	t.Helper()
+	gj, _ := json.Marshal(got)
+	wj, _ := json.Marshal(want)
+	if !reflect.DeepEqual(got, want) || !bytes.Equal(gj, wj) {
+		t.Fatalf("%q decodes to %s, json.Unmarshal to %s", in, gj, wj)
+	}
+}
+
+// postSteps opens a steps stream with the whole body already written and
+// returns the response lines after the hello.
+func postSteps(t *testing.T, base, id, body string) []StepLine {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/sessions/"+id+"/steps", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST steps: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST steps: status %s", resp.Status)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	var lines []StepLine
+	for first := true; sc.Scan(); first = false {
+		if first {
+			var h StreamHello
+			if err := json.Unmarshal(sc.Bytes(), &h); err != nil || !h.Hello {
+				t.Fatalf("hello line %q: %v", sc.Bytes(), err)
+			}
+			continue
+		}
+		var l StepLine
+		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+			t.Fatalf("line %q: %v", sc.Bytes(), err)
+		}
+		lines = append(lines, l)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading stream: %v", err)
+	}
+	return lines
+}
+
+// TestStepsStreamRejectsBadLines: an over-long or malformed input line gets
+// one 400 error line saying why, then the stream ends — the lines after it
+// are never applied. Each case also runs through a chaos proxy that splits
+// every write into a few bytes, so lines must reassemble from partial
+// reads on both ends.
+func TestStepsStreamRejectsBadLines(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: m.Handler()}
+	defer srv.Close()
+	go srv.Serve(ln) //nolint:errcheck
+	p, err := chaosnet.Start(chaosnet.Config{Target: ln.Addr().String(), Seed: 3, ChunkMax: 7})
+	if err != nil {
+		t.Fatalf("chaosnet: %v", err)
+	}
+	defer p.Close()
+
+	good := `{"demand":1.5,"seq":%d}` + "\n"
+	cases := []struct {
+		name, bad, want string
+	}{
+		{"over-long", `{"demand":1,"rid":"` + strings.Repeat("x", maxStepLine) + `"}` + "\n", "exceeds"},
+		{"malformed", `{"demand":` + "\n", "malformed"},
+		{"wrong type", `{"demand":"high"}` + "\n", "malformed"},
+	}
+	for _, via := range []string{"direct", "chaos"} {
+		base := "http://" + ln.Addr().String()
+		if via == "chaos" {
+			base = "http://" + p.Addr()
+		}
+		for _, tc := range cases {
+			t.Run(via+"/"+tc.name, func(t *testing.T) {
+				s, err := m.Create(ScenarioSpec{})
+				if err != nil {
+					t.Fatalf("Create: %v", err)
+				}
+				body := strings.ReplaceAll(good, "%d", "0") + strings.ReplaceAll(good, "%d", "1") +
+					tc.bad + strings.ReplaceAll(good, "%d", "2")
+				lines := postSteps(t, base, s.ID, body)
+				if len(lines) != 3 {
+					t.Fatalf("got %d lines after hello, want 2 decisions and 1 error: %+v", len(lines), lines)
+				}
+				for i, l := range lines[:2] {
+					if l.Decision == nil || l.Decision.Tick != i {
+						t.Fatalf("line %d = %+v, want the decision for tick %d", i, l, i)
+					}
+				}
+				if e := lines[2]; e.Code != http.StatusBadRequest || e.Decision != nil || !strings.Contains(e.Err, tc.want) {
+					t.Fatalf("error line = %+v, want code 400 mentioning %q", e, tc.want)
+				}
+				if info, err := m.Info(s.ID); err != nil || info.Tick != 2 {
+					t.Fatalf("session after bad line: %+v, %v; want tick 2", info, err)
+				}
+				if _, err := m.Finish(s.ID); err != nil {
+					t.Fatalf("Finish: %v", err)
+				}
+			})
+		}
+	}
+
+	// A client that keeps its body open after a bad line loses the
+	// connection once the grace period runs out.
+	t.Run("held-open", func(t *testing.T) {
+		s, err := m.Create(ScenarioSpec{})
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		pr, pw := io.Pipe()
+		defer pw.Close()
+		req, err := http.NewRequest(http.MethodPost, "http://"+ln.Addr().String()+"/v1/sessions/"+s.ID+"/steps", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST steps: %v", err)
+		}
+		defer resp.Body.Close()
+		br := bufio.NewReader(resp.Body)
+		if _, err := br.ReadBytes('\n'); err != nil {
+			t.Fatalf("hello: %v", err)
+		}
+		if _, err := io.WriteString(pw, "{\"demand\":}\n"); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		var l StepLine
+		if raw, err := br.ReadBytes('\n'); err != nil || json.Unmarshal(raw, &l) != nil || l.Code != http.StatusBadRequest {
+			t.Fatalf("error line %q, %v", raw, err)
+		}
+		start := time.Now()
+		if raw, err := br.ReadBytes('\n'); err == nil {
+			t.Fatalf("stream went on after the error line: %q", raw)
+		}
+		if waited := time.Since(start); waited > badLineGrace+2*time.Second {
+			t.Fatalf("stream ended %v after the error line, want about %v", waited, badLineGrace)
+		}
+	})
+
+	// The client's own reader reassembles split decision lines too.
+	s, err := m.Create(yahooSpec("wire-chaos"))
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	c := &Client{Base: "http://" + p.Addr()}
+	ctx := context.Background()
+	st, err := c.Stream(ctx, s.ID)
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
+	}
+	defer st.Close()
+	for i := 0; i < 50; i++ {
+		d, err := st.StepContext(ctx, 1+float64(i)/10)
+		if err != nil || d.Tick != i || d.Demand != 1+float64(i)/10 {
+			t.Fatalf("step %d over chaos: %+v, %v", i, d, err)
+		}
+	}
+}
+
+// BenchmarkStepWire is one lockstep round trip's codec work with reused
+// buffers: encode and decode a request line, then a decision line.
+func BenchmarkStepWire(b *testing.B) {
+	seq := int64(901)
+	req := StepRequest{Demand: 3.2000000000000006, Seq: &seq, RID: "t4a1b2c3d4e5f60718.902"}
+	line := StepLine{RID: req.RID, Decision: &Decision{
+		Tick: 901, Demand: 3.2000000000000006, Delivered: 2.2870318612157416, Degree: 1.6285714285714286,
+		Bound: 2.0514285714285713, Phase: 2, ActiveCores: 3257, ITPowerW: 488413.2857142857,
+		CoolingPowerW: 138245.37142857144, DCLoadW: 626658.6571428571, PDULoadW: 48841.32857142857,
+		UPSPowerW: 43275.87, GenPowerW: 0, TESHeatRateW: 12345.678, RoomTempC: 24.99999999,
+	}}
+	var (
+		buf     []byte
+		gotReq  StepRequest
+		gotLine StepLine
+		err     error
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if buf, err = appendStepRequest(buf[:0], &req); err != nil {
+			b.Fatal(err)
+		}
+		if err = decodeStepRequest(buf[:len(buf)-1], &gotReq); err != nil {
+			b.Fatal(err)
+		}
+		if buf, err = appendStepLine(buf[:0], &line); err != nil {
+			b.Fatal(err)
+		}
+		if err = decodeStepLine(buf[:len(buf)-1], &gotLine); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,9 +5,11 @@
 // buckets. Buckets carry min/max/sum/count, so peaks survive compaction —
 // the worst breaker stress of an hour ago is still the worst, not an
 // average that smoothed the trip away. Appends are O(1) under one short
-// per-series mutex and never allocate after the series is created, so a
-// control plane can feed thousands of sessions through a store without
-// the store showing up in profiles.
+// per-series mutex. The rings start small and double up to their
+// configured capacity as they fill, so a short-lived series costs little;
+// once a ring is full its appends stop allocating, and a control plane can
+// feed thousands of sessions through a store without the store showing up
+// in profiles.
 //
 // Timestamps are int64 milliseconds; callers choose the epoch (wall clock
 // for a live daemon, simulation time for an offline run).
@@ -123,7 +125,8 @@ func (o *Options) fill() {
 	}
 }
 
-// bytesPerSeries estimates one series' fixed memory cost for Sized.
+// bytesPerSeries estimates one series' memory cost once its rings are
+// full, the worst case Sized budgets for.
 func (o Options) bytesPerSeries() int64 {
 	const sampleBytes, bucketBytes = 16, 40
 	return int64(o.RawCap)*sampleBytes + int64(o.T1Cap+o.T2Cap+nTiers)*bucketBytes
@@ -243,7 +246,9 @@ type Series struct {
 	opts Options
 
 	mu sync.Mutex
-	// raw ring of samples, next the slot the next append overwrites.
+	// raw ring of samples, next the slot the next append overwrites. Each
+	// ring grows by doubling (see grow) until it reaches its configured
+	// capacity, and wraps only then.
 	raw     []sample
 	rawNext int
 	rawFull bool
@@ -261,11 +266,33 @@ type Series struct {
 }
 
 func newSeries(name string, opts Options) *Series {
-	s := &Series{name: name, opts: opts}
-	s.raw = make([]sample, opts.RawCap)
-	s.tiers[0] = make([]Bucket, opts.T1Cap)
-	s.tiers[1] = make([]Bucket, opts.T2Cap)
-	return s
+	return &Series{name: name, opts: opts}
+}
+
+// firstRing is the length a ring starts at on its first append.
+const firstRing = 16
+
+// grow returns ring with at least one more slot than len(ring): twice as
+// long, starting at firstRing, and never longer than limit. The contents
+// keep their indices, which is all a ring that has not yet wrapped needs.
+func grow[T any](ring []T, limit int) []T {
+	n := 2 * len(ring)
+	if n < firstRing {
+		n = firstRing
+	}
+	if n > limit {
+		n = limit
+	}
+	out := make([]T, n)
+	copy(out, ring)
+	return out
+}
+
+func (s *Series) tierCap(tier int) int {
+	if tier == 0 {
+		return s.opts.T1Cap
+	}
+	return s.opts.T2Cap
 }
 
 // Name returns the series name ("" on nil).
@@ -291,9 +318,12 @@ func (s *Series) Append(ts int64, v float64) {
 		return
 	}
 	s.mu.Lock()
+	if s.rawNext == len(s.raw) {
+		s.raw = grow(s.raw, s.opts.RawCap)
+	}
 	s.raw[s.rawNext] = sample{ts: ts, v: v}
 	s.rawNext++
-	if s.rawNext == len(s.raw) {
+	if s.rawNext == s.opts.RawCap {
 		s.rawNext = 0
 		s.rawFull = true
 	}
@@ -325,10 +355,12 @@ func mod(a, b int64) int64 {
 
 // seal pushes tier t's open bucket into its ring.
 func (s *Series) seal(t int) {
-	ring := s.tiers[t]
-	ring[s.tierNext[t]] = s.cur[t]
+	if s.tierNext[t] == len(s.tiers[t]) {
+		s.tiers[t] = grow(s.tiers[t], s.tierCap(t))
+	}
+	s.tiers[t][s.tierNext[t]] = s.cur[t]
 	s.tierNext[t]++
-	if s.tierNext[t] == len(ring) {
+	if s.tierNext[t] == s.tierCap(t) {
 		s.tierNext[t] = 0
 		s.tierFull[t] = true
 	}

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestQueryRawOnly(t *testing.T) {
@@ -96,6 +98,90 @@ func TestSized(t *testing.T) {
 	}
 	if def := Sized(0); def.MaxSeries != 1024 {
 		t.Fatalf("default MaxSeries = %d, want 1024", def.MaxSeries)
+	}
+}
+
+// preallocated returns a series whose rings are allocated at their full
+// capacity up front — the reference a growing series must match.
+func preallocated(name string, o Options) *Series {
+	s := newSeries(name, o)
+	s.raw = make([]sample, o.RawCap)
+	s.tiers[0] = make([]Bucket, o.T1Cap)
+	s.tiers[1] = make([]Bucket, o.T2Cap)
+	return s
+}
+
+// ringBytes is the ring capacity a series holds.
+func ringBytes(s *Series) int {
+	n := cap(s.raw) * int(unsafe.Sizeof(sample{}))
+	for _, ring := range s.tiers {
+		n += cap(ring) * int(unsafe.Sizeof(Bucket{}))
+	}
+	return n
+}
+
+// TestRingsGrowAsTheyFill: a short-lived series (a churn session's dozen
+// samples) holds well under a kilobyte of ring, where a preallocated one
+// holds ~62 KB at the defaults. Growing rings are invisible to readers: at
+// every length, through and past every ring's wrap, Query, Last and the
+// JSONL dump match the preallocated series exactly.
+func TestRingsGrowAsTheyFill(t *testing.T) {
+	var o Options
+	o.fill()
+	grown, full := newSeries("s", o), preallocated("s", o)
+	for i := 0; i < 12; i++ {
+		ts, v := int64(i)*100, float64(i*i)
+		grown.Append(ts, v)
+		full.Append(ts, v)
+	}
+	if got := ringBytes(grown); got >= 1<<10 {
+		t.Fatalf("12-sample series holds %d B of ring, want < 1 KiB", got)
+	}
+	if g, f := grown.Query(-1000, 5000, 100), full.Query(-1000, 5000, 100); !reflect.DeepEqual(g, f) {
+		t.Fatalf("Query: grown %v, preallocated %v", g, f)
+	}
+
+	// Small, non-power-of-two capacities so every ring fills, caps short
+	// of a doubling and wraps within the run.
+	o = Options{RawCap: 50, T1Cap: 30, T2Cap: 37}
+	o.fill()
+	grown, full = newSeries("s", o), preallocated("s", o)
+	rng := rand.New(rand.NewSource(3))
+	ts := int64(0)
+	for i := 0; i < 3000; i++ {
+		ts += int64(rng.Intn(700))
+		v := rng.NormFloat64()
+		grown.Append(ts, v)
+		full.Append(ts, v)
+		if i%7 != 0 && i > 200 {
+			continue
+		}
+		for _, step := range []int64{100, 1000, 10_000} {
+			if g, f := grown.Query(0, ts+1, step), full.Query(0, ts+1, step); !reflect.DeepEqual(g, f) {
+				t.Fatalf("after %d samples, step %d: grown %v, preallocated %v", i+1, step, g, f)
+			}
+		}
+		gl, gok := grown.Last()
+		fl, fok := full.Last()
+		if gl != fl || gok != fok {
+			t.Fatalf("after %d samples: Last grown %v,%v preallocated %v,%v", i+1, gl, gok, fl, fok)
+		}
+		var gb, fb bytes.Buffer
+		if err := grown.writeJSONL(json.NewEncoder(&gb)); err != nil {
+			t.Fatal(err)
+		}
+		if err := full.writeJSONL(json.NewEncoder(&fb)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb.Bytes(), fb.Bytes()) {
+			t.Fatalf("after %d samples: JSONL dumps differ", i+1)
+		}
+	}
+	if ringBytes(grown) != ringBytes(full) {
+		t.Fatalf("full rings hold %d B, preallocated %d B", ringBytes(grown), ringBytes(full))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ts += 500; grown.Append(ts, 1) }); allocs != 0 {
+		t.Fatalf("Append on full rings allocates %v times", allocs)
 	}
 }
 
