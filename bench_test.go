@@ -206,7 +206,7 @@ func BenchmarkOracleSearch(b *testing.B) {
 	tr := mustTrace(YahooTrace(benchSeed, 3.0, 5*time.Minute))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OracleSearch(Scenario{Trace: tr}); err != nil {
+		if _, err := OracleSearch(context.Background(), CampaignOptions{}, Scenario{Trace: tr}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,11 +1,11 @@
 // Command dcsprintd serves the streaming control plane: many concurrent
 // simulated data centres behind the NDJSON-over-HTTP session API, with the
-// telemetry endpoints (/metrics, /healthz, /trace.jsonl, /debug/events,
-// /debug/ops.jsonl, pprof) on the same listener. Unless -tsdb-mem 0, every
-// session's engine feeds plant probes into a fixed-memory time-series
-// store with an SLO watchdog over the fleet folds, served at /debug/tsdb
-// (JSON range queries), /debug/slo (active alerts) and /debug/dash (a
-// self-contained live dashboard).
+// telemetry endpoints (/metrics, /healthz, /debug/events, /debug/ops.jsonl,
+// pprof) on the same listener. Unless -tsdb-mem 0, every session's engine
+// feeds plant probes into a fixed-memory time-series store with an SLO
+// watchdog over the fleet folds, served at /debug/tsdb (JSON range queries),
+// /debug/slo (active alerts) and /debug/dash (a self-contained live
+// dashboard).
 //
 // Examples:
 //
@@ -81,7 +81,6 @@ func run(args []string) error {
 	}
 
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer()
 	telemetry.RegisterRuntimeMetrics(reg)
 
 	var flight *telemetry.FlightRecorder
@@ -183,7 +182,6 @@ func run(args []string) error {
 	}
 	mux.Handle("/", telemetry.HandlerWith(telemetry.HandlerOpts{
 		Registry: reg,
-		Tracer:   tracer,
 		Flight:   flight,
 		Ops:      ops,
 	}))

@@ -1,6 +1,7 @@
 package dcsprint
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -92,14 +93,14 @@ func TestFacadeEconomics(t *testing.T) {
 
 func TestFacadeOracleAndTable(t *testing.T) {
 	tr := mustTrace(YahooTrace(7, 3.0, 5*time.Minute))
-	or, err := OracleSearch(Scenario{Trace: tr})
+	or, err := OracleSearch(context.Background(), CampaignOptions{}, Scenario{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if or.Bound < 1 || or.Bound > 4 {
 		t.Fatalf("oracle bound = %v", or.Bound)
 	}
-	tbl, err := BuildBoundTable(Scenario{},
+	tbl, err := BuildBoundTable(context.Background(), CampaignOptions{}, Scenario{},
 		func(degree float64, d time.Duration) (*Series, error) { return YahooTrace(7, degree, d) },
 		[]time.Duration{5 * time.Minute, 15 * time.Minute},
 		[]float64{3.0},

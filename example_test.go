@@ -1,6 +1,7 @@
 package dcsprint_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -34,7 +35,8 @@ func Example() {
 // Comparing strategies on the same burst.
 func ExampleOracleSearch() {
 	burst := mustTrace(dcsprint.YahooTrace(7, 3.4, 15*time.Minute))
-	oracle, err := dcsprint.OracleSearch(dcsprint.Scenario{Trace: burst})
+	oracle, err := dcsprint.OracleSearch(context.Background(), dcsprint.CampaignOptions{},
+		dcsprint.Scenario{Trace: burst})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,7 +34,8 @@ func main() {
 	// The Oracle needs perfect knowledge; it is the reference the online
 	// strategies are judged against — and it supplies the Heuristic's
 	// "best average sprinting degree" estimate.
-	oracle, err := dcsprint.OracleSearch(dcsprint.Scenario{Name: "oracle", Trace: story})
+	oracle, err := dcsprint.OracleSearch(context.Background(), dcsprint.CampaignOptions{},
+		dcsprint.Scenario{Name: "oracle", Trace: story})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,8 +26,8 @@ import (
 // prints the rows and EXPERIMENTS.md records paper-versus-measured.
 //
 // Every fan-out below rides the campaign engine (internal/campaign), which
-// keeps sim.Parallel's order and first-error semantics, so the batch results
-// are bit-identical to a serial loop regardless of the worker count.
+// keeps results in item order with first-error semantics, so the batch
+// results are bit-identical to a serial loop regardless of the worker count.
 
 // sweepCtx adapts the experiments' context-free per-item functions onto
 // campaign.Sweep.
@@ -235,7 +235,7 @@ func Fig9(seed int64, errorPercents []float64) ([]Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := OracleSearch(Scenario{Name: "fig9-oracle", Trace: tr})
+	oracle, err := OracleSearch(context.Background(), CampaignOptions{}, Scenario{Name: "fig9-oracle", Trace: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +302,7 @@ func Fig10(seed int64, duration time.Duration, degrees []float64) ([]Fig10Row, e
 		if err != nil {
 			return Fig10Row{}, err
 		}
-		oracle, err := OracleSearch(Scenario{Trace: tr})
+		oracle, err := OracleSearch(context.Background(), CampaignOptions{}, Scenario{Trace: tr})
 		if err != nil {
 			return Fig10Row{}, err
 		}
@@ -694,7 +694,7 @@ func AdaptiveComparison(seed int64, durations []time.Duration) ([]AdaptiveRow, e
 		if err != nil {
 			return AdaptiveRow{}, err
 		}
-		oracle, err := OracleSearch(Scenario{Trace: tr})
+		oracle, err := OracleSearch(context.Background(), CampaignOptions{}, Scenario{Trace: tr})
 		if err != nil {
 			return AdaptiveRow{}, err
 		}
@@ -1164,8 +1164,7 @@ const chaosCampaigns = 50
 // healthy baseline runs with a non-nil empty schedule so it exercises the
 // same supervised telemetry path as the faulted runs. campaigns <= 0 means
 // the default of 50. The fault campaigns fan out on the campaign engine per
-// opts (fault runs are never memoized; see Fingerprint). (Formerly
-// ChaosContext; the context-free wrapper was removed — pass
+// opts. (Formerly ChaosContext; the context-free wrapper was removed — pass
 // context.Background() and CampaignOptions{} for the old behavior.)
 func Chaos(ctx context.Context, opts CampaignOptions, seed int64, campaigns int) ([]ChaosRow, error) {
 	if campaigns <= 0 {

@@ -71,7 +71,6 @@ var facadeFor = map[string]map[string]string{
 		"ApplyDelta":        "ApplyDelta",
 		"Batch":             "Batch",
 		"BatchOptions":      "BatchOptions",
-		"BuildBoundTable":   "BuildBoundTable",
 		"CappingResult":     "CappingResult",
 		"DeltaVersion":      "DeltaVersion",
 		"Engine":            "Engine",
@@ -87,9 +86,6 @@ var facadeFor = map[string]map[string]string{
 		"Observer":          "Observer",
 		"PlantRecorder":     "PlantRecorder",
 		"PlantSample":       "PlantSample",
-		"OracleResult":      "OracleResult",
-		"OracleSearch":      "OracleSearch",
-		"Parallel":          "Sweep",
 		"Restore":           "RestoreEngine",
 		"RestoreObserved":   "RestoreObservedEngine",
 		"Result":            "Result",
@@ -99,7 +95,6 @@ var facadeFor = map[string]map[string]string{
 		"Scenario":          "Scenario",
 		"Telemetry":         "Telemetry",
 		"TickDecision":      "TickDecision",
-		"TraceMaker":        "TraceMaker",
 		"WriteRunCSV":       "WriteRunCSV",
 	},
 	"internal/workload": {
@@ -130,16 +125,13 @@ var facadeFor = map[string]map[string]string{
 		"SweepPoint":    "TestbedSweepPoint",
 	},
 	"internal/campaign": {
-		"BuildBoundTable": "BuildBoundTableContext",
-		"Cache":           "OracleCache",
-		"Fingerprint":     "ScenarioFingerprint",
-		"Key":             "CampaignKey",
-		"NewCache":        "NewOracleCache",
-		"OpenCache":       "OpenOracleCache",
+		"BuildBoundTable": "BuildBoundTable",
 		"Options":         "CampaignOptions",
-		"OracleSearch":    "OracleSearchContext",
+		"OracleResult":    "OracleResult",
+		"OracleSearch":    "OracleSearch",
 		"Report":          "CampaignResult",
 		"Sweep":           "Sweep",
+		"TraceMaker":      "TraceMaker",
 	},
 }
 
@@ -154,10 +146,8 @@ var internalOnly = map[string]map[string]bool{
 		"Step":              true, // trace-generator resolution
 		"TotalOverCapacity": true, // convenience over Episodes, trivial inline
 	},
-	"internal/testbed": {},
-	"internal/campaign": {
-		"CacheVersion": true, // on-disk codec detail
-	},
+	"internal/testbed":  {},
+	"internal/campaign": {},
 }
 
 func TestFacadeParity(t *testing.T) {

@@ -1,13 +1,12 @@
 // Package campaign runs scenario sweeps at scale: a deterministic sharded
 // fan-out over a bounded worker pool with context cancellation and
-// cancel-on-first-error, per-shard progress metrics into the telemetry
-// registry, and a content-addressed memoization cache that lets repeated
-// Oracle searches over identical scenarios skip straight to their answer.
+// cancel-on-first-error, and per-shard progress metrics into the telemetry
+// registry. The paper's Oracle search and the Prediction bound table are
+// built on it.
 //
-// The engine keeps sim.Parallel's contract — results are order-preserving
-// and each item's outcome is independent of scheduling — so a campaign's
-// batch results are bit-identical to a serial loop while the wall clock
-// scales with the core count.
+// Results are order-preserving and each item's outcome is independent of
+// scheduling, so a campaign's batch results are bit-identical to a serial
+// loop while the wall clock scales with the core count.
 package campaign
 
 import (
@@ -23,8 +22,7 @@ import (
 )
 
 // Options configures a campaign. The zero value runs with GOMAXPROCS
-// workers, automatic shard sizing, no progress metrics, no memoization and
-// exhaustive (bit-identical to sim) oracle searches.
+// workers, automatic shard sizing and no progress metrics.
 type Options struct {
 	// Workers bounds the worker pool. Zero or negative means GOMAXPROCS.
 	Workers int
@@ -32,11 +30,8 @@ type Options struct {
 	// picks a size that gives each worker several shards for load balance.
 	ShardSize int
 	// Registry receives campaign progress metrics (items, errors, active
-	// shards, cache traffic). Nil disables them.
+	// shards). Nil disables them.
 	Registry *telemetry.Registry
-	// Cache memoizes oracle-search outcomes across campaigns and, via its
-	// codec, across processes. Nil disables memoization.
-	Cache *Cache
 	// Ops receives one wall-clock span per executed shard (Side "campaign",
 	// all sharing one per-sweep trace id), so a sweep drops into the same
 	// merged timeline as the service spans. Nil disables span recording.
@@ -44,16 +39,6 @@ type Options struct {
 	// Flight receives shard-done and item-error events into its rings. Nil
 	// disables them.
 	Flight *telemetry.FlightRecorder
-	// Prune makes OracleSearch find the bound by monotonicity-aware
-	// bisection (O(log n) candidate runs) instead of the exhaustive scan.
-	// The answer is identical to the scan whenever the bound-performance
-	// curve is unimodal — the typical shape, pinned by the campaign tests —
-	// but the budget-exhaustion dynamics can put shallow secondary bumps
-	// past the peak (DESIGN.md shows one), where bisection may settle on a
-	// near-optimal bound instead. Leave it off when bit-identical parity
-	// with sim.OracleSearch matters; the fingerprint Cache then provides
-	// the speedup without approximation.
-	Prune bool
 }
 
 // Report summarizes a completed sweep. The dcsprint facade exports it as
@@ -65,9 +50,6 @@ type Report struct {
 	Shards int
 	// Workers is the realized worker-pool size.
 	Workers int
-	// CacheHits and CacheMisses count memoization-cache traffic during the
-	// sweep (zero without a cache).
-	CacheHits, CacheMisses int
 	// Elapsed is the sweep wall-clock time.
 	Elapsed time.Duration
 }
@@ -124,10 +106,10 @@ func newProgress(reg *telemetry.Registry) *progress {
 }
 
 // Sweep runs fn over every item on a bounded worker pool and returns the
-// results in item order. It preserves sim.Parallel's semantics — on success
-// every item has run exactly once and the result slice is index-aligned with
-// items — while adding sharded dispatch with bounded queue memory, progress
-// metrics, context cancellation and cancel-on-first-error: the first failure
+// results in item order. On success every item has run exactly once and the
+// result slice is index-aligned with items. Dispatch is sharded with bounded
+// queue memory, progress metrics are optional, and the sweep honours context
+// cancellation and cancels on the first error: the first failure
 // cancels the context passed to in-flight items and stops dispatching new
 // shards, and the lowest-index error is returned.
 func Sweep[T, R any](ctx context.Context, opts Options, items []T, fn func(context.Context, T) (R, error)) ([]R, *Report, error) {
@@ -140,17 +122,7 @@ func Sweep[T, R any](ctx context.Context, opts Options, items []T, fn func(conte
 		nShards = (n + shard - 1) / shard
 	}
 	rep := &Report{Items: n, Shards: nShards, Workers: workers}
-	var hits0, misses0 int
-	if opts.Cache != nil {
-		hits0, misses0 = opts.Cache.Stats()
-	}
-	defer func() {
-		if opts.Cache != nil {
-			h, m := opts.Cache.Stats()
-			rep.CacheHits, rep.CacheMisses = h-hits0, m-misses0
-		}
-		rep.Elapsed = time.Since(start)
-	}()
+	defer func() { rep.Elapsed = time.Since(start) }()
 	if n == 0 {
 		return []R{}, rep, ctx.Err()
 	}

@@ -24,9 +24,9 @@ func TestSweepMatchesParallelSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
-	want, err := sim.Parallel(items, func(v int) (int, error) { return v * v, nil })
-	if err != nil {
-		t.Fatalf("Parallel: %v", err)
+	want := make([]int, len(items))
+	for i, v := range items {
+		want[i] = v * v
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))

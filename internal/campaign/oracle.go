@@ -7,26 +7,31 @@ import (
 
 	"dcsprint/internal/core"
 	"dcsprint/internal/sim"
+	"dcsprint/internal/trace"
 )
 
-// OracleSearch finds the paper's Oracle bound — the constant sprinting-degree
-// upper bound maximizing average burst performance with perfect knowledge of
-// the trace — and returns the run achieved at that bound, exactly as
-// sim.OracleSearch does, with two campaign-grade accelerations:
-//
-//   - Memoization: with an Options.Cache attached, the scenario fingerprint
-//     is looked up first; on a hit only one run (at the memoized bound) is
-//     needed instead of a full search, and the Result is still bit-identical
-//     because runs are deterministic.
-//   - Pruning (opt-in via Options.Prune): average burst performance rises
-//     monotonically in the bound until the stored-energy budget starts to
-//     bite and is non-increasing past that peak on unimodal curves, so the
-//     first non-rising adjacent pair marks the optimum and bisection on that
-//     predicate needs O(log n) candidate runs instead of n. Where the budget
-//     dynamics put a shallow secondary bump past the peak, bisection may
-//     settle near-optimal; the default therefore stays the exhaustive scan,
-//     which is bit-identical to sim.OracleSearch by construction.
-func OracleSearch(ctx context.Context, opts Options, sc sim.Scenario) (*sim.OracleResult, error) {
+// OracleResult is the outcome of an Oracle exhaustive search.
+type OracleResult struct {
+	// Bound is the optimal constant sprinting-degree upper bound.
+	Bound float64
+	// Result is the run achieved at that bound.
+	Result *sim.Result
+}
+
+// Improvement returns the headline metric of the run achieved at the optimal
+// bound — shorthand for r.Result.Improvement().
+func (r *OracleResult) Improvement() float64 { return r.Result.Improvement() }
+
+// TraceMaker builds a demand trace for a parametric burst, used to populate
+// the bound table (e.g. the Yahoo generator with a fixed seed).
+type TraceMaker func(degree float64, duration time.Duration) (*trace.Series, error)
+
+// OracleSearch implements the paper's Oracle strategy (§V-A): with perfect
+// knowledge of the burst (the full trace), it tries every constant
+// sprinting-degree upper bound the chip can realize (one per activatable core
+// count) and returns the first one maximizing the average burst performance,
+// with the run achieved there. The candidates run as one Sweep.
+func OracleSearch(ctx context.Context, opts Options, sc sim.Scenario) (*OracleResult, error) {
 	nsc, err := sc.Normalized()
 	if err != nil {
 		return nil, err
@@ -36,51 +41,14 @@ func OracleSearch(ctx context.Context, opts Options, sc sim.Scenario) (*sim.Orac
 	for n := srv.NormalCores; n <= srv.TotalCores; n++ {
 		bounds = append(bounds, srv.Degree(n))
 	}
-	runAt := func(b float64) (*sim.Result, error) {
+	scanOpts := Options{Workers: opts.Workers, Registry: opts.Registry}
+	results, _, err := Sweep(ctx, scanOpts, bounds, func(_ context.Context, b float64) (*sim.Result, error) {
 		c := nsc
 		c.Strategy = core.FixedBound{Bound: b}
 		return sim.Run(c)
-	}
-
-	key, keyOK := Key{}, false
-	if opts.Cache != nil {
-		key, keyOK = Fingerprint(nsc)
-		if keyOK {
-			if b, ok := opts.Cache.Bound(key); ok {
-				res, err := runAt(b)
-				if err != nil {
-					return nil, err
-				}
-				return &sim.OracleResult{Bound: b, Result: res}, nil
-			}
-		}
-	}
-
-	var best int
-	var bestRes *sim.Result
-	if opts.Prune {
-		best, bestRes, err = oracleBisect(ctx, bounds, runAt)
-	} else {
-		best, bestRes, err = oracleScan(ctx, opts, bounds, runAt)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if keyOK {
-		opts.Cache.SetBound(key, bounds[best])
-	}
-	return &sim.OracleResult{Bound: bounds[best], Result: bestRes}, nil
-}
-
-// oracleScan evaluates every candidate in parallel and picks the first
-// maximum — the literal paper Oracle and sim.OracleSearch's tie-break.
-func oracleScan(ctx context.Context, opts Options, bounds []float64, runAt func(float64) (*sim.Result, error)) (int, *sim.Result, error) {
-	scanOpts := Options{Workers: opts.Workers, Registry: opts.Registry}
-	results, _, err := Sweep(ctx, scanOpts, bounds, func(_ context.Context, b float64) (*sim.Result, error) {
-		return runAt(b)
 	})
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	best := -1
 	for i, r := range results {
@@ -89,87 +57,15 @@ func oracleScan(ctx context.Context, opts Options, bounds []float64, runAt func(
 		}
 	}
 	if best < 0 {
-		return 0, nil, fmt.Errorf("campaign: oracle search over no candidates")
+		return nil, fmt.Errorf("campaign: oracle search over no candidates")
 	}
-	return best, results[best], nil
-}
-
-// oracleBisect finds the first index at which performance stops rising. For
-// the rise-peak-fall(-saturate) shape the sprinting physics produce, that
-// index is the first global maximum — the same answer the exhaustive scan's
-// tie-break picks (DESIGN.md sketches the argument; the campaign tests pin
-// the equivalence on the repo's standard traces).
-func oracleBisect(ctx context.Context, bounds []float64, runAt func(float64) (*sim.Result, error)) (int, *sim.Result, error) {
-	if len(bounds) == 0 {
-		return 0, nil, fmt.Errorf("campaign: oracle search over no candidates")
-	}
-	memo := make(map[int]*sim.Result, 2*intLog2(len(bounds))+2)
-	eval := func(i, j int) error {
-		// Evaluate the pair concurrently when both are missing; a candidate
-		// run is the unit of work here, not a tick.
-		type outcome struct {
-			i   int
-			r   *sim.Result
-			err error
-		}
-		missing := make([]int, 0, 2)
-		if _, ok := memo[i]; !ok {
-			missing = append(missing, i)
-		}
-		if _, ok := memo[j]; !ok && j != i {
-			missing = append(missing, j)
-		}
-		ch := make(chan outcome, len(missing))
-		for _, k := range missing {
-			go func(k int) {
-				r, err := runAt(bounds[k])
-				ch <- outcome{k, r, err}
-			}(k)
-		}
-		for range missing {
-			o := <-ch
-			if o.err != nil {
-				return o.err
-			}
-			memo[o.i] = o.r
-		}
-		return nil
-	}
-	lo, hi := 0, len(bounds)-1
-	for lo < hi {
-		if err := ctx.Err(); err != nil {
-			return 0, nil, fmt.Errorf("campaign: oracle search canceled: %w", err)
-		}
-		mid := (lo + hi) / 2
-		if err := eval(mid, mid+1); err != nil {
-			return 0, nil, err
-		}
-		if memo[mid+1].AvgBurstPerformance > memo[mid].AvgBurstPerformance {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if err := eval(lo, lo); err != nil {
-		return 0, nil, err
-	}
-	return lo, memo[lo], nil
-}
-
-func intLog2(n int) int {
-	l := 0
-	for n > 1 {
-		n >>= 1
-		l++
-	}
-	return l
+	return &OracleResult{Bound: bounds[best], Result: results[best]}, nil
 }
 
 // BuildBoundTable populates the Prediction strategy's lookup table by
-// oracle-searching every (duration, degree) grid cell, exactly as
-// sim.BuildBoundTable, but with the cells sharded across the campaign worker
-// pool and each cell's search memoized and pruned per the Options.
-func BuildBoundTable(ctx context.Context, opts Options, base sim.Scenario, mk sim.TraceMaker, durations []time.Duration, degrees []float64) (*core.BoundTable, error) {
+// oracle-searching every (duration, degree) grid cell, with the cells sharded
+// across the campaign worker pool.
+func BuildBoundTable(ctx context.Context, opts Options, base sim.Scenario, mk TraceMaker, durations []time.Duration, degrees []float64) (*core.BoundTable, error) {
 	type cell struct{ i, j int }
 	cells := make([]cell, 0, len(durations)*len(degrees))
 	for i := range durations {

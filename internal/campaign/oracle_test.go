@@ -2,20 +2,30 @@ package campaign
 
 import (
 	"context"
-	"path/filepath"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
+	"dcsprint/internal/core"
 	"dcsprint/internal/sim"
 	"dcsprint/internal/telemetry"
 	"dcsprint/internal/trace"
 	"dcsprint/internal/workload"
 )
 
-// oracleScenarios are the traces the bisection-equals-exhaustive contract is
-// pinned on: the standard Yahoo burst, a taller-and-shorter burst, the MS
-// consecutive-burst trace, and a skewed facility.
+// mustTrace unwraps a workload-generator result, panicking (and so
+// failing the test) on error, in the style of template.Must.
+func mustTrace(s *trace.Series, err error) *trace.Series {
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// oracleScenarios are the traces the Oracle's definition is pinned on: the
+// standard Yahoo burst, a taller-and-shorter burst, the MS consecutive-burst
+// trace, and a skewed facility.
 func oracleScenarios(t *testing.T) map[string]sim.Scenario {
 	t.Helper()
 	yahoo, err := workload.SyntheticYahoo(7, 3.2, 15*time.Minute)
@@ -39,92 +49,47 @@ func oracleScenarios(t *testing.T) map[string]sim.Scenario {
 	}
 }
 
+// firstMaximiser is the Oracle by definition: sim.Run at every candidate
+// bound, one per activatable core count, serially and in ascending order,
+// keeping the first bound with the highest average burst performance.
+func firstMaximiser(t *testing.T, sc sim.Scenario) (float64, *sim.Result) {
+	t.Helper()
+	nsc, err := sc.Normalized()
+	if err != nil {
+		t.Fatalf("normalize: %v", err)
+	}
+	var bound float64
+	var best *sim.Result
+	for n := nsc.Server.NormalCores; n <= nsc.Server.TotalCores; n++ {
+		b := nsc.Server.Degree(n)
+		c := nsc
+		c.Strategy = core.FixedBound{Bound: b}
+		res, err := sim.Run(c)
+		if err != nil {
+			t.Fatalf("run at bound %v: %v", b, err)
+		}
+		if best == nil || res.AvgBurstPerformance > best.AvgBurstPerformance {
+			bound, best = b, res
+		}
+	}
+	return bound, best
+}
+
 func TestOracleSearchMatchesSim(t *testing.T) {
 	for name, sc := range oracleScenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			want, err := sim.OracleSearch(sc)
-			if err != nil {
-				t.Fatalf("sim.OracleSearch: %v", err)
-			}
-			// The default is the exhaustive scan — the literal same search
-			// as sim's, just sharded across the pool.
+			wantBound, want := firstMaximiser(t, sc)
 			got, err := OracleSearch(context.Background(), Options{}, sc)
 			if err != nil {
-				t.Fatalf("campaign.OracleSearch: %v", err)
+				t.Fatalf("OracleSearch: %v", err)
 			}
-			if got.Bound != want.Bound {
-				t.Fatalf("campaign bound %v != sim bound %v", got.Bound, want.Bound)
+			if got.Bound != wantBound {
+				t.Fatalf("oracle bound %v, first maximiser %v", got.Bound, wantBound)
 			}
-			if !reflect.DeepEqual(got.Result, want.Result) {
-				t.Fatal("campaign oracle Result differs from sim's")
-			}
-			// Bisection agrees with the scan on these curves, which are
-			// unimodal in the bound (the contract Prune is allowed to
-			// assume; see Options.Prune for the caveat).
-			pr, err := OracleSearch(context.Background(), Options{Prune: true}, sc)
-			if err != nil {
-				t.Fatalf("pruned OracleSearch: %v", err)
-			}
-			if pr.Bound != want.Bound || !reflect.DeepEqual(pr.Result, want.Result) {
-				t.Fatal("pruned campaign oracle differs from sim")
+			if !reflect.DeepEqual(got.Result, want) {
+				t.Fatal("oracle Result differs from sim.Run at its bound")
 			}
 		})
-	}
-}
-
-func TestOracleSearchCacheHitIsBitIdentical(t *testing.T) {
-	sc := oracleScenarios(t)["yahoo"]
-	cache := NewCache()
-	cold, err := OracleSearch(context.Background(), Options{Cache: cache}, sc)
-	if err != nil {
-		t.Fatalf("cold search: %v", err)
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d entries after cold search, want 1", cache.Len())
-	}
-	warm, err := OracleSearch(context.Background(), Options{Cache: cache}, sc)
-	if err != nil {
-		t.Fatalf("warm search: %v", err)
-	}
-	if warm.Bound != cold.Bound {
-		t.Fatalf("warm bound %v != cold bound %v", warm.Bound, cold.Bound)
-	}
-	if !reflect.DeepEqual(warm.Result, cold.Result) {
-		t.Fatal("memoized search produced a different Result")
-	}
-	hits, _ := cache.Stats()
-	if hits != 1 {
-		t.Fatalf("cache hits: got %d, want 1", hits)
-	}
-}
-
-func TestOracleSearchCachePersists(t *testing.T) {
-	sc := oracleScenarios(t)["tall"]
-	path := filepath.Join(t.TempDir(), "oracle.cache")
-	cache, err := OpenCache(path)
-	if err != nil {
-		t.Fatalf("OpenCache: %v", err)
-	}
-	cold, err := OracleSearch(context.Background(), Options{Cache: cache}, sc)
-	if err != nil {
-		t.Fatalf("cold search: %v", err)
-	}
-	if err := cache.Save(); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	reloaded, err := OpenCache(path)
-	if err != nil {
-		t.Fatalf("reload: %v", err)
-	}
-	warm, err := OracleSearch(context.Background(), Options{Cache: reloaded}, sc)
-	if err != nil {
-		t.Fatalf("warm search: %v", err)
-	}
-	if warm.Bound != cold.Bound || !reflect.DeepEqual(warm.Result, cold.Result) {
-		t.Fatal("on-disk round trip changed the oracle outcome")
-	}
-	if hits, misses := reloaded.Stats(); hits != 1 || misses != 0 {
-		t.Fatalf("reloaded cache stats: %d hits, %d misses", hits, misses)
 	}
 }
 
@@ -136,35 +101,151 @@ func TestOracleSearchCancellation(t *testing.T) {
 	}
 }
 
+func TestOracleSearchPropagatesErrors(t *testing.T) {
+	if _, err := OracleSearch(context.Background(), Options{}, sim.Scenario{}); err == nil {
+		t.Fatal("empty scenario accepted")
+	}
+}
+
 func TestBuildBoundTableMatchesSim(t *testing.T) {
 	base := sim.Scenario{Name: "table"}
 	durations := []time.Duration{5 * time.Minute, 10 * time.Minute}
 	degrees := []float64{2.0, 3.0}
-	var tm sim.TraceMaker = func(degree float64, d time.Duration) (*trace.Series, error) {
+	tm := func(degree float64, d time.Duration) (*trace.Series, error) {
 		return workload.SyntheticYahoo(3, degree, d)
 	}
-	want, err := sim.BuildBoundTable(base, tm, durations, degrees)
+	got, err := BuildBoundTable(context.Background(), Options{Registry: telemetry.NewRegistry()}, base, tm, durations, degrees)
 	if err != nil {
-		t.Fatalf("sim.BuildBoundTable: %v", err)
+		t.Fatalf("BuildBoundTable: %v", err)
 	}
-	reg := telemetry.NewRegistry()
-	cache := NewCache()
-	got, err := BuildBoundTable(context.Background(), Options{Registry: reg, Cache: cache}, base, tm, durations, degrees)
+	for _, d := range durations {
+		for _, deg := range degrees {
+			sc := base
+			sc.Trace = mustTrace(tm(deg, d))
+			want, _ := firstMaximiser(t, sc)
+			if b := got.Lookup(d, deg); b != want {
+				t.Fatalf("cell (%v, %v): table bound %v, first maximiser %v", d, deg, b, want)
+			}
+		}
+	}
+}
+
+func TestBuildBoundTablePropagatesErrors(t *testing.T) {
+	_, err := BuildBoundTable(context.Background(), Options{}, sim.Scenario{},
+		func(degree float64, d time.Duration) (*trace.Series, error) {
+			return nil, errors.New("synthesis failed") // bad maker
+		},
+		[]time.Duration{5 * time.Minute},
+		[]float64{3.0},
+	)
+	if err == nil {
+		t.Fatal("nil-trace maker accepted")
+	}
+}
+
+func TestOracleMatchesGreedyOnShortBurst(t *testing.T) {
+	// Fig 10(a): for a 5-minute burst the stored energy is not exhausted,
+	// so Greedy achieves the Oracle's performance.
+	tr := mustTrace(workload.SyntheticYahoo(7, 3.0, 5*time.Minute))
+	greedy, err := sim.Run(sim.Scenario{Trace: tr})
 	if err != nil {
-		t.Fatalf("campaign.BuildBoundTable: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("campaign bound table differs from sim's")
-	}
-	if cache.Len() != len(durations)*len(degrees) {
-		t.Fatalf("cache holds %d entries, want %d", cache.Len(), len(durations)*len(degrees))
-	}
-	// A second build is all cache hits and must produce the same table.
-	again, err := BuildBoundTable(context.Background(), Options{Cache: cache}, base, tm, durations, degrees)
+	oracle, err := OracleSearch(context.Background(), Options{}, sim.Scenario{Trace: tr})
 	if err != nil {
-		t.Fatalf("warm BuildBoundTable: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again, want) {
-		t.Fatal("memoized bound table differs")
+	if diff := oracle.Result.Improvement() - greedy.Improvement(); diff > 0.02 {
+		t.Fatalf("short burst: oracle %.3f vs greedy %.3f", oracle.Result.Improvement(), greedy.Improvement())
+	}
+}
+
+func TestOracleBeatsGreedyOnLongBurst(t *testing.T) {
+	// Fig 10(b): for a 15-minute burst the stored energy runs out, and the
+	// Oracle's constrained bound outperforms Greedy.
+	tr := mustTrace(workload.SyntheticYahoo(7, 3.4, 15*time.Minute))
+	greedy, err := sim.Run(sim.Scenario{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := OracleSearch(context.Background(), Options{}, sim.Scenario{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.Result.Improvement() < greedy.Improvement() {
+		t.Fatalf("long burst: oracle %.4f below greedy %.4f", oracle.Result.Improvement(), greedy.Improvement())
+	}
+	if oracle.Bound >= 4 {
+		t.Fatalf("oracle bound = %v, want a constrained (<4) bound on a long burst", oracle.Bound)
+	}
+}
+
+func TestPredictionTracksOracle(t *testing.T) {
+	tbl, err := BuildBoundTable(context.Background(), Options{},
+		sim.Scenario{},
+		func(degree float64, d time.Duration) (*trace.Series, error) {
+			return workload.SyntheticYahoo(7, degree, d)
+		},
+		[]time.Duration{5 * time.Minute, 10 * time.Minute, 15 * time.Minute, 20 * time.Minute},
+		[]float64{2.6, 3.0, 3.4},
+	)
+	if err != nil {
+		t.Fatalf("BuildBoundTable: %v", err)
+	}
+	tr := mustTrace(workload.SyntheticYahoo(7, 3.4, 15*time.Minute))
+	st := workload.Analyze(tr)
+
+	pred, err := sim.Run(sim.Scenario{
+		Trace:    tr,
+		Strategy: core.Prediction{PredictedDuration: st.AggregateDuration, Table: tbl},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := OracleSearch(context.Background(), Options{}, sim.Scenario{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy, err := sim.Run(sim.Scenario{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// §VII-B: with zero estimation error, Prediction approaches Oracle and
+	// beats Greedy on long bursts.
+	if pred.Improvement() < greedy.Improvement()-0.01 {
+		t.Fatalf("prediction %.4f below greedy %.4f", pred.Improvement(), greedy.Improvement())
+	}
+	if pred.Improvement() > oracle.Result.Improvement()+0.01 {
+		t.Fatalf("prediction %.4f above oracle %.4f (oracle must dominate)", pred.Improvement(), oracle.Result.Improvement())
+	}
+	if oracle.Result.Improvement()-pred.Improvement() > 0.15 {
+		t.Fatalf("prediction %.4f far from oracle %.4f", pred.Improvement(), oracle.Result.Improvement())
+	}
+}
+
+func TestHeuristicEndToEnd(t *testing.T) {
+	tr := mustTrace(workload.SyntheticYahoo(7, 3.4, 15*time.Minute))
+	greedy, err := sim.Run(sim.Scenario{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// SDe_p from the Oracle's bound (the "real best average sprinting
+	// degree" proxy), zero estimation error.
+	oracle, err := OracleSearch(context.Background(), Options{}, sim.Scenario{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heur, err := sim.Run(sim.Scenario{
+		Trace:    tr,
+		Strategy: core.Heuristic{EstimatedAvgDegree: oracle.Bound, Flexibility: 0.1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heur.Improvement() < greedy.Improvement()-0.05 {
+		t.Fatalf("heuristic %.4f well below greedy %.4f", heur.Improvement(), greedy.Improvement())
+	}
+	if heur.TrippedAt >= 0 {
+		t.Fatal("heuristic run tripped")
 	}
 }

@@ -93,7 +93,7 @@ func (Greedy) budgetFree() {}
 
 // FixedBound holds a constant sprinting-degree upper bound. The Oracle
 // strategy is an exhaustive search over FixedBound values with perfect
-// knowledge of the burst (implemented by sim.OracleSearch).
+// knowledge of the burst (implemented by campaign.OracleSearch).
 type FixedBound struct {
 	// Bound is the constant upper bound.
 	Bound float64

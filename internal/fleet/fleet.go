@@ -21,6 +21,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -99,6 +100,15 @@ func (s *Spec) fill() error {
 	}
 	if s.HotDC >= s.DCs {
 		return fmt.Errorf("fleet: hot DC %d outside fleet of %d", s.HotDC, s.DCs)
+	}
+	if s.AdmitCap < 0 {
+		return fmt.Errorf("fleet: admission cap %d is negative", s.AdmitCap)
+	}
+	if s.HopRTT < 0 {
+		return fmt.Errorf("fleet: hop RTT %v is negative", s.HopRTT)
+	}
+	if math.IsNaN(s.HopCost) || math.IsInf(s.HopCost, 0) || s.HopCost < 0 {
+		return fmt.Errorf("fleet: hop cost %v must be finite and non-negative", s.HopCost)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -198,6 +199,31 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsBadPricing pins the range checks fill applies to the
+// hop price and the admission cap: a NaN or infinite hop cost would poison
+// every spill comparison, and a negative RTT, cost or cap has no meaning.
+func TestParseSpecRejectsBadPricing(t *testing.T) {
+	for _, bad := range []string{
+		"dcs=2,hop-cost=NaN",
+		"dcs=2,hop-cost=+Inf",
+		"dcs=2,hop-cost=-Inf",
+		"dcs=2,hop-cost=-1",
+		"dcs=2,hop-rtt=-5s",
+		"dcs=2,cap=-1",
+	} {
+		if s, err := ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted: %+v", bad, s)
+		}
+	}
+	if _, err := (Spec{DCs: 2, HotDC: -1, HopCost: math.NaN()}).Profiles(); err == nil {
+		t.Error("Profiles accepted a NaN hop cost")
+	}
+	// The boundary values stay legal: zero takes the router defaults.
+	if _, err := ParseSpec("dcs=2,hop-cost=0,hop-rtt=0s,cap=0"); err != nil {
+		t.Errorf("zero pricing rejected: %v", err)
+	}
+}
+
 func TestProfilesHotDC(t *testing.T) {
 	ps, err := Spec{DCs: 4, Seed: 9, HotDC: 2, AdmitCap: 8}.Profiles()
 	if err != nil {
@@ -215,4 +241,30 @@ func TestProfilesHotDC(t *testing.T) {
 			t.Fatalf("cold DC mis-shaped: %+v", p)
 		}
 	}
+}
+
+// FuzzParseSpec checks that arbitrary -fleet input never panics the parser,
+// and that every accepted spec is a fixed point of fill: filling it again
+// neither fails nor changes it.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("dcs=64, replicas=1, hot=0, cap=8, seed=42, hop-rtt=10ms, hop-cost=2.5")
+	f.Add("dcs=2")
+	f.Add("dcs=2,hop-cost=NaN")
+	f.Add("dcs=2,hop-rtt=-5s,cap=-1")
+	f.Add("dcs=3,replicas=-4,hot=-7,seed=0")
+	f.Add("dcs")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, input string) {
+		s, err := ParseSpec(input)
+		if err != nil {
+			return
+		}
+		again := s
+		if err := again.fill(); err != nil {
+			t.Fatalf("accepted spec %+v fails fill: %v", s, err)
+		}
+		if again != s {
+			t.Fatalf("fill changed accepted spec %+v to %+v", s, again)
+		}
+	})
 }

@@ -50,12 +50,6 @@ type DurabilityOptions struct {
 	// session checkpoints and truncates the tick log. Zero means 256.
 	// Ignored without StateDir.
 	SnapshotEvery int
-	// DeltaChain is how many consecutive checkpoints are written as delta
-	// frames (a few percent of a full snapshot's bytes) before the session
-	// rewrites a full base snapshot. Zero means 16; negative disables delta
-	// checkpoints so every checkpoint is a full rewrite. Ignored without
-	// StateDir.
-	DeltaChain int
 }
 
 // PlantOptions groups the plant-observability knobs.
@@ -157,9 +151,6 @@ func (c *Config) fill() {
 	}
 	if c.Durability.SnapshotEvery <= 0 {
 		c.Durability.SnapshotEvery = 256
-	}
-	if c.Durability.DeltaChain == 0 {
-		c.Durability.DeltaChain = 16
 	}
 	if c.Plant.Every <= 0 {
 		c.Plant.Every = time.Second

@@ -115,7 +115,7 @@ type session struct {
 	// costs only a delta's worth of disk.
 	base []byte
 	// chain counts delta checkpoints appended since base was last a full
-	// rewrite; at Durability.DeltaChain the next checkpoint is a full base.
+	// rewrite; at deltaChain the next checkpoint is a full base.
 	chain    int
 	lastDec  Decision // decision of the most recently applied tick
 	haveLast bool
@@ -225,6 +225,11 @@ func (s *session) journalStep(eng *sim.Engine, tick int, demand float64) {
 	s.jn = nil
 }
 
+// deltaChain is how many consecutive checkpoints are written as delta frames
+// (a few percent of a full snapshot's bytes) before the session rewrites a
+// full base snapshot.
+const deltaChain = 16
+
 // checkpoint writes the session's next checkpoint: a delta frame keyed
 // against the in-memory base while the chain has room, a full base rewrite
 // (which truncates both the tick log and the chain) otherwise. A delta that
@@ -232,7 +237,7 @@ func (s *session) journalStep(eng *sim.Engine, tick int, demand float64) {
 // diverged — falls through to a full rewrite rather than failing the
 // checkpoint. Worker goroutine only.
 func (s *session) checkpoint(eng *sim.Engine) error {
-	if n := s.mgr.cfg.Durability.DeltaChain; n > 0 && s.base != nil && s.chain < n {
+	if s.base != nil && s.chain < deltaChain {
 		if d, err := eng.DeltaSnapshot(s.base); err == nil {
 			if err := s.jn.AppendDelta(d); err != nil {
 				return err

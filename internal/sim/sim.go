@@ -11,8 +11,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"dcsprint/internal/core"
@@ -244,40 +242,4 @@ func RunObserved(sc Scenario, obs Observer) (*Result, error) {
 		}
 	}
 	return eng.Finish()
-}
-
-// Parallel maps fn over items with a bounded worker pool, preserving order.
-// The first error aborts nothing (all items still run) but is returned.
-func Parallel[T, R any](items []T, fn func(T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	errs := make([]error, len(items))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], errs[i] = fn(items[i])
-			}
-		}()
-	}
-	for i := range items {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -115,117 +114,27 @@ func TestRunUncontrolledTripsNearPaperTime(t *testing.T) {
 	}
 }
 
-func TestOracleMatchesGreedyOnShortBurst(t *testing.T) {
-	// Fig 10(a): for a 5-minute burst the stored energy is not exhausted,
-	// so Greedy achieves the Oracle's performance.
-	tr := mustTrace(workload.SyntheticYahoo(7, 3.0, 5*time.Minute))
-	greedy, err := Run(Scenario{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := OracleSearch(Scenario{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := oracle.Result.Improvement() - greedy.Improvement(); diff > 0.02 {
-		t.Fatalf("short burst: oracle %.3f vs greedy %.3f", oracle.Result.Improvement(), greedy.Improvement())
-	}
-}
-
-func TestOracleBeatsGreedyOnLongBurst(t *testing.T) {
-	// Fig 10(b): for a 15-minute burst the stored energy runs out, and the
-	// Oracle's constrained bound outperforms Greedy.
-	tr := mustTrace(workload.SyntheticYahoo(7, 3.4, 15*time.Minute))
-	greedy, err := Run(Scenario{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := OracleSearch(Scenario{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oracle.Result.Improvement() < greedy.Improvement() {
-		t.Fatalf("long burst: oracle %.4f below greedy %.4f", oracle.Result.Improvement(), greedy.Improvement())
-	}
-	if oracle.Bound >= 4 {
-		t.Fatalf("oracle bound = %v, want a constrained (<4) bound on a long burst", oracle.Bound)
-	}
-}
-
+// buildTestTable returns a fixed copy of the bound table the Oracle built on
+// the Yahoo generator (seed 7) over four durations and three degrees, so the
+// engine tests can drive Prediction and Adaptive without running a search
+// (sim cannot import campaign). Each bound is the default chip's degree at n
+// active cores, n/12.
 func buildTestTable(t *testing.T) *core.BoundTable {
 	t.Helper()
-	tbl, err := BuildBoundTable(
-		Scenario{},
-		func(degree float64, d time.Duration) (*trace.Series, error) {
-			return workload.SyntheticYahoo(7, degree, d)
-		},
+	tbl, err := core.NewBoundTable(
 		[]time.Duration{5 * time.Minute, 10 * time.Minute, 15 * time.Minute, 20 * time.Minute},
 		[]float64{2.6, 3.0, 3.4},
+		[][]float64{
+			{40.0 / 12, 48.0 / 12, 48.0 / 12},
+			{40.0 / 12, 36.0 / 12, 36.0 / 12},
+			{34.0 / 12, 34.0 / 12, 34.0 / 12},
+			{34.0 / 12, 34.0 / 12, 34.0 / 12},
+		},
 	)
 	if err != nil {
-		t.Fatalf("BuildBoundTable: %v", err)
+		t.Fatalf("NewBoundTable: %v", err)
 	}
 	return tbl
-}
-
-func TestPredictionTracksOracle(t *testing.T) {
-	tbl := buildTestTable(t)
-	tr := mustTrace(workload.SyntheticYahoo(7, 3.4, 15*time.Minute))
-	st := workload.Analyze(tr)
-
-	pred, err := Run(Scenario{
-		Trace:    tr,
-		Strategy: core.Prediction{PredictedDuration: st.AggregateDuration, Table: tbl},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := OracleSearch(Scenario{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := Run(Scenario{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// §VII-B: with zero estimation error, Prediction approaches Oracle and
-	// beats Greedy on long bursts.
-	if pred.Improvement() < greedy.Improvement()-0.01 {
-		t.Fatalf("prediction %.4f below greedy %.4f", pred.Improvement(), greedy.Improvement())
-	}
-	if pred.Improvement() > oracle.Result.Improvement()+0.01 {
-		t.Fatalf("prediction %.4f above oracle %.4f (oracle must dominate)", pred.Improvement(), oracle.Result.Improvement())
-	}
-	if oracle.Result.Improvement()-pred.Improvement() > 0.15 {
-		t.Fatalf("prediction %.4f far from oracle %.4f", pred.Improvement(), oracle.Result.Improvement())
-	}
-}
-
-func TestHeuristicEndToEnd(t *testing.T) {
-	tr := mustTrace(workload.SyntheticYahoo(7, 3.4, 15*time.Minute))
-	greedy, err := Run(Scenario{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// SDe_p from the Oracle's bound (the "real best average sprinting
-	// degree" proxy), zero estimation error.
-	oracle, err := OracleSearch(Scenario{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heur, err := Run(Scenario{
-		Trace:    tr,
-		Strategy: core.Heuristic{EstimatedAvgDegree: oracle.Bound, Flexibility: 0.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heur.Improvement() < greedy.Improvement()-0.05 {
-		t.Fatalf("heuristic %.4f well below greedy %.4f", heur.Improvement(), greedy.Improvement())
-	}
-	if heur.TrippedAt >= 0 {
-		t.Fatal("heuristic run tripped")
-	}
 }
 
 func TestScaleInvariance(t *testing.T) {
@@ -290,32 +199,6 @@ func TestNoTESAblation(t *testing.T) {
 	}
 }
 
-func TestParallelPreservesOrderAndErrors(t *testing.T) {
-	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	out, err := Parallel(items, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	boom := errors.New("boom")
-	_, err = Parallel(items, func(i int) (int, error) {
-		if i == 3 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if _, err := Parallel(nil, func(i int) (int, error) { return i, nil }); err != nil {
-		t.Fatalf("empty Parallel: %v", err)
-	}
-}
-
 func TestImprovementWithoutBurst(t *testing.T) {
 	tr := mustTrace(workload.SyntheticYahoo(7, 1, 0))
 	r, err := Run(Scenario{Trace: tr})
@@ -327,25 +210,6 @@ func TestImprovementWithoutBurst(t *testing.T) {
 	}
 	if r.SprintSustained != 0 {
 		t.Fatalf("no-burst sprint sustained %v", r.SprintSustained)
-	}
-}
-
-func TestOracleSearchPropagatesErrors(t *testing.T) {
-	if _, err := OracleSearch(Scenario{}); err == nil {
-		t.Fatal("empty scenario accepted")
-	}
-}
-
-func TestBuildBoundTablePropagatesErrors(t *testing.T) {
-	_, err := BuildBoundTable(Scenario{},
-		func(degree float64, d time.Duration) (*trace.Series, error) {
-			return nil, errors.New("synthesis failed") // bad maker
-		},
-		[]time.Duration{5 * time.Minute},
-		[]float64{3.0},
-	)
-	if err == nil {
-		t.Fatal("nil-trace maker accepted")
 	}
 }
 

@@ -5,7 +5,7 @@
 // traces, per-tick CSV tables and a live HTTP endpoint.
 //
 // Everything is safe for concurrent use: experiment campaigns fan runs out
-// with sim.Parallel, and many goroutines may observe into one registry while
+// with campaign.Sweep, and many goroutines may observe into one registry while
 // an HTTP scrape reads it.
 //
 // Metric names follow the convention

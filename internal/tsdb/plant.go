@@ -70,16 +70,12 @@ func DCSeriesName(base, dc string) string {
 	return base + `{dc="` + dc + `"}`
 }
 
-// SinkOptions tunes a PlantSink. The zero value is a live sink: wall-
-// clock timestamps, per-session series enabled.
+// SinkOptions tunes a PlantSink. The zero value is a live sink with
+// wall-clock timestamps.
 type SinkOptions struct {
 	// Clock returns the current timestamp in milliseconds. Nil means
 	// wall clock; tests inject a fake.
 	Clock func() int64
-	// NoPerSession drops the labelled plant.* series and keeps only the
-	// fleet folds — the large-fleet mode where per-session retention
-	// would blow the store's MaxSeries cap.
-	NoPerSession bool
 }
 
 // PlantSink adapts a Store to the service manager: each session gets a
@@ -87,9 +83,8 @@ type SinkOptions struct {
 // folds the latest sample of every live session into fleet-level series.
 // All methods are safe for concurrent use.
 type PlantSink struct {
-	store      *Store
-	clock      func() int64
-	perSession bool
+	store *Store
+	clock func() int64
 
 	mu       sync.Mutex
 	sessions map[string]*SessionRecorder
@@ -102,10 +97,9 @@ func NewPlantSink(store *Store, opts SinkOptions) *PlantSink {
 		clock = func() int64 { return time.Now().UnixMilli() }
 	}
 	return &PlantSink{
-		store:      store,
-		clock:      clock,
-		perSession: !opts.NoPerSession,
-		sessions:   make(map[string]*SessionRecorder),
+		store:    store,
+		clock:    clock,
+		sessions: make(map[string]*SessionRecorder),
 	}
 }
 
@@ -128,14 +122,11 @@ func (k *PlantSink) Session(id string) *SessionRecorder {
 	if r := k.sessions[id]; r != nil {
 		return r
 	}
-	r := &SessionRecorder{sink: k, id: id}
-	if k.perSession {
-		r.series = make([]*Series, len(sessionFields))
-		for i, f := range sessionFields {
-			// A store at its MaxSeries cap returns nil, which Append
-			// discards — the session still contributes to fleet folds.
-			r.series[i] = k.store.Series(sessionSeriesName(f.name, id))
-		}
+	r := &SessionRecorder{sink: k, id: id, series: make([]*Series, len(sessionFields))}
+	for i, f := range sessionFields {
+		// A store at its MaxSeries cap returns nil, which Append
+		// discards — the session still contributes to fleet folds.
+		r.series[i] = k.store.Series(sessionSeriesName(f.name, id))
 	}
 	k.sessions[id] = r
 	return r
@@ -151,10 +142,8 @@ func (k *PlantSink) Drop(id string) {
 	if r == nil {
 		return
 	}
-	if k.perSession {
-		for _, f := range sessionFields {
-			k.store.Remove(sessionSeriesName(f.name, id))
-		}
+	for _, f := range sessionFields {
+		k.store.Remove(sessionSeriesName(f.name, id))
 	}
 }
 
@@ -232,7 +221,7 @@ func (k *PlantSink) SampleFleet(extra map[string]float64) int64 {
 type SessionRecorder struct {
 	sink   *PlantSink
 	id     string
-	series []*Series // indexed like sessionFields; nil without per-session storage
+	series []*Series // indexed like sessionFields
 
 	mu   sync.Mutex
 	last sim.PlantSample

@@ -103,19 +103,6 @@ func TestSampleFleet(t *testing.T) {
 	}
 }
 
-func TestSinkNoPerSession(t *testing.T) {
-	st := New(Options{})
-	sink := NewPlantSink(st, SinkOptions{NoPerSession: true, Clock: (&fakeClock{}).now})
-	sink.Session("x").RecordPlant(testSample(100, 1, 5, 0.1, 1, -1))
-	for _, name := range st.Names() {
-		t.Fatalf("unexpected series %q with per-session storage off", name)
-	}
-	sink.SampleFleet(nil)
-	if v, _ := st.Lookup(SeriesFleetTotalDraw).Last(); v != 100 {
-		t.Fatalf("fleet fold broken without per-session storage: draw %v", v)
-	}
-}
-
 func TestSinkAtSeriesCap(t *testing.T) {
 	st := New(Options{MaxSeries: 3})
 	sink := NewPlantSink(st, SinkOptions{Clock: (&fakeClock{}).now})

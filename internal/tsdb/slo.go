@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,6 +50,8 @@ func (r Rule) validate() error {
 		return fmt.Errorf("tsdb: rule %s: window %v must be positive", r.Name, r.Window)
 	case r.Op != "<" && r.Op != ">":
 		return fmt.Errorf("tsdb: rule %s: operator %q (want < or >)", r.Name, r.Op)
+	case math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0):
+		return fmt.Errorf("tsdb: rule %s: threshold %v must be finite", r.Name, r.Threshold)
 	case r.For < 1:
 		return fmt.Errorf("tsdb: rule %s: for %d must be at least 1", r.Name, r.For)
 	}

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,9 @@ func TestParseRulesErrors(t *testing.T) {
 		"r = max(x, 10s) > 1 for x",
 		"r = max(x, 10s) > 1 for 0",
 		"r = max(x, -1s) > 1",
+		"r = max(x, 10s) > NaN",  // never fires, and /debug/slo cannot encode it
+		"r = max(x, 10s) > +Inf", // never fires
+		"r = min(x, 10s) < -Inf", // never fires
 	} {
 		if _, err := ParseRules(bad); err == nil {
 			t.Errorf("ParseRules(%q) accepted", bad)
@@ -190,4 +194,41 @@ func TestWatchdogRejectsBadRule(t *testing.T) {
 	if _, err := NewWatchdog(New(Options{}), []Rule{{Name: "bad"}}, telemetry.NewRegistry(), nil); err == nil {
 		t.Fatal("invalid rule accepted")
 	}
+	for _, thr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := Rule{Name: "nonfinite", Agg: "max", Series: "x", Window: 10 * time.Second, Op: ">", Threshold: thr, For: 1}
+		if _, err := NewWatchdog(New(Options{}), []Rule{r}, telemetry.NewRegistry(), nil); err == nil {
+			t.Errorf("rule with threshold %v accepted", thr)
+		}
+	}
+}
+
+// FuzzParseRules checks that arbitrary -slo-rules input never panics the
+// parser, and that every accepted rule renders through Rule.String to text
+// that parses back to the same rule.
+func FuzzParseRules(f *testing.F) {
+	f.Add("default")
+	f.Add("hot = max(fleet.worst_breaker_stress, 30s) > 0.9 for 2; cold = min(fleet.worst_thermal_margin_c, 1m) < 2")
+	f.Add("x = avg(fleet.sessions, 1h30m) > 1e-7 for 3\nsecond = min(a(b, 1ms) < -0")
+	f.Add("x = max(fleet.sessions, 10s) > NaN")
+	f.Add("x = max(fleet.sessions, 10s) > 0x1p-2 for +4")
+	f.Add("noequals")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, input string) {
+		rules, err := ParseRules(input)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			if err := r.validate(); err != nil {
+				t.Fatalf("accepted invalid rule %+v: %v", r, err)
+			}
+			back, err := ParseRules(r.String())
+			if err != nil {
+				t.Fatalf("canonical form %q did not parse: %v", r.String(), err)
+			}
+			if len(back) != 1 || back[0] != r {
+				t.Fatalf("round trip of %q gave %+v, want %+v", r.String(), back, r)
+			}
+		}
+	})
 }

@@ -6,10 +6,8 @@ package dcsprint
 // at scale live in campaign.go.
 
 import (
-	"context"
 	"time"
 
-	"dcsprint/internal/campaign"
 	"dcsprint/internal/core"
 	"dcsprint/internal/faults"
 	"dcsprint/internal/sim"
@@ -25,8 +23,6 @@ type (
 	Result = sim.Result
 	// Telemetry holds a run's per-tick series; see sim.Telemetry.
 	Telemetry = sim.Telemetry
-	// OracleResult is an Oracle exhaustive-search outcome.
-	OracleResult = sim.OracleResult
 	// Strategy bounds the sprinting degree each tick.
 	Strategy = core.Strategy
 	// State is the controller snapshot a Strategy sees.
@@ -51,10 +47,6 @@ var (
 	// injection attached (fault state is not checkpointable).
 	ErrSnapshotFaults = sim.ErrSnapshotFaults
 )
-
-// TraceMaker builds a demand trace for a parametric burst, used to populate
-// bound tables; see sim.TraceMaker.
-type TraceMaker = sim.TraceMaker
 
 // Engine drives one scenario tick-at-a-time; see sim.Engine. Step it with
 // demand samples, checkpoint it with Snapshot, seal it with Finish.
@@ -121,27 +113,6 @@ func ApplyDelta(base, delta []byte) ([]byte, error) { return sim.ApplyDelta(base
 // ParseFaultFile loads a fault-injection spec file for Scenario.Faults;
 // see faults.ParseFile for the grammar.
 func ParseFaultFile(path string) (*FaultSchedule, error) { return faults.ParseFile(path) }
-
-// OracleSearch finds the optimal constant degree bound with perfect burst
-// knowledge (the paper's Oracle strategy).
-//
-// Deprecated: use OracleSearchContext, which accepts cancellation and
-// campaign options (worker count, memoization). This form remains for
-// compatibility and produces bit-identical results.
-func OracleSearch(sc Scenario) (*OracleResult, error) {
-	return campaign.OracleSearch(context.Background(), campaign.Options{}, sc)
-}
-
-// BuildBoundTable populates the Prediction strategy's lookup table by
-// Oracle-searching a grid of parametric bursts.
-//
-// Deprecated: use BuildBoundTableContext, which accepts cancellation and
-// campaign options (worker count, memoization). This form remains for
-// compatibility and produces bit-identical results.
-func BuildBoundTable(base Scenario, mk func(degree float64, d time.Duration) (*Series, error),
-	durations []time.Duration, degrees []float64) (*BoundTable, error) {
-	return campaign.BuildBoundTable(context.Background(), campaign.Options{}, base, mk, durations, degrees)
-}
 
 // Greedy returns the paper's Greedy strategy: no degree bound.
 func Greedy() Strategy { return core.Greedy{} }
