@@ -11,9 +11,9 @@
 //	dcsprintload -dcs 64 -sessions 256   # fleet mode against dcsprintd -fleet
 //	dcsprintload -sessions 100000 -concurrency 512 -ticks 12
 //
-// The last shape is the batch-path soak: -concurrency bounds how many of the
+// The last shape is the scale soak: -concurrency bounds how many of the
 // -sessions run at once (0 means all at once), so a six-figure session count
-// sweeps through the daemon's shard run queues in waves without exhausting
+// passes through the daemon's session map in waves without exhausting
 // client-side sockets, and -ticks finishes each session after N steps
 // instead of streaming the full synthetic trace, keeping the total step
 // count proportional to the session count.

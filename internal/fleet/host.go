@@ -28,8 +28,8 @@ var hostSeries = []string{
 
 // binding ties a live session to its serving DC and retains the session's
 // latest plant probe — the daemon-side ledger feed. The host's refresh loop
-// pulls Manager.Probes, each session's Engine.Plant read on its shard
-// worker, and writes the results here on the FoldEvery cadence, so the step
+// pulls Manager.Probes, each session's Engine.Plant read under its session
+// lock, and writes the results here on the FoldEvery cadence, so the step
 // hot path pays nothing for the fleet control plane.
 type binding struct {
 	mu   sync.Mutex

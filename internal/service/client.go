@@ -596,7 +596,7 @@ func (s *Stream) stepOnce(ctx context.Context, demand float64) (Decision, error)
 }
 
 // StepContext is Step with cancellation and budgeted backpressure retry
-// under the client's RetryPolicy: a 429 reply (full session mailbox) is
+// under the client's RetryPolicy: a 429 reply (full session queue) is
 // retried with exponential jittered backoff, honoring the server's
 // Retry-After hint, each retry counted in dcsprint_client_retries_total.
 // A 429 on the final attempt is returned to the caller, whose loop owns the

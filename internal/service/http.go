@@ -1,10 +1,12 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"runtime/pprof"
 	"strconv"
 	"time"
 )
@@ -83,7 +85,7 @@ func statusOf(err error) int {
 }
 
 // retryAfterOf suggests a backoff for retryable rejections: a beat for a
-// full mailbox, longer when the whole manager is at capacity or draining.
+// full session queue, longer when the whole manager is at capacity or draining.
 // Zero means the error is not retryable.
 func retryAfterOf(err error) time.Duration {
 	switch {
@@ -246,6 +248,14 @@ func (m *Manager) handleSteps(w http.ResponseWriter, r *http.Request) {
 	if err := rc.Flush(); err != nil {
 		return
 	}
+	// The shard label lets CPU profiles attribute the stream's stepping to
+	// the shard its session lives on.
+	pprof.Do(r.Context(), pprof.Labels("shard", strconv.Itoa(m.shardIdx(id))),
+		func(context.Context) { m.stepLoop(w, r, rc, id, tc) })
+}
+
+// stepLoop serves a steps stream's lines after the greeting.
+func (m *Manager) stepLoop(w http.ResponseWriter, r *http.Request, rc *http.ResponseController, id string, tc TraceContext) {
 	br := newLineReader(r.Body)
 	var (
 		in  StepRequest

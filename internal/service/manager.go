@@ -1,15 +1,14 @@
 package service
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcsprint/internal/durability"
@@ -22,8 +21,9 @@ import (
 var (
 	// ErrNotFound reports an unknown or already-finished session.
 	ErrNotFound = errors.New("service: session not found")
-	// ErrBusy reports a session past its queue-depth allowance or a full
-	// shard run queue — the caller should back off and retry (HTTP 429).
+	// ErrBusy reports a session past its queue-depth allowance or a shard
+	// with too many callers waiting — the caller should back off and retry
+	// (HTTP 429).
 	ErrBusy = errors.New("service: session queue full")
 	// ErrAtCapacity reports the manager's session cap is reached (429).
 	ErrAtCapacity = errors.New("service: session capacity reached")
@@ -88,8 +88,8 @@ type Config struct {
 	// IdleTTL evicts sessions with no activity for this long. Zero means
 	// 10 minutes; negative disables eviction.
 	IdleTTL time.Duration
-	// QueueDepth bounds how many of one session's requests may wait in its
-	// shard's run queue. Zero means 64.
+	// QueueDepth bounds how many of one session's requests may wait for it
+	// at once. Zero means 64.
 	QueueDepth int
 	// Registry receives the service metrics. Nil creates a private one.
 	Registry *telemetry.Registry
@@ -157,10 +157,9 @@ func (c *Config) fill() {
 	}
 }
 
-// nShards fixes the shard count: one run queue, one worker goroutine, and
-// one engine batch per shard. 16 keeps map contention negligible at
-// hundreds of thousands of sessions while giving the batch sweeps enough
-// parallelism to saturate a mid-size host.
+// nShards fixes the shard count: one id map and one waiting-caller bound per
+// shard. 16 keeps map contention negligible at hundreds of thousands of
+// sessions.
 const nShards = 16
 
 // NumShards exposes the shard count so callers can size a
@@ -168,68 +167,46 @@ const nShards = 16
 // recorder's locking as fine-grained as the map it observes.
 const NumShards = nShards
 
-// quantumMax bounds how many step requests one lockstep quantum gathers, so
-// a deep run queue cannot starve the requests behind it of replies.
-const quantumMax = 512
-
-// shard is one of the manager's service lanes: an id map shared with
-// lookups, plus the run queue, control channel and engine batch owned by the
-// shard's worker goroutine.
+// shard is one of the manager's session lanes: an id map shared with
+// lookups, and the count of callers admitted to its sessions that are still
+// waiting for a session lock.
 type shard struct {
 	mu sync.Mutex
 	m  map[string]*session
 
-	// runq carries client requests to the worker; ctl carries evictions,
-	// probes and shutdown, and is drained with priority. done closes when
-	// the worker exits — the waiter's signal that no reply is coming.
-	runq chan request
-	ctl  chan ctlMsg
-	done chan struct{}
-
-	// ---- worker-owned state below ----
-
-	// batch holds every adopted engine in its slot table; sess maps its
-	// slots back to sessions.
-	batch *sim.Batch
-	sess  []*session
-	// demands is the persistent StepAll input, Skip for every slot at rest;
-	// a quantum marks its slots and unmarks them after the sweep.
-	demands []sim.Sample
-	// qreqs and qprev are the quantum scratch buffers (requests gathered,
-	// engine tick before the sweep).
-	qreqs []request
-	qprev []int
+	waiting atomic.Int32
 }
 
-type ctlOp int
-
-const (
-	ctlEvict ctlOp = iota
-	ctlProbe
-	ctlShutdown
-)
-
-type ctlMsg struct {
-	op      ctlOp
-	s       *session  // evict target
-	evicted chan bool // evict reply: whether the session was live
-	probes  chan []PlantProbe
+// live appends the shard's sessions to buf.
+func (sh *shard) live(buf []*session) []*session {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, s := range sh.m {
+		buf = append(buf, s)
+	}
+	return buf
 }
 
-// Manager hosts the live sessions: sharded run queues feeding per-shard
-// batch workers, a janitor evicting idle sessions, and gauges over the whole
-// population. All methods are safe for concurrent use.
+// Manager hosts the live sessions: a sharded id map, each session served on
+// its callers' goroutines under its own lock, a janitor evicting idle
+// sessions, and gauges over the whole population. All methods are safe for
+// concurrent use.
 type Manager struct {
 	cfg    Config
 	shards [nShards]shard
+	// shardDepth bounds each shard's waiting callers, so the per-session
+	// QueueDepth gate, not the shared bound, is the normal backpressure
+	// signal.
+	shardDepth int32
 
 	mu     sync.Mutex // guards count and closed
 	count  int
 	closed bool
 
-	wg       sync.WaitGroup // shard workers + janitor + plant sampler
-	janitorQ chan struct{}
-	plantQ   chan struct{}
+	wg        sync.WaitGroup // janitor + plant sampler
+	closeOnce sync.Once
+	janitorQ  chan struct{}
+	plantQ    chan struct{}
 
 	metrics managerMetrics
 }
@@ -260,39 +237,30 @@ func stepLatencyBuckets() []float64 {
 	}
 }
 
-// NewManager starts a manager: its shard workers, eviction janitor, and
-// plant sampler.
+// NewManager starts a manager: its eviction janitor and plant sampler.
 func NewManager(cfg Config) *Manager {
 	cfg.fill()
-	m := &Manager{cfg: cfg, janitorQ: make(chan struct{})}
-	// The run queue is shared by every session on the shard; size it so the
-	// per-session QueueDepth gate, not the shared queue, is the normal
-	// backpressure signal.
-	runqDepth := cfg.QueueDepth * 64
-	if runqDepth < 4096 {
-		runqDepth = 4096
+	m := &Manager{
+		cfg:        cfg,
+		shardDepth: int32(max(64*cfg.QueueDepth, 4096)),
+		janitorQ:   make(chan struct{}),
 	}
 	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.m = make(map[string]*session)
-		sh.batch = sim.NewBatch(sim.BatchOptions{})
-		sh.runq = make(chan request, runqDepth)
-		sh.ctl = make(chan ctlMsg, 4)
-		sh.done = make(chan struct{})
+		m.shards[i].m = make(map[string]*session)
 	}
 	reg := cfg.Registry
-	// Per-shard queue-depth gauges refresh on scrape: the run-queue lengths
-	// are only interesting at observation time.
+	// Per-shard queue-depth gauges refresh on scrape: the waiting-caller
+	// counts are only interesting at observation time.
 	for i := 0; i < nShards; i++ {
 		reg.GaugeWith("dcsprint_service_queue_depth",
-			"Requests waiting in the shard's run queue",
+			"Callers waiting for a session lock on the shard",
 			telemetry.Labels{"shard": strconv.Itoa(i)})
 	}
 	reg.OnScrape(func() {
 		for i := range m.shards {
 			reg.GaugeWith("dcsprint_service_queue_depth",
-				"Requests waiting in the shard's run queue",
-				telemetry.Labels{"shard": strconv.Itoa(i)}).Set(float64(len(m.shards[i].runq)))
+				"Callers waiting for a session lock on the shard",
+				telemetry.Labels{"shard": strconv.Itoa(i)}).Set(float64(m.shards[i].waiting.Load()))
 		}
 	})
 	m.metrics = managerMetrics{
@@ -316,14 +284,6 @@ func NewManager(cfg Config) *Manager {
 		journalErrors: reg.Counter("dcsprint_service_journal_errors_total",
 			"Journal write failures (session degraded to in-memory)"),
 	}
-	m.wg.Add(nShards)
-	for i := 0; i < nShards; i++ {
-		idx := i
-		// pprof labels make /debug/pprof/profile attribute CPU to the shard
-		// worker that burned it instead of one anonymous pile of frames.
-		go pprof.Do(context.Background(), pprof.Labels("shard", strconv.Itoa(idx)),
-			func(context.Context) { m.worker(idx) })
-	}
 	if cfg.IdleTTL > 0 {
 		m.wg.Add(1)
 		go m.janitor()
@@ -336,290 +296,10 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// worker is one shard's goroutine: sole owner of the shard batch, its
-// engines, and their journals. Control messages preempt queued work.
-func (m *Manager) worker(idx int) {
-	sh := &m.shards[idx]
-	defer m.wg.Done()
-	defer close(sh.done)
-	var held *request
-	for {
-		select {
-		case c := <-sh.ctl:
-			if m.handleCtl(sh, c) {
-				return
-			}
-			continue
-		default:
-		}
-		var first request
-		if held != nil {
-			first, held = *held, nil
-		} else {
-			select {
-			case c := <-sh.ctl:
-				if m.handleCtl(sh, c) {
-					return
-				}
-				continue
-			case first = <-sh.runq:
-			}
-		}
-		if first.op != opStep {
-			m.handleReq(sh, first)
-			continue
-		}
-		held = m.runQuantum(sh, first)
-	}
-}
-
-// adopt installs a session's engine into the shard batch — lazily, on the
-// session's first dequeued request, so install ordering can never race the
-// worker.
-func (m *Manager) adopt(sh *shard, s *session) {
-	s.slot = sh.batch.AddEngine(s.eng)
-	s.eng = nil
-	for len(sh.sess) <= s.slot {
-		sh.sess = append(sh.sess, nil)
-	}
-	sh.sess[s.slot] = s
-	for len(sh.demands) < sh.batch.Slots() {
-		sh.demands = append(sh.demands, sim.Sample{Skip: true})
-	}
-}
-
-// runQuantum gathers consecutive step requests for distinct sessions into
-// one lockstep quantum, advances them together through the shard batch, and
-// replies in arrival order. The first request that cannot join — a non-step
-// op, or a second step for a session already in the quantum — is returned to
-// the caller as a holdover so per-session FIFO order is preserved.
-func (m *Manager) runQuantum(sh *shard, first request) (held *request) {
-	reqs := append(sh.qreqs[:0], first)
-	first.s.inQuantum = true
-gather:
-	for len(reqs) < quantumMax {
-		select {
-		case r := <-sh.runq:
-			if r.op != opStep || r.s.inQuantum {
-				h := r
-				held = &h
-				break gather
-			}
-			r.s.inQuantum = true
-			reqs = append(reqs, r)
-		default:
-			break gather
-		}
-	}
-	start := time.Now()
-	// Admission pass: per-request checks in arrival order; survivors mark
-	// their slot's demand. A request replied to here clears its reply chan
-	// so the post-sweep pass skips it.
-	prev := sh.qprev[:0]
-	stepping := 0
-	for i := range reqs {
-		r := &reqs[i]
-		s := r.s
-		s.queued.Add(-1)
-		s.inQuantum = false
-		s.touch()
-		prev = append(prev, -1)
-		if !r.enq.IsZero() {
-			// The queue-wait span covers enqueue to dequeue — the part of a
-			// 429 storm or a stalled stream that is invisible to the client.
-			m.opSpan("queue-wait", s.id, r.tc, r.enq, "")
-		}
-		if s.closed {
-			r.reply <- response{err: s.closeErr}
-			r.reply = nil
-			continue
-		}
-		if s.slot < 0 {
-			m.adopt(sh, s)
-		}
-		eng := sh.batch.Engine(s.slot)
-		cur := eng.Tick()
-		if r.seq >= 0 {
-			// Idempotent application: the expected seq applies, the
-			// just-applied seq gets its cached decision again (a reconnect
-			// that lost the ack), anything else desynchronized.
-			switch {
-			case r.seq == int64(cur):
-			case r.seq == int64(cur)-1 && s.haveLast:
-				r.reply <- response{dec: s.lastDec}
-				r.reply = nil
-				continue
-			default:
-				r.reply <- response{err: fmt.Errorf("%w: seq %d, next tick %d", ErrStepSeq, r.seq, cur)}
-				r.reply = nil
-				continue
-			}
-		}
-		if s.traceLen > 0 && cur >= s.traceLen {
-			r.reply <- response{err: ErrTraceExhausted}
-			r.reply = nil
-			continue
-		}
-		prev[i] = cur
-		sh.demands[s.slot] = sim.Sample{Demand: r.demand}
-		stepping++
-	}
-	if stepping > 0 {
-		decs, stepErr := sh.batch.StepAll(sh.demands)
-		// Reply pass: journal before replying, per session, in arrival
-		// order — once the client sees the ack, the tick is recoverable.
-		for i := range reqs {
-			r := &reqs[i]
-			if r.reply == nil {
-				continue
-			}
-			s := r.s
-			sh.demands[s.slot] = sim.Sample{Skip: true}
-			eng := sh.batch.Engine(s.slot)
-			if eng.Tick() == prev[i] {
-				// The sweep failed this slot without advancing it; batch
-				// members are never finished engines, so this is a
-				// should-not-happen guarded for completeness.
-				err := stepErr
-				if err == nil {
-					err = fmt.Errorf("service: batch step did not advance session %s", s.id)
-				}
-				r.reply <- response{err: err}
-				continue
-			}
-			s.journalStep(eng, prev[i], r.demand)
-			s.tick.Store(int64(eng.Tick()))
-			m.metrics.steps.Inc()
-			elapsed := time.Since(start)
-			if r.tc.Req != "" {
-				m.metrics.stepLatency.ObserveWithExemplar(elapsed.Seconds(), r.tc.Req)
-			} else {
-				m.metrics.stepLatency.Observe(elapsed.Seconds())
-			}
-			if elapsed > m.cfg.SlowStep {
-				m.metrics.slowSteps.Inc()
-				m.flight(telemetry.EventSlowStep, s.id, r.tc,
-					fmt.Sprintf("tick %d took %v", prev[i], elapsed))
-			}
-			if !r.enq.IsZero() {
-				m.opSpan("step", s.id, r.tc, start, fmt.Sprintf("tick %d", prev[i]))
-			}
-			s.lastDec, s.haveLast = decisionOf(prev[i], decs[s.slot]), true
-			r.reply <- response{dec: s.lastDec}
-		}
-	}
-	// Keep the scratch buffers (and drop request payloads so replies are
-	// not retained past the quantum).
-	for i := range reqs {
-		reqs[i] = request{}
-	}
-	sh.qreqs, sh.qprev = reqs[:0], prev[:0]
-	return held
-}
-
-// handleReq serves one non-step request on the shard worker.
-func (m *Manager) handleReq(sh *shard, req request) {
-	s := req.s
-	s.queued.Add(-1)
-	s.touch()
-	if s.closed {
-		req.reply <- response{err: s.closeErr}
-		return
-	}
-	if s.slot < 0 {
-		m.adopt(sh, s)
-	}
-	switch req.op {
-	case opSnapshot:
-		start := time.Now()
-		snap, err := sh.batch.Engine(s.slot).Snapshot()
-		if err != nil {
-			req.reply <- response{err: err}
-			return
-		}
-		if !req.enq.IsZero() {
-			m.opSpan("snapshot", s.id, req.tc, start, fmt.Sprintf("%d bytes", len(snap)))
-		}
-		req.reply <- response{doc: SnapshotDoc{Spec: s.spec, Snapshot: snap}}
-	case opFinish:
-		eng := sh.batch.Remove(s.slot)
-		sh.sess[s.slot] = nil
-		s.slot = -1
-		res, err := eng.Finish()
-		// Finished either way — the journal has nothing left to recover.
-		s.dropJournal.Store(true)
-		s.closeJournal()
-		s.closed, s.closeErr = true, ErrNotFound
-		m.drop(s)
-		if err != nil {
-			req.reply <- response{err: err}
-			return
-		}
-		req.reply <- response{res: res}
-	default:
-		req.reply <- response{err: ErrNotFound}
-	}
-}
-
-// retire removes a session from service on the shard worker: engine out of
-// the batch, journal detached (kept or removed per dropJournal), map entry
-// dropped. Later dequeued requests for it are told err.
-func (m *Manager) retire(sh *shard, s *session, err error) {
-	if s.slot >= 0 {
-		sh.batch.Remove(s.slot)
-		sh.sess[s.slot] = nil
-		s.slot = -1
-	}
-	s.eng = nil
-	s.closeJournal()
-	s.closed, s.closeErr = true, err
-	m.drop(s)
-}
-
-// handleCtl serves one control message; reports true on shutdown.
-func (m *Manager) handleCtl(sh *shard, c ctlMsg) (shutdown bool) {
-	switch c.op {
-	case ctlEvict:
-		if c.s.closed {
-			c.evicted <- false
-			return false
-		}
-		m.retire(sh, c.s, ErrClosed)
-		c.evicted <- true
-		return false
-	case ctlProbe:
-		c.probes <- probeShard(sh)
-		return false
-	case ctlShutdown:
-		// Retire every live session — journals are kept (dropJournal is only
-		// set by eviction and finish), so Recover can resurrect the
-		// population — then fail whatever is still queued.
-		sh.mu.Lock()
-		all := make([]*session, 0, len(sh.m))
-		for _, s := range sh.m {
-			all = append(all, s)
-		}
-		sh.mu.Unlock()
-		for _, s := range all {
-			if !s.closed {
-				m.retire(sh, s, ErrClosed)
-			}
-		}
-		for {
-			select {
-			case req := <-sh.runq:
-				req.s.queued.Add(-1)
-				req.reply <- response{err: ErrClosed}
-			default:
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// PlantProbe is one live session's plant state, read from its engine on the
-// shard worker rather than from a per-tick recorder callback.
+// PlantProbe is one live session's plant state, read from its engine under
+// the session lock rather than from a per-tick recorder callback. A session
+// has a probe only once its engine has stepped (Tick() > 0): before that
+// there is no completed tick to report, just as a recorder has no sample.
 type PlantProbe struct {
 	// ID is the session id.
 	ID string
@@ -631,40 +311,21 @@ type PlantProbe struct {
 }
 
 // Probes reads every live session's plant state into per-session probes —
-// the pull-based fleet ledger feed. Each shard's probes are read on its
-// worker between quanta, so they see consistent engine state without locks;
-// a session that has not yet reached its worker reports nothing, exactly
-// like a recorder that has not yet seen a sample. Shards already shut down
-// contribute nothing.
+// the pull-based fleet ledger feed. Each session is read under its lock, so
+// the probe sees consistent engine state; never-stepped and retired sessions
+// report nothing.
 func (m *Manager) Probes() []PlantProbe {
 	var out []PlantProbe
+	var live []*session
 	for i := range m.shards {
-		sh := &m.shards[i]
-		probes := make(chan []PlantProbe, 1)
-		select {
-		case sh.ctl <- ctlMsg{op: ctlProbe, probes: probes}:
-		case <-sh.done:
-			continue
+		live = m.shards[i].live(live[:0])
+		for _, s := range live {
+			s.mu.Lock()
+			if eng := s.eng; eng != nil && eng.Tick() > 0 {
+				out = append(out, PlantProbe{ID: s.id, Dead: eng.Dead(), Sample: eng.Plant()})
+			}
+			s.mu.Unlock()
 		}
-		select {
-		case ps := <-probes:
-			out = append(out, ps...)
-		case <-sh.done:
-		}
-	}
-	return out
-}
-
-// probeShard reads the plant state of every engine in the shard batch.
-// Worker goroutine only.
-func probeShard(sh *shard) []PlantProbe {
-	out := make([]PlantProbe, 0, sh.batch.Len())
-	for slot, s := range sh.sess {
-		if s == nil {
-			continue
-		}
-		eng := sh.batch.Engine(slot)
-		out = append(out, PlantProbe{ID: s.id, Dead: eng.Dead(), Sample: eng.Plant()})
 	}
 	return out
 }
@@ -790,18 +451,20 @@ func (m *Manager) release() {
 // reuses the journaled id and seeds the idempotency cache; journaled creates
 // attach the write-ahead journal.
 type installOpts struct {
-	id       string // empty generates a fresh id
-	jn       *durability.Journal
-	specJSON []byte
-	base     []byte // journal's base checkpoint bytes (delta-chain key)
-	lastDec  Decision
-	haveLast bool
+	id string // empty generates a fresh id
+	// recovered marks a session rebuilt from its journal, which an install
+	// losing the race with Close keeps on disk for the next Recover.
+	recovered bool
+	jn        *durability.Journal
+	specJSON  []byte
+	base      []byte // journal's base checkpoint bytes (delta-chain key)
+	lastDec   Decision
+	haveLast  bool
 }
 
-// install registers a freshly built engine as a live session. The engine
-// rides along on the session struct until the shard worker adopts it into
-// the batch on the first dequeued request.
-func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) *session {
+// install registers a freshly built engine as a live session, or reports
+// ErrClosed when Close has begun.
+func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) (*session, error) {
 	id := opts.id
 	if id == "" {
 		id = newSessionID()
@@ -812,7 +475,6 @@ func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) 
 		mgr:      m,
 		sh:       m.shardOf(id),
 		eng:      eng,
-		slot:     -1,
 		interval: eng.Interval(),
 		jn:       opts.jn,
 		specJSON: opts.specJSON,
@@ -837,7 +499,18 @@ func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) 
 	sh.mu.Unlock()
 	m.metrics.created.Inc()
 	m.metrics.active.Add(1)
-	return s
+	m.mu.Lock()
+	closed := m.closed
+	m.mu.Unlock()
+	if closed {
+		// Close may have swept this shard before the session landed in it,
+		// so retire it here. A fresh session's id never reached its client,
+		// so its journal goes too.
+		s.dropJournal.Store(!opts.recovered)
+		s.close()
+		return nil, ErrClosed
+	}
+	return s, nil
 }
 
 // openJournal attaches a write-ahead journal to a new session and writes its
@@ -896,7 +569,10 @@ func (m *Manager) CreateTraced(spec ScenarioSpec, tc TraceContext) (*Session, er
 	}
 	id := newSessionID()
 	jn, specJSON, base := m.openJournal(id, spec, eng, tc)
-	s := m.install(spec, eng, installOpts{id: id, jn: jn, specJSON: specJSON, base: base})
+	s, err := m.install(spec, eng, installOpts{id: id, jn: jn, specJSON: specJSON, base: base})
+	if err != nil {
+		return nil, err
+	}
 	m.opSpan("admission", s.id, tc, start, "create")
 	return s.public(), nil
 }
@@ -934,7 +610,11 @@ func (m *Manager) RestoreTraced(doc SnapshotDoc, tc TraceContext) (*Session, err
 	}
 	id := newSessionID()
 	jn, specJSON, base := m.openJournal(id, doc.Spec, eng, tc)
-	s := m.install(doc.Spec, eng, installOpts{id: id, jn: jn, specJSON: specJSON, base: base})
+	s, err := m.install(doc.Spec, eng, installOpts{id: id, jn: jn, specJSON: specJSON, base: base})
+	if err != nil {
+		m.flight(telemetry.EventRestoreFail, "", tc, err.Error())
+		return nil, err
+	}
 	m.opSpan("admission", s.id, tc, start, "restore")
 	return s.public(), nil
 }
@@ -1050,9 +730,13 @@ func (m *Manager) recoverOne(id string) error {
 	// Re-checkpoint at the replayed tick so the next crash replays only new
 	// ticks, and so a torn tail already truncated by Load is not re-read.
 	jn, specJSON, base := m.openJournal(id, spec, eng, TraceContext{})
-	m.install(spec, eng, installOpts{
-		id: id, jn: jn, specJSON: specJSON, base: base, lastDec: lastDec, haveLast: haveLast,
-	})
+	if _, err := m.install(spec, eng, installOpts{
+		id: id, recovered: true, jn: jn, specJSON: specJSON, base: base, lastDec: lastDec, haveLast: haveLast,
+	}); err != nil {
+		m.metrics.recoveryFails.Inc()
+		m.flight(telemetry.EventRestoreFail, id, TraceContext{}, err.Error())
+		return err
+	}
 	m.metrics.recovered.Inc()
 	m.flight(telemetry.EventRestore, id, TraceContext{},
 		fmt.Sprintf("tick %d, %d deltas folded, %d replayed", eng.Tick(), folded, replayed))
@@ -1112,13 +796,7 @@ func (m *Manager) Info(id string) (SessionInfo, error) {
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	info := SessionInfo{
-		ID:    s.id,
-		Name:  s.spec.Name,
-		IdleS: time.Duration(time.Now().UnixNano() - s.last.Load()).Seconds(),
-	}
-	info.Tick, info.TraceLen = s.progress()
-	return info, nil
+	return s.info(time.Now().UnixNano()), nil
 }
 
 // Snapshot checkpoints a session into a portable document.
@@ -1147,7 +825,7 @@ func (m *Manager) FinishTraced(id string, tc TraceContext) (*sim.Result, error) 
 		return nil, err
 	}
 	start := time.Now()
-	res, err := s.finish()
+	res, err := s.finish(tc)
 	if err != nil {
 		return nil, err
 	}
@@ -1167,49 +845,36 @@ type SessionInfo struct {
 
 // List snapshots the live-session population.
 func (m *Manager) List() []SessionInfo {
-	var out []SessionInfo
-	now := time.Now().UnixNano()
+	var all []*session
 	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.m {
-			info := SessionInfo{
-				ID:    s.id,
-				Name:  s.spec.Name,
-				IdleS: time.Duration(now - s.last.Load()).Seconds(),
-			}
-			info.Tick, info.TraceLen = s.progress()
-			out = append(out, info)
-		}
-		sh.mu.Unlock()
+		all = m.shards[i].live(all)
+	}
+	now := time.Now().UnixNano()
+	var out []SessionInfo
+	for _, s := range all {
+		out = append(out, s.info(now))
 	}
 	return out
 }
 
-// drop removes a session from the map; returns false if already gone.
-func (m *Manager) drop(s *session) bool {
+// drop removes a session from the map and the population;
+// retireAndUnlock calls it once per session.
+func (m *Manager) drop(s *session) {
 	sh := s.sh
 	sh.mu.Lock()
-	_, ok := sh.m[s.id]
-	if ok {
-		delete(sh.m, s.id)
-	}
+	delete(sh.m, s.id)
 	sh.mu.Unlock()
-	if ok {
-		m.metrics.active.Add(-1)
-		m.release()
-		if m.cfg.Plant.Sink != nil {
-			m.cfg.Plant.Sink.Drop(s.id)
-		}
-		if m.cfg.Plant.Tap != nil {
-			m.cfg.Plant.Tap.Drop(s.id)
-		}
+	m.metrics.active.Add(-1)
+	m.release()
+	if m.cfg.Plant.Sink != nil {
+		m.cfg.Plant.Sink.Drop(s.id)
 	}
-	return ok
+	if m.cfg.Plant.Tap != nil {
+		m.cfg.Plant.Tap.Drop(s.id)
+	}
 }
 
-// janitor evicts sessions whose last activity is older than the TTL, by
-// asking each idle session's shard worker to retire it.
+// janitor evicts sessions whose last activity is older than the TTL.
 func (m *Manager) janitor() {
 	defer m.wg.Done()
 	tick := m.cfg.IdleTTL / 4
@@ -1218,6 +883,7 @@ func (m *Manager) janitor() {
 	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
+	var live []*session
 	for {
 		select {
 		case <-m.janitorQ:
@@ -1225,35 +891,10 @@ func (m *Manager) janitor() {
 		case <-t.C:
 			cutoff := time.Now().Add(-m.cfg.IdleTTL).UnixNano()
 			for i := range m.shards {
-				sh := &m.shards[i]
-				sh.mu.Lock()
-				var idle []*session
-				for _, s := range sh.m {
+				live = m.shards[i].live(live[:0])
+				for _, s := range live {
 					if s.last.Load() < cutoff {
-						idle = append(idle, s)
-					}
-				}
-				sh.mu.Unlock()
-				for _, s := range idle {
-					// Eviction forgets the session on purpose; its journal
-					// goes too, or the state dir would accrete dead sessions
-					// that resurrect on every restart.
-					s.dropJournal.Store(true)
-					evicted := make(chan bool, 1)
-					select {
-					case sh.ctl <- ctlMsg{op: ctlEvict, s: s, evicted: evicted}:
-					case <-sh.done:
-						continue
-					}
-					select {
-					case ok := <-evicted:
-						if ok {
-							m.metrics.evicted.Inc()
-							m.flight(telemetry.EventEvict, s.id, TraceContext{},
-								fmt.Sprintf("idle > %v", m.cfg.IdleTTL))
-							m.opSpan("evict", s.id, TraceContext{}, time.Now(), "idle eviction")
-						}
-					case <-sh.done:
+						m.evict(s, cutoff)
 					}
 				}
 			}
@@ -1261,35 +902,47 @@ func (m *Manager) janitor() {
 	}
 }
 
-// Close drains the manager: no new sessions, every shard worker retires its
-// sessions (journals kept) and exits. In-flight requests finish; queued ones
-// get ErrClosed.
-func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.wg.Wait()
+// evict retires a session still idle since before cutoff once it holds the
+// session lock.
+func (m *Manager) evict(s *session, cutoff int64) {
+	s.mu.Lock()
+	if s.closeErr != nil || s.last.Load() >= cutoff {
+		s.mu.Unlock()
 		return
 	}
-	m.closed = true
-	m.mu.Unlock()
-	drainStart := time.Now()
-	if m.cfg.IdleTTL > 0 {
-		close(m.janitorQ)
-	}
-	if m.cfg.Plant.Sink != nil {
-		close(m.plantQ)
-	}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		select {
-		case sh.ctl <- ctlMsg{op: ctlShutdown}:
-		case <-sh.done:
+	// Eviction forgets the session on purpose; its journal goes too, or the
+	// state dir would accrete dead sessions that resurrect on every restart.
+	s.dropJournal.Store(true)
+	s.retireAndUnlock(ErrClosed)
+	m.metrics.evicted.Inc()
+	m.flight(telemetry.EventEvict, s.id, TraceContext{}, fmt.Sprintf("idle > %v", m.cfg.IdleTTL))
+	m.opSpan("evict", s.id, TraceContext{}, time.Now(), "idle eviction")
+}
+
+// Close drains the manager: no new sessions, the janitor and plant sampler
+// stop, and every live session is retired with its journal kept. A call in
+// flight finishes; callers still waiting for a session get ErrClosed.
+// Concurrent and repeated calls return once the first has drained.
+func (m *Manager) Close() {
+	m.closeOnce.Do(func() {
+		m.mu.Lock()
+		m.closed = true
+		m.mu.Unlock()
+		drainStart := time.Now()
+		if m.cfg.IdleTTL > 0 {
+			close(m.janitorQ)
 		}
-	}
-	for i := range m.shards {
-		<-m.shards[i].done
-	}
-	m.wg.Wait()
-	m.opSpan("drain", "", TraceContext{}, drainStart, "manager close")
+		if m.cfg.Plant.Sink != nil {
+			close(m.plantQ)
+		}
+		m.wg.Wait()
+		var all []*session
+		for i := range m.shards {
+			all = m.shards[i].live(all)
+		}
+		for _, s := range all {
+			s.close()
+		}
+		m.opSpan("drain", "", TraceContext{}, drainStart, "manager close")
+	})
 }

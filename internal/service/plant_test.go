@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"net/http/httptest"
 	"runtime/pprof"
 	"strconv"
 	"testing"
@@ -108,33 +110,36 @@ func TestManagerPlantPipeline(t *testing.T) {
 	}
 }
 
-// TestShardWorkerLabels checks every shard worker goroutine carries a pprof
-// shard label, so CPU profiles attribute batch-stepping work to the shard
-// that burned it.
+// TestShardWorkerLabels checks an open steps stream's handler goroutine
+// carries its session's pprof shard label, so CPU profiles attribute
+// stepping work to the shard that burned it.
 func TestShardWorkerLabels(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
-	s, err := m.Create(ScenarioSpec{})
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	c := &Client{Base: srv.URL}
+	ctx := context.Background()
+	s, err := c.Create(ctx, ScenarioSpec{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, err := m.Step(s.ID, 1.0); err != nil {
+	st, err := c.Stream(ctx, s.ID)
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
+	}
+	defer st.Close()
+	if _, err := st.Step(1.0); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
-	// A worker goroutine that has not been scheduled yet carries no labels,
-	// so poll until every shard shows up in the profile.
+	// The handler is now parked reading the next line, inside its labeled
+	// region.
+	want := []byte(`"shard":"` + strconv.Itoa(m.shardIdx(s.ID)) + `"`)
 	var buf bytes.Buffer
-	waitFor(t, "all shard labels in the goroutine profile", func() bool {
-		buf.Reset()
-		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
-			t.Fatalf("goroutine profile: %v", err)
-		}
-		for shard := 0; shard < NumShards; shard++ {
-			want := `"shard":"` + strconv.Itoa(shard) + `"`
-			if !bytes.Contains(buf.Bytes(), []byte(want)) {
-				return false
-			}
-		}
-		return true
-	})
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatalf("goroutine profile: %v", err)
+	}
+	if !bytes.Contains(buf.Bytes(), want) {
+		t.Fatalf("no goroutine carries %s:\n%s", want, buf.Bytes())
+	}
 }

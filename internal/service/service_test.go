@@ -244,9 +244,9 @@ func TestBackpressure(t *testing.T) {
 
 	// Deterministic check: a session already at its queue-depth allowance
 	// must turn the next request away with ErrBusy and count it. Build the
-	// session by hand, with its pending count pre-loaded, so the shard
-	// worker never drains anything out from under the test.
-	s := &session{id: "full", mgr: m, sh: m.shardOf("full"), slot: -1}
+	// session by hand, with its pending count pre-loaded, so no other
+	// caller drains anything out from under the test.
+	s := &session{id: "full", mgr: m, sh: m.shardOf("full")}
 	s.queued.Store(int32(m.cfg.QueueDepth))
 	if _, err := s.step(-1, 1.0, TraceContext{}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("step into full session queue: err = %v, want ErrBusy", err)
@@ -257,7 +257,8 @@ func TestBackpressure(t *testing.T) {
 
 	// Concurrency hammer: many callers against one live session. Busy
 	// replies are allowed (that is the point of the bounded queue); anything
-	// else is a bug. Exercises the mailbox under the race detector.
+	// else is a bug. Exercises the admission gate and the session lock under
+	// the race detector.
 	live, err := m.Create(ScenarioSpec{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -413,8 +414,8 @@ func TestStrategySpecsRun(t *testing.T) {
 }
 
 // BenchmarkServiceSession measures the full session-manager step path
-// (mailbox round trip included), the number the daemon's throughput rests
-// on.
+// (lookup, admission, session lock, engine step), the number the daemon's
+// throughput rests on.
 func BenchmarkServiceSession(b *testing.B) {
 	m := NewManager(Config{})
 	defer m.Close()
@@ -472,5 +473,158 @@ func TestStreamStepContext(t *testing.T) {
 	}
 	if _, err := c.Finish(ctx, s.ID); err != nil {
 		t.Fatalf("Finish: %v", err)
+	}
+}
+
+// TestConcurrentSessionOps hammers shared sessions with steps, snapshots,
+// finishes and probes from many goroutines, then closes the manager while
+// they and a pair of creators are still running. Every call must return a
+// value or one of the documented errors, a session no other goroutine
+// touches must match sim.Run exactly, and nothing may stay live after Close,
+// including sessions whose create raced it.
+// Run it under -race.
+func TestConcurrentSessionOps(t *testing.T) {
+	// Journaling widens the window between a create's admission and its
+	// install, which is where a create can race Close.
+	m := NewManager(Config{QueueDepth: 4}.WithDurability(t.TempDir(), 0))
+	allowed := func(op string, err error) {
+		if err == nil || errors.Is(err, ErrBusy) || errors.Is(err, ErrNotFound) ||
+			errors.Is(err, ErrClosed) || errors.Is(err, ErrStepSeq) {
+			return
+		}
+		t.Errorf("%s: unexpected error %v", op, err)
+	}
+	shared := make([]string, 6)
+	for i := range shared {
+		s, err := m.Create(ScenarioSpec{})
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		shared[i] = s.ID
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := shared[(g+i)%len(shared)]
+				switch {
+				case i == 100 && g < 4:
+					// Sessions 0..3 are finished twice over; the losers
+					// see ErrNotFound.
+					res, err := m.Finish(shared[g%2])
+					allowed("Finish", err)
+					if err == nil && res == nil {
+						t.Error("Finish returned neither a Result nor an error")
+					}
+				case i%5 == 3:
+					dec, err := m.StepSeqTraced(id, int64(i/5), 1.5, TraceContext{})
+					allowed("StepSeq", err)
+					if err == nil && dec.Tick != i/5 {
+						t.Errorf("StepSeq %d applied tick %d", i/5, dec.Tick)
+					}
+				case i%5 == 4:
+					doc, err := m.Snapshot(id)
+					allowed("Snapshot", err)
+					if err == nil && len(doc.Snapshot) == 0 {
+						t.Error("Snapshot returned an empty document")
+					}
+				default:
+					_, err := m.Step(id, 1+float64(i%3))
+					allowed("Step", err)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, p := range m.Probes() {
+				if p.ID == "" {
+					t.Error("probe without a session id")
+				}
+			}
+		}
+	}()
+	var (
+		createdMu sync.Mutex
+		created   []string
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Create until Close turns creates away, keeping the first few
+			// sessions and finishing the rest so capacity never runs out.
+			for i := 0; ; i++ {
+				s, err := m.Create(ScenarioSpec{})
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("Create: %v", err)
+					return
+				}
+				createdMu.Lock()
+				created = append(created, s.ID)
+				createdMu.Unlock()
+				if i >= 8 {
+					_, err := m.Finish(s.ID)
+					allowed("creator Finish", err)
+				}
+			}
+		}()
+	}
+
+	// The control session: stepped only by this goroutine, so its Result
+	// must equal an uninterrupted sim.Run.
+	sc := yahooScenario(t, "untouched")
+	want, err := sim.Run(sc)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ctl, err := m.Create(yahooSpec("untouched"))
+	if err != nil {
+		t.Fatalf("Create control: %v", err)
+	}
+	for i, demand := range sc.Trace.Samples {
+		if _, err := m.Step(ctl.ID, demand); err != nil {
+			t.Fatalf("control step %d: %v", i, err)
+		}
+	}
+	got, err := m.Finish(ctl.ID)
+	if err != nil {
+		t.Fatalf("control Finish: %v", err)
+	}
+	if !reflect.DeepEqual(NewResultView(got), NewResultView(want)) {
+		t.Error("control session's Result differs from sim.Run")
+	}
+
+	m.Close()
+	close(stop)
+	wg.Wait()
+	if n := m.metrics.active.Value(); n != 0 {
+		t.Errorf("sessions_active = %v after Close", n)
+	}
+	if live := m.List(); len(live) != 0 {
+		t.Errorf("%d sessions live after Close", len(live))
+	}
+	for _, id := range append(created, shared...) {
+		if _, err := m.Step(id, 1); !errors.Is(err, ErrNotFound) {
+			t.Errorf("step on %s after Close: err = %v, want ErrNotFound", id, err)
+		}
 	}
 }

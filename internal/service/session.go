@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,58 +30,18 @@ type SnapshotDoc struct {
 	Snapshot []byte       `json:"snapshot"`
 }
 
-type opKind int
-
-const (
-	opStep opKind = iota
-	opSnapshot
-	opFinish
-)
-
-type request struct {
-	op opKind
-	// s is the target session; the shard worker serves many sessions off
-	// one run queue, so every request carries its addressee.
-	s      *session
-	demand float64
-	// seq is the client's step sequence number (the tick it expects to
-	// apply); -1 means unsequenced legacy protocol.
-	seq int64
-	tc  TraceContext
-	// enq is when the request entered the run queue; stamped only when the
-	// manager records op spans, so the untraced hot path skips the clock
-	// read.
-	enq   time.Time
-	reply chan response
-}
-
-type response struct {
-	dec Decision
-	doc SnapshotDoc
-	res *sim.Result
-	err error
-}
-
-// session is one live engine's bookkeeping. The engine itself lives in the
-// shard worker's batch: every operation is a request through the shard run
-// queue, and all fields below the marker are owned by that worker goroutine,
-// so the engine and its journal never need locks.
+// session is one live engine's bookkeeping. Every operation on it — step,
+// snapshot, finish, probe, eviction, shutdown — runs on its caller's
+// goroutine under mu, so the engine and its journal are only ever touched by
+// one goroutine at a time.
 type session struct {
 	id   string
 	spec ScenarioSpec
 	mgr  *Manager
 	sh   *shard
 
-	// eng hands the freshly built engine to the shard worker: install sets
-	// it before publishing the session in the shard map, and the worker
-	// adopts it into the batch on the session's first dequeued request
-	// (publishing via the map and requests via the channel both establish
-	// the necessary happens-before edges).
-	eng *sim.Engine
-
-	// queued counts this session's requests sitting in the shard run queue;
-	// the QueueDepth admission gate that used to be the per-session mailbox
-	// capacity.
+	// queued counts this session's callers that passed admission and are
+	// still waiting for mu: the QueueDepth admission gate.
 	queued atomic.Int32
 
 	interval time.Duration
@@ -88,22 +49,19 @@ type session struct {
 	tick     atomic.Int64
 	last     atomic.Int64 // unix nanos of last activity
 
-	// dropJournal is set (by the janitor, before eviction) when the journal
-	// should be removed rather than kept for recovery.
+	// dropJournal is set (by finish and eviction, before retiring) when the
+	// journal should be removed rather than kept for recovery.
 	dropJournal atomic.Bool
 
-	// ---- worker-owned state below ----
+	mu sync.Mutex
 
-	// slot is the session's batch slot; -1 until the worker adopts the
-	// engine.
-	slot int
-	// closed marks a session the worker has retired (finished, evicted, or
-	// shut down); closeErr is what later dequeued requests are told.
-	closed   bool
+	// ---- guarded by mu below ----
+
+	// eng is the session's engine; nil once the session is retired.
+	eng *sim.Engine
+	// closeErr is what callers reaching a retired session (finished,
+	// evicted, or shut down) are told; nil while the session is live.
 	closeErr error
-	// inQuantum dedupes sessions while the worker gathers a lockstep
-	// quantum; cleared before the quantum replies.
-	inQuantum bool
 
 	// Durability state. jn == nil means in-memory only.
 	jn        *durability.Journal
@@ -127,67 +85,163 @@ func (s *session) public() *Session {
 	return &Session{ID: s.id, StepNs: int64(s.interval), TraceLen: s.traceLen}
 }
 
-func (s *session) progress() (tick, traceLen int) {
-	return int(s.tick.Load()), s.traceLen
+// info summarizes the session for listings, idle time measured to now (unix
+// nanos).
+func (s *session) info(now int64) SessionInfo {
+	return SessionInfo{
+		ID:       s.id,
+		Name:     s.spec.Name,
+		Tick:     int(s.tick.Load()),
+		TraceLen: s.traceLen,
+		IdleS:    time.Duration(now - s.last.Load()).Seconds(),
+	}
 }
 
-// do submits a request to the shard worker without blocking; a session past
-// its queue-depth allowance or a full shard run queue is ErrBusy, which the
-// HTTP layer maps to 429.
-func (s *session) do(req request) (response, error) {
-	if int(s.queued.Add(1)) > s.mgr.cfg.QueueDepth {
+// busy counts and records one ErrBusy rejection.
+func (s *session) busy(tc TraceContext, why string, depth int) error {
+	s.mgr.metrics.backpressure.Inc()
+	s.mgr.flight(telemetry.EventBackpressure, s.id, tc, fmt.Sprintf("%s (depth %d)", why, depth))
+	return ErrBusy
+}
+
+// lock admits one caller and takes mu. A session past its queue-depth
+// allowance, or a shard with too many callers waiting, is ErrBusy, which the
+// HTTP layer maps to 429; a retired session is its closeErr, with mu
+// released. On success the caller holds mu and must release it. admitted is
+// when the caller passed admission, stamped only when the manager records
+// op spans, so the untraced hot path skips the clock read.
+func (s *session) lock(tc TraceContext) (admitted time.Time, err error) {
+	m := s.mgr
+	if int(s.queued.Add(1)) > m.cfg.QueueDepth {
 		s.queued.Add(-1)
-		s.mgr.metrics.backpressure.Inc()
-		s.mgr.flight(telemetry.EventBackpressure, s.id, req.tc,
-			fmt.Sprintf("session queue full (depth %d)", s.mgr.cfg.QueueDepth))
-		return response{}, ErrBusy
+		return admitted, s.busy(tc, "session queue full", m.cfg.QueueDepth)
 	}
-	if s.mgr.cfg.Ops != nil {
-		req.enq = time.Now()
-	}
-	req.s = s
-	select {
-	case s.sh.runq <- req:
-	default:
+	if s.sh.waiting.Add(1) > m.shardDepth {
+		s.sh.waiting.Add(-1)
 		s.queued.Add(-1)
-		s.mgr.metrics.backpressure.Inc()
-		s.mgr.flight(telemetry.EventBackpressure, s.id, req.tc,
-			fmt.Sprintf("shard run queue full (depth %d)", cap(s.sh.runq)))
-		return response{}, ErrBusy
+		return admitted, s.busy(tc, "shard queue full", int(m.shardDepth))
 	}
-	select {
-	case resp := <-req.reply:
-		return resp, resp.err
-	case <-s.sh.done:
-		// The shard worker exited while our request was queued; it may
-		// still have answered just before exiting.
-		select {
-		case resp := <-req.reply:
-			return resp, resp.err
-		default:
-			return response{}, ErrClosed
-		}
+	if m.cfg.Ops != nil {
+		admitted = time.Now()
 	}
+	s.mu.Lock()
+	s.sh.waiting.Add(-1)
+	s.queued.Add(-1)
+	s.touch()
+	if s.closeErr != nil {
+		s.mu.Unlock()
+		return admitted, s.closeErr
+	}
+	return admitted, nil
 }
 
 func (s *session) step(seq int64, demand float64, tc TraceContext) (Decision, error) {
-	resp, err := s.do(request{op: opStep, seq: seq, demand: demand, tc: tc, reply: make(chan response, 1)})
-	return resp.dec, err
+	admitted, err := s.lock(tc)
+	if !admitted.IsZero() {
+		// The queue-wait span covers admission to lock — the part of a 429
+		// storm or a stalled stream that is invisible to the client.
+		s.mgr.opSpan("queue-wait", s.id, tc, admitted, "")
+	}
+	if err != nil {
+		return Decision{}, err
+	}
+	defer s.mu.Unlock()
+	m, eng := s.mgr, s.eng
+	cur := eng.Tick()
+	if seq >= 0 {
+		// Idempotent application: the expected seq applies, the just-applied
+		// seq gets its cached decision again (a reconnect that lost the ack),
+		// anything else desynchronized.
+		switch {
+		case seq == int64(cur):
+		case seq == int64(cur)-1 && s.haveLast:
+			return s.lastDec, nil
+		default:
+			return Decision{}, fmt.Errorf("%w: seq %d, next tick %d", ErrStepSeq, seq, cur)
+		}
+	}
+	if s.traceLen > 0 && cur >= s.traceLen {
+		return Decision{}, ErrTraceExhausted
+	}
+	start := time.Now()
+	dec, err := eng.Step(demand)
+	if err != nil {
+		return Decision{}, err
+	}
+	// Journal before replying: once the client sees the ack, the tick is
+	// recoverable.
+	s.journalStep(eng, cur, demand)
+	s.tick.Store(int64(eng.Tick()))
+	m.metrics.steps.Inc()
+	elapsed := time.Since(start)
+	if tc.Req != "" {
+		m.metrics.stepLatency.ObserveWithExemplar(elapsed.Seconds(), tc.Req)
+	} else {
+		m.metrics.stepLatency.Observe(elapsed.Seconds())
+	}
+	if elapsed > m.cfg.SlowStep {
+		m.metrics.slowSteps.Inc()
+		m.flight(telemetry.EventSlowStep, s.id, tc, fmt.Sprintf("tick %d took %v", cur, elapsed))
+	}
+	if m.cfg.Ops != nil {
+		m.opSpan("step", s.id, tc, start, fmt.Sprintf("tick %d", cur))
+	}
+	s.lastDec, s.haveLast = decisionOf(cur, dec), true
+	return s.lastDec, nil
 }
 
 func (s *session) snapshot(tc TraceContext) (SnapshotDoc, error) {
-	resp, err := s.do(request{op: opSnapshot, tc: tc, reply: make(chan response, 1)})
-	return resp.doc, err
+	if _, err := s.lock(tc); err != nil {
+		return SnapshotDoc{}, err
+	}
+	defer s.mu.Unlock()
+	start := time.Now()
+	snap, err := s.eng.Snapshot()
+	if err != nil {
+		return SnapshotDoc{}, err
+	}
+	if s.mgr.cfg.Ops != nil {
+		s.mgr.opSpan("snapshot", s.id, tc, start, fmt.Sprintf("%d bytes", len(snap)))
+	}
+	return SnapshotDoc{Spec: s.spec, Snapshot: snap}, nil
 }
 
-func (s *session) finish() (*sim.Result, error) {
-	resp, err := s.do(request{op: opFinish, reply: make(chan response, 1)})
-	return resp.res, err
+func (s *session) finish(tc TraceContext) (*sim.Result, error) {
+	if _, err := s.lock(tc); err != nil {
+		return nil, err
+	}
+	res, err := s.eng.Finish()
+	// Finished either way — the journal has nothing left to recover.
+	s.dropJournal.Store(true)
+	s.retireAndUnlock(ErrNotFound)
+	return res, err
+}
+
+// close retires the session with ErrClosed unless it is already retired.
+func (s *session) close() {
+	s.mu.Lock()
+	if s.closeErr != nil {
+		s.mu.Unlock()
+		return
+	}
+	s.retireAndUnlock(ErrClosed)
+}
+
+// retireAndUnlock removes a live session from service: engine released,
+// journal detached (kept or removed per dropJournal), later callers told
+// err. The caller holds mu; it is released before the session leaves the
+// map and the plant taps, so no tap runs under the session lock.
+func (s *session) retireAndUnlock(err error) {
+	s.eng = nil
+	s.closeJournal()
+	s.closeErr = err
+	s.mu.Unlock()
+	s.mgr.drop(s)
 }
 
 // closeJournal detaches the journal: removed when the session is gone for
-// good (finished or evicted), closed but kept on disk otherwise. Worker
-// goroutine only.
+// good (finished or evicted), closed but kept on disk otherwise. Caller
+// holds mu.
 func (s *session) closeJournal() {
 	if s.jn == nil {
 		return
@@ -203,7 +257,7 @@ func (s *session) closeJournal() {
 // journalStep appends one applied tick, checkpointing every SnapshotEvery
 // appends. A write failure degrades the session to in-memory: counted,
 // flight-recorded, journal removed so a later Recover does not resurrect a
-// stale prefix. Worker goroutine only.
+// stale prefix. Caller holds mu.
 func (s *session) journalStep(eng *sim.Engine, tick int, demand float64) {
 	if s.jn == nil {
 		return
@@ -235,7 +289,7 @@ const deltaChain = 16
 // (which truncates both the tick log and the chain) otherwise. A delta that
 // will not encode — the engine picked up fault injection, or the base
 // diverged — falls through to a full rewrite rather than failing the
-// checkpoint. Worker goroutine only.
+// checkpoint. Caller holds mu.
 func (s *session) checkpoint(eng *sim.Engine) error {
 	if s.base != nil && s.chain < deltaChain {
 		if d, err := eng.DeltaSnapshot(s.base); err == nil {

@@ -1,12 +1,14 @@
 // Package service hosts many concurrent simulated data centres behind an
-// NDJSON-over-HTTP control plane. Each session owns one sim.Engine confined
-// to a single goroutine; callers stream demand samples in and receive the
-// controller's per-tick decisions out, checkpoint sessions to portable
-// snapshot documents, and finish them for the full Result.
+// NDJSON-over-HTTP control plane. Each session owns one sim.Engine, stepped
+// on its caller's goroutine under the session's lock; callers stream demand
+// samples in and receive the controller's per-tick decisions out, checkpoint
+// sessions to portable snapshot documents, and finish them for the full
+// Result.
 package service
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dcsprint/internal/core"
@@ -141,10 +143,23 @@ type StrategySpec struct {
 	Table *core.BoundTable `json:"table,omitempty"`
 }
 
+// seconds converts a wire duration to a time.Duration, rejecting one that is
+// under a nanosecond or does not fit.
+func seconds(field string, v float64) (time.Duration, error) {
+	ns := v * float64(time.Second)
+	if !(ns >= 1 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("service: %s %v out of range", field, v)
+	}
+	return time.Duration(ns), nil
+}
+
 func (t *TraceSpec) build() (*trace.Series, error) {
 	step := time.Second
 	if t.StepSeconds > 0 {
-		step = time.Duration(t.StepSeconds * float64(time.Second))
+		var err error
+		if step, err = seconds("step_seconds", t.StepSeconds); err != nil {
+			return nil, err
+		}
 	}
 	switch t.Kind {
 	case "yahoo":
@@ -163,11 +178,15 @@ func (t *TraceSpec) build() (*trace.Series, error) {
 		if t.DurationSeconds <= 0 {
 			return nil, fmt.Errorf("service: constant trace needs duration_seconds > 0")
 		}
-		s, err := trace.Constant(step, time.Duration(t.DurationSeconds*float64(time.Second)), t.Value)
+		d, err := seconds("duration_seconds", t.DurationSeconds)
 		if err != nil {
 			return nil, err
 		}
-		return s, capSamples(s)
+		// Count the samples before trace.Constant allocates them.
+		if n := d / step; n > MaxTraceSamples {
+			return nil, fmt.Errorf("service: constant trace of %d samples exceeds the %d cap", n, MaxTraceSamples)
+		}
+		return trace.Constant(step, d, t.Value)
 	case "samples":
 		if len(t.Samples) == 0 {
 			return nil, fmt.Errorf("service: samples trace is empty")

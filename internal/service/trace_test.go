@@ -275,7 +275,7 @@ func TestFlightEventsRecorded(t *testing.T) {
 	}
 	// Backpressure against a hand-built session already at its queue-depth
 	// allowance, as TestBackpressure does.
-	fake := &session{id: "full", mgr: m, sh: m.shardOf("full"), slot: -1}
+	fake := &session{id: "full", mgr: m, sh: m.shardOf("full")}
 	fake.queued.Store(int32(m.cfg.QueueDepth))
 	if _, err := fake.step(-1, 1.0, TraceContext{Trace: "tr1", Req: "tr1.9"}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("full session queue: %v", err)
