@@ -347,7 +347,7 @@ func BenchmarkPlanStores(b *testing.B) {
 // Campaign-engine scaling: the same 200-seed Monte Carlo grid, serial versus
 // the full worker pool. Per-seed results are bit-identical by the campaign
 // contract (TestMonteCarloParallelMatchesSerial pins it); the ratio of these
-// two benches is the wall-clock speedup BENCH_PR5.json records.
+// two benches is the campaign engine's wall-clock speedup.
 
 func BenchmarkCampaignMonteCarloSerial(b *testing.B)   { benchCampaignMonteCarlo(b, 1) }
 func BenchmarkCampaignMonteCarloParallel(b *testing.B) { benchCampaignMonteCarlo(b, 0) }

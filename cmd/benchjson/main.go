@@ -1,34 +1,29 @@
-// Command benchjson converts `go test -bench` text output into a stable
-// JSON document, so CI can archive benchmark runs as machine-readable
-// artifacts (BENCH_PR3.json) and diff them across PRs.
+// Command benchjson gates `go test -bench` output against absolute bounds,
+// so CI can fail a steady-state benchmark run whose numbers cross a floor or
+// a ceiling:
 //
-//	go test -bench . -benchmem -count 3 ./... | benchjson -out BENCH_PR3.json
+//	go test -bench 'EngineStep|BatchStep|DeltaSnapshot' -benchmem -benchtime 2s -run '^$' ./internal/sim \
+//	  | benchjson -min BatchStep:steps/s:1000000 -max EngineStep:allocs/op:0 -max DeltaSnapshot:delta_frac:0.1
 //
-// Repeated runs of the same benchmark (-count N) are aggregated into
-// mean/min/max per metric; every ReportMetric unit is preserved alongside
-// the standard ns/op, B/op and allocs/op columns.
+// Each gate is <Benchmark>:<unit>:<value>, with the benchmark named without
+// its Benchmark prefix and -procs suffix. The unit is any column of the
+// result row: ns/op, B/op, allocs/op or a ReportMetric unit. Repeated runs of
+// one benchmark (-count N) are gathered, and a gate compares their median
+// with its bound: -min fails when the median falls below the value, -max
+// when it rises above. A bound must be finite, and a metric with a
+// non-finite run (NaN, ±Inf) violates every gate on it.
 //
-// With -baseline <file> and one or more -gate <Name>:<unit> flags the run
-// also compares the current report against a previously archived one and
-// exits non-zero when a gated metric's mean regressed (grew) relative to the
-// baseline, which is how CI pins the engine's allocs/op at zero:
-//
-//	benchjson -out BENCH_PR5.json -baseline BENCH_PR4.json -gate EngineStep:allocs/op
-//
-// -min and -max <Name>:<unit>:<value> are absolute gates that need no
-// baseline: -min fails when the metric's mean falls below value (throughput
-// floors such as steps/s), -max fails when it rises above (ratio ceilings
-// such as delta_frac):
-//
-//	benchjson -min BatchStepAll1024:steps/s:1000000 -max DeltaSnapshot:delta_frac:0.1
+// One verdict line per gate goes to stdout; the command exits non-zero when
+// a gate is violated or its benchmark or unit is missing from the input.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -40,58 +35,22 @@ func main() {
 	}
 }
 
-// Metric aggregates one unit's samples across -count repetitions.
+// Metric holds one unit's samples, one per -count repetition.
 type Metric struct {
-	Unit  string    `json:"unit"`
-	Mean  float64   `json:"mean"`
-	Min   float64   `json:"min"`
-	Max   float64   `json:"max"`
-	Count int       `json:"count"`
-	Runs  []float64 `json:"runs"`
+	Unit string
+	Runs []float64
 }
 
-// Benchmark is one benchmark function's aggregated result.
+// Benchmark is one benchmark function's metrics, in result-row order.
 type Benchmark struct {
-	Name       string   `json:"name"`
-	Procs      int      `json:"procs,omitempty"`
-	Iterations []int64  `json:"iterations"`
-	Metrics    []Metric `json:"metrics"`
-}
-
-// Report is the whole document.
-type Report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
-	Packages   []string    `json:"packages,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+	Name    string
+	Metrics []Metric
 }
 
 func run(args []string, in io.Reader, stdout io.Writer) error {
-	out := ""
-	baseline := ""
-	indent := true
-	var gates, mins, maxes []string
+	var mins, maxes []string
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
-		case "-out", "--out":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-out needs a file argument")
-			}
-			out = args[i]
-		case "-baseline", "--baseline":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-baseline needs a file argument")
-			}
-			baseline = args[i]
-		case "-gate", "--gate":
-			i++
-			if i >= len(args) {
-				return fmt.Errorf("-gate needs a <Benchmark>:<unit> argument")
-			}
-			gates = append(gates, args[i])
 		case "-min", "--min":
 			i++
 			if i >= len(args) {
@@ -104,140 +63,35 @@ func run(args []string, in io.Reader, stdout io.Writer) error {
 				return fmt.Errorf("-max needs a <Benchmark>:<unit>:<value> argument")
 			}
 			maxes = append(maxes, args[i])
-		case "-compact", "--compact":
-			indent = false
 		default:
-			return fmt.Errorf("unknown argument %q (want -out <file>, -baseline <file>, -gate <Name>:<unit>, -min/-max <Name>:<unit>:<value> or -compact)", args[i])
+			return fmt.Errorf("unknown argument %q (want -min/-max <Name>:<unit>:<value>)", args[i])
 		}
 	}
-	if len(gates) > 0 && baseline == "" {
-		return fmt.Errorf("-gate requires -baseline")
+	if len(mins)+len(maxes) == 0 {
+		return fmt.Errorf("no gate given (want -min/-max <Name>:<unit>:<value>)")
 	}
-	rep, err := Parse(in)
+	benches, err := Parse(in)
 	if err != nil {
 		return err
 	}
-	w := stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	if indent {
-		enc.SetIndent("", "  ")
-	}
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	if err := absGate(rep, mins, maxes); err != nil {
-		return err
-	}
-	if baseline == "" {
-		return nil
-	}
-	base, err := loadReport(baseline)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	return gate(rep, base, gates)
-}
-
-// loadReport reads a previously archived Report JSON document.
-func loadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{}
-	if err := json.Unmarshal(data, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// findMetric locates a benchmark's metric by bare name (no Benchmark prefix,
-// no -procs suffix) and unit.
-func findMetric(rep *Report, name, unit string) (Metric, bool) {
-	for _, b := range rep.Benchmarks {
-		if b.Name != name {
-			continue
-		}
-		for _, m := range b.Metrics {
-			if m.Unit == unit {
-				return m, true
-			}
-		}
-	}
-	return Metric{}, false
-}
-
-// gate compares each <Name>:<unit> spec between the current and baseline
-// reports and fails when the current mean exceeds the baseline mean. Lower is
-// better for every gated unit (ns/op, B/op, allocs/op); equal means hold.
-func gate(cur, base *Report, specs []string) error {
-	var failed []string
-	for _, spec := range specs {
-		name, unit, ok := strings.Cut(spec, ":")
-		if !ok || name == "" || unit == "" {
-			return fmt.Errorf("malformed gate %q (want <Benchmark>:<unit>)", spec)
-		}
-		cm, ok := findMetric(cur, name, unit)
-		if !ok {
-			return fmt.Errorf("gate %s: benchmark not in current run", spec)
-		}
-		bm, ok := findMetric(base, name, unit)
-		if !ok {
-			return fmt.Errorf("gate %s: benchmark not in baseline", spec)
-		}
-		verdict := "ok"
-		if cm.Mean > bm.Mean {
-			verdict = "REGRESSION"
-			failed = append(failed, spec)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: gate %-40s baseline %.4g -> current %.4g  %s\n",
-			spec, bm.Mean, cm.Mean, verdict)
-	}
-	if len(failed) > 0 {
-		return fmt.Errorf("%d gate(s) regressed: %s", len(failed), strings.Join(failed, ", "))
-	}
-	return nil
-}
-
-// absGate checks each <Name>:<unit>:<value> spec against an absolute bound:
-// -min specs fail when the metric's mean is below value, -max specs when it
-// is above. Unlike relative gates these need no baseline, so CI can pin
-// hard floors (BatchStepAll steps/s >= 1e6) and ceilings (delta_frac <= 0.1)
-// that hold regardless of runner drift.
-func absGate(rep *Report, mins, maxes []string) error {
 	var failed []string
 	check := func(spec, dir string) error {
-		rest, valStr, ok := cutLast(spec)
-		if !ok {
-			return fmt.Errorf("malformed %s gate %q (want <Benchmark>:<unit>:<value>)", dir, spec)
-		}
-		name, unit, ok := strings.Cut(rest, ":")
-		if !ok || name == "" || unit == "" {
-			return fmt.Errorf("malformed %s gate %q (want <Benchmark>:<unit>:<value>)", dir, spec)
-		}
-		bound, err := strconv.ParseFloat(valStr, 64)
+		name, unit, bound, err := parseSpec(spec)
 		if err != nil {
-			return fmt.Errorf("%s gate %q: bad bound: %w", dir, spec, err)
+			return fmt.Errorf("malformed %s gate %q: %w", dir, spec, err)
 		}
-		m, ok := findMetric(rep, name, unit)
+		m, ok := findMetric(benches, name, unit)
 		if !ok {
 			return fmt.Errorf("%s gate %s: benchmark not in current run", dir, spec)
 		}
+		v := median(m.Runs)
 		verdict := "ok"
-		if (dir == "min" && m.Mean < bound) || (dir == "max" && m.Mean > bound) {
+		if math.IsNaN(v) || (dir == "min" && v < bound) || (dir == "max" && v > bound) {
 			verdict = "VIOLATION"
 			failed = append(failed, dir+" "+spec)
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: %-4s %-40s bound %.4g, current %.4g  %s\n",
-			dir, name+":"+unit, bound, m.Mean, verdict)
+		fmt.Fprintf(stdout, "benchjson: %-4s %-40s bound %.6g, median %.6g of %d  %s\n",
+			dir, name+":"+unit, bound, v, len(m.Runs), verdict)
 		return nil
 	}
 	for _, spec := range mins {
@@ -251,135 +105,128 @@ func absGate(rep *Report, mins, maxes []string) error {
 		}
 	}
 	if len(failed) > 0 {
-		return fmt.Errorf("%d absolute gate(s) violated: %s", len(failed), strings.Join(failed, ", "))
+		return fmt.Errorf("%d gate(s) violated: %s", len(failed), strings.Join(failed, ", "))
 	}
 	return nil
 }
 
-// cutLast splits around the final colon, so metric units containing colons
-// never confuse the bound parse.
-func cutLast(s string) (before, after string, ok bool) {
-	i := strings.LastIndex(s, ":")
-	if i < 0 {
-		return s, "", false
+// parseSpec splits <Name>:<unit>:<value> around its first and last colons,
+// so a unit containing a colon never confuses the bound parse.
+func parseSpec(spec string) (name, unit string, bound float64, err error) {
+	i, j := strings.Index(spec, ":"), strings.LastIndex(spec, ":")
+	if i <= 0 || j == i || j == i+1 {
+		return "", "", 0, fmt.Errorf("want <Benchmark>:<unit>:<value>")
 	}
-	return s[:i], s[i+1:], true
+	bound, err = strconv.ParseFloat(spec[j+1:], 64)
+	if err != nil {
+		return "", "", 0, fmt.Errorf("bad bound: %w", err)
+	}
+	if math.IsNaN(bound) || math.IsInf(bound, 0) {
+		return "", "", 0, fmt.Errorf("bound %v is not finite", bound)
+	}
+	return spec[:i], spec[i+1 : j], bound, nil
 }
 
-// Parse reads `go test -bench` output and aggregates repeated runs.
-func Parse(r io.Reader) (*Report, error) {
-	rep := &Report{Benchmarks: []Benchmark{}}
-	index := map[string]int{} // name -> position in rep.Benchmarks
+// findMetric locates a benchmark's metric by bare name and unit.
+func findMetric(benches []Benchmark, name, unit string) (Metric, bool) {
+	for _, b := range benches {
+		if b.Name != name {
+			continue
+		}
+		for _, m := range b.Metrics {
+			if m.Unit == unit {
+				return m, true
+			}
+		}
+	}
+	return Metric{}, false
+}
+
+// median is the middle run, or the mean of the middle two. It is NaN when any
+// run is non-finite, so such a metric can never pass a gate.
+func median(runs []float64) float64 {
+	s := append([]float64(nil), runs...)
+	for _, v := range s {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return math.NaN()
+		}
+	}
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// Parse reads `go test -bench` output and gathers repeated runs of each
+// benchmark, in first-seen order.
+func Parse(r io.Reader) ([]Benchmark, error) {
+	var benches []Benchmark
+	index := map[string]int{} // name -> position in benches
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-			continue
-		case strings.HasPrefix(line, "goarch:"):
-			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-			continue
-		case strings.HasPrefix(line, "cpu:"):
-			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			continue
-		case strings.HasPrefix(line, "pkg:"):
-			rep.Packages = append(rep.Packages, strings.TrimSpace(strings.TrimPrefix(line, "pkg:")))
-			continue
-		case !strings.HasPrefix(line, "Benchmark"):
-			continue // PASS, ok, test chatter
+		if !strings.HasPrefix(line, "Benchmark") {
+			continue // goos/pkg headers, PASS, ok, test chatter
 		}
-		name, procs, iters, samples, err := parseBenchLine(line)
+		name, samples, err := parseBenchLine(line)
 		if err != nil {
 			return nil, err
 		}
 		pos, ok := index[name]
 		if !ok {
-			pos = len(rep.Benchmarks)
+			pos = len(benches)
 			index[name] = pos
-			rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: name, Procs: procs})
+			benches = append(benches, Benchmark{Name: name})
 		}
-		b := &rep.Benchmarks[pos]
-		b.Iterations = append(b.Iterations, iters)
-		for _, s := range samples {
-			merge(b, s.unit, s.value)
+		for _, m := range samples {
+			merge(&benches[pos], m)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	for i := range rep.Benchmarks {
-		finalize(&rep.Benchmarks[i])
-	}
-	return rep, nil
-}
-
-// measurement is one (value, unit) pair from a result row, in line order so
-// the JSON metric order is deterministic.
-type measurement struct {
-	unit  string
-	value float64
+	return benches, nil
 }
 
 // parseBenchLine splits one result row:
 //
 //	BenchmarkName-8   3   123456 ns/op   120 B/op   3 allocs/op   60.0 trip_s
 //
-// into the bare name, GOMAXPROCS suffix, iteration count and ordered
-// value-per-unit samples.
-func parseBenchLine(line string) (name string, procs int, iters int64, samples []measurement, err error) {
+// into the bare name and its one-run metrics, in line order.
+func parseBenchLine(line string) (name string, samples []Metric, err error) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 || len(fields)%2 != 0 {
-		return "", 0, 0, nil, fmt.Errorf("malformed benchmark line %q", line)
+		return "", nil, fmt.Errorf("malformed benchmark line %q", line)
 	}
 	name = fields[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if n, perr := strconv.Atoi(name[i+1:]); perr == nil {
-			procs = n
+		if _, perr := strconv.Atoi(name[i+1:]); perr == nil {
 			name = name[:i]
 		}
 	}
 	name = strings.TrimPrefix(name, "Benchmark")
-	iters, err = strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return "", 0, 0, nil, fmt.Errorf("iteration count in %q: %w", line, err)
+	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return "", nil, fmt.Errorf("iteration count in %q: %w", line, err)
 	}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, verr := strconv.ParseFloat(fields[i], 64)
 		if verr != nil {
-			return "", 0, 0, nil, fmt.Errorf("metric value %q in %q: %w", fields[i], line, verr)
+			return "", nil, fmt.Errorf("metric value %q in %q: %w", fields[i], line, verr)
 		}
-		samples = append(samples, measurement{unit: fields[i+1], value: v})
+		samples = append(samples, Metric{Unit: fields[i+1], Runs: []float64{v}})
 	}
-	return name, procs, iters, samples, nil
+	return name, samples, nil
 }
 
-func merge(b *Benchmark, unit string, v float64) {
+func merge(b *Benchmark, m Metric) {
 	for i := range b.Metrics {
-		if b.Metrics[i].Unit == unit {
-			b.Metrics[i].Runs = append(b.Metrics[i].Runs, v)
+		if b.Metrics[i].Unit == m.Unit {
+			b.Metrics[i].Runs = append(b.Metrics[i].Runs, m.Runs...)
 			return
 		}
 	}
-	b.Metrics = append(b.Metrics, Metric{Unit: unit, Runs: []float64{v}})
-}
-
-func finalize(b *Benchmark) {
-	for i := range b.Metrics {
-		m := &b.Metrics[i]
-		m.Count = len(m.Runs)
-		m.Min, m.Max = m.Runs[0], m.Runs[0]
-		sum := 0.0
-		for _, v := range m.Runs {
-			sum += v
-			if v < m.Min {
-				m.Min = v
-			}
-			if v > m.Max {
-				m.Max = v
-			}
-		}
-		m.Mean = sum / float64(m.Count)
-	}
+	b.Metrics = append(b.Metrics, m)
 }

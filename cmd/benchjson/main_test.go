@@ -1,9 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -21,43 +20,33 @@ ok  	dcsprint	1.234s
 `
 
 func TestParseAggregatesRepeatedRuns(t *testing.T) {
-	rep, err := Parse(strings.NewReader(sample))
+	benches, err := Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Goos != "linux" || rep.Goarch != "amd64" || !strings.Contains(rep.CPU, "Xeon") {
-		t.Fatalf("header = %+v", rep)
-	}
-	if len(rep.Packages) != 1 || rep.Packages[0] != "dcsprint" {
-		t.Fatalf("packages = %v", rep.Packages)
-	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("benchmarks = %+v", rep.Benchmarks)
+	if len(benches) != 2 {
+		t.Fatalf("benchmarks = %+v", benches)
 	}
 
-	fig2 := rep.Benchmarks[0]
-	if fig2.Name != "Fig2TripCurve" || fig2.Procs != 8 {
-		t.Fatalf("name/procs = %q/%d", fig2.Name, fig2.Procs)
-	}
-	if len(fig2.Iterations) != 3 {
-		t.Fatalf("iterations = %v", fig2.Iterations)
+	fig2 := benches[0]
+	if fig2.Name != "Fig2TripCurve" {
+		t.Fatalf("name = %q", fig2.Name)
 	}
 	byUnit := map[string]Metric{}
 	for _, m := range fig2.Metrics {
 		byUnit[m.Unit] = m
 	}
-	ns := byUnit["ns/op"]
-	if ns.Count != 3 || ns.Min != 123200 || ns.Max != 123600 || ns.Mean != 123400 {
+	if ns := byUnit["ns/op"]; !reflect.DeepEqual(ns.Runs, []float64{123400, 123600, 123200}) {
 		t.Fatalf("ns/op = %+v", ns)
 	}
-	if custom := byUnit["trip_s_at_60pct"]; custom.Mean != 60 {
+	if custom := byUnit["trip_s_at_60pct"]; len(custom.Runs) != 3 || custom.Runs[0] != 60 {
 		t.Fatalf("custom metric = %+v", custom)
 	}
 	if _, ok := byUnit["B/op"]; !ok {
 		t.Fatal("B/op dropped")
 	}
 
-	ms := rep.Benchmarks[1]
+	ms := benches[1]
 	if ms.Name != "SimulationRunMS" || ms.Metrics[1].Unit != "ticks/s" {
 		t.Fatalf("second bench = %+v", ms)
 	}
@@ -74,34 +63,6 @@ func TestParseRejectsMalformedLine(t *testing.T) {
 	}
 }
 
-func TestRunWritesJSONFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{"-out", path}, strings.NewReader(sample), os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("round-trip lost benchmarks: %+v", rep)
-	}
-}
-
-func TestRunCompactToStdout(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-compact"}, strings.NewReader(sample), &sb); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(strings.TrimSpace(sb.String()), "\n"); lines != 0 {
-		t.Fatalf("compact output spans %d extra lines:\n%s", lines, sb.String())
-	}
-}
-
 func TestRunUnknownFlag(t *testing.T) {
 	if err := run([]string{"-nope"}, strings.NewReader(""), os.Stdout); err == nil {
 		t.Fatal("unknown flag accepted")
@@ -111,26 +72,53 @@ func TestRunUnknownFlag(t *testing.T) {
 func TestAbsoluteGates(t *testing.T) {
 	for _, tc := range []struct {
 		name string
+		in   string // appended to sample
 		args []string
 		fail bool
+		want []string // verdict lines, whitespace collapsed
 	}{
-		{"min floor held", []string{"-min", "SimulationRunMS:ticks/s:10000"}, false},
-		{"min floor violated", []string{"-min", "SimulationRunMS:ticks/s:50000"}, true},
-		{"max ceiling held", []string{"-max", "Fig2TripCurve:allocs/op:3"}, false},
-		{"max ceiling violated", []string{"-max", "Fig2TripCurve:allocs/op:2"}, true},
-		{"both, one fails", []string{"-min", "SimulationRunMS:ticks/s:10000", "-max", "Fig2TripCurve:B/op:100"}, true},
+		{"min floor held", "", []string{"-min", "SimulationRunMS:ticks/s:10000"}, false,
+			[]string{"min SimulationRunMS:ticks/s bound 10000, median 18000 of 1 ok"}},
+		{"min floor violated", "", []string{"-min", "SimulationRunMS:ticks/s:50000"}, true,
+			[]string{"min SimulationRunMS:ticks/s bound 50000, median 18000 of 1 VIOLATION"}},
+		{"max ceiling held", "", []string{"-max", "Fig2TripCurve:allocs/op:3"}, false,
+			[]string{"max Fig2TripCurve:allocs/op bound 3, median 3 of 3 ok"}},
+		{"max ceiling violated", "", []string{"-max", "Fig2TripCurve:allocs/op:2"}, true,
+			[]string{"max Fig2TripCurve:allocs/op bound 2, median 3 of 3 VIOLATION"}},
+		{"both, one fails", "", []string{"-min", "SimulationRunMS:ticks/s:10000", "-max", "Fig2TripCurve:B/op:100"}, true,
+			[]string{"min SimulationRunMS:ticks/s bound 10000, median 18000 of 1 ok",
+				"max Fig2TripCurve:B/op bound 100, median 120 of 3 VIOLATION"}},
+		// B/op runs 120, 120, 122: the mean (120.67) would break this bound.
+		{"median, not mean", "", []string{"-max", "Fig2TripCurve:B/op:120"}, false,
+			[]string{"max Fig2TripCurve:B/op bound 120, median 120 of 3 ok"}},
+		{"even run count takes the middle mean",
+			"BenchmarkPair-8 10 10 ns/op\nBenchmarkPair-8 10 20 ns/op\n",
+			[]string{"-max", "Pair:ns/op:15", "-max", "Pair:ns/op:14.9"}, true,
+			[]string{"max Pair:ns/op bound 15, median 15 of 2 ok",
+				"max Pair:ns/op bound 14.9, median 15 of 2 VIOLATION"}},
+		{"NaN metric", "BenchmarkBroken-8 10 100 ns/op NaN trip_s\n",
+			[]string{"-min", "Broken:trip_s:0", "-max", "Broken:trip_s:1"}, true,
+			[]string{"min Broken:trip_s bound 0, median NaN of 1 VIOLATION",
+				"max Broken:trip_s bound 1, median NaN of 1 VIOLATION"}},
+		{"Inf run among finite ones",
+			"BenchmarkBroken-8 10 100 ns/op 5 steps/s\nBenchmarkBroken-8 10 100 ns/op +Inf steps/s\nBenchmarkBroken-8 10 100 ns/op 6 steps/s\n",
+			[]string{"-min", "Broken:steps/s:1"}, true,
+			[]string{"min Broken:steps/s bound 1, median NaN of 3 VIOLATION"}},
 	} {
 		var sb strings.Builder
-		err := run(append([]string{"-compact"}, tc.args...), strings.NewReader(sample), &sb)
+		err := run(tc.args, strings.NewReader(sample+tc.in), &sb)
 		if tc.fail && (err == nil || !strings.Contains(err.Error(), "violated")) {
 			t.Errorf("%s: violation not caught: %v", tc.name, err)
 		}
 		if !tc.fail && err != nil {
 			t.Errorf("%s: in-bounds run failed: %v", tc.name, err)
 		}
-		// Absolute gates never suppress the report itself.
-		if !strings.Contains(sb.String(), "Fig2TripCurve") {
-			t.Errorf("%s: report not emitted", tc.name)
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+			got = append(got, strings.Join(strings.Fields(strings.TrimPrefix(line, "benchjson: ")), " "))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: verdicts\n got %q\nwant %q", tc.name, got, tc.want)
 		}
 	}
 }
@@ -139,74 +127,27 @@ func TestAbsoluteGateArgumentErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
+		want string
 	}{
-		{"min missing value", []string{"-min", "SimulationRunMS:ticks/s"}},
-		{"min bad value", []string{"-min", "SimulationRunMS:ticks/s:fast"}},
-		{"max missing unit", []string{"-max", "Fig2TripCurve:3"}},
-		{"min unknown benchmark", []string{"-min", "Nope:ticks/s:1"}},
-		{"max unknown unit", []string{"-max", "Fig2TripCurve:furlongs:1"}},
-		{"min without spec", []string{"-min"}},
+		{"no gate", nil, "no gate"},
+		{"min missing value", []string{"-min", "SimulationRunMS:ticks/s"}, "malformed"},
+		{"min bad value", []string{"-min", "SimulationRunMS:ticks/s:fast"}, "bad bound"},
+		{"max missing unit", []string{"-max", "Fig2TripCurve:3"}, "malformed"},
+		{"max empty unit", []string{"-max", "Fig2TripCurve::3"}, "malformed"},
+		{"max NaN bound", []string{"-max", "Fig2TripCurve:allocs/op:NaN"}, "not finite"},
+		{"max Inf bound", []string{"-max", "Fig2TripCurve:allocs/op:Inf"}, "not finite"},
+		{"min -Inf bound", []string{"-min", "SimulationRunMS:ticks/s:-Inf"}, "not finite"},
+		{"min unknown benchmark", []string{"-min", "Nope:ticks/s:1"}, "not in current run"},
+		{"max unknown unit", []string{"-max", "Fig2TripCurve:furlongs:1"}, "not in current run"},
+		{"min without spec", []string{"-min"}, "needs"},
 	} {
 		var sb strings.Builder
-		if err := run(append([]string{"-compact"}, tc.args...), strings.NewReader(sample), &sb); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		err := run(tc.args, strings.NewReader(sample), &sb)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-// writeBaseline archives a bench-text sample as a Report JSON file, the way
-// CI archives BENCH_PRn.json, and returns its path.
-func writeBaseline(t *testing.T, benchText string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := run([]string{"-out", path}, strings.NewReader(benchText), os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestGatePassesWhenEqualOrBetter(t *testing.T) {
-	base := writeBaseline(t, sample)
-	better := strings.ReplaceAll(sample, "3 allocs/op", "0 allocs/op")
-	var sb strings.Builder
-	err := run([]string{"-compact", "-baseline", base,
-		"-gate", "Fig2TripCurve:allocs/op", "-gate", "Fig2TripCurve:ns/op"},
-		strings.NewReader(better), &sb)
-	if err != nil {
-		t.Fatalf("improved run failed the gate: %v", err)
-	}
-}
-
-func TestGateFailsOnRegression(t *testing.T) {
-	base := writeBaseline(t, sample)
-	worse := strings.ReplaceAll(sample, "3 allocs/op", "9 allocs/op")
-	var sb strings.Builder
-	err := run([]string{"-compact", "-baseline", base, "-gate", "Fig2TripCurve:allocs/op"},
-		strings.NewReader(worse), &sb)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("regression not caught: %v", err)
-	}
-	// The report is still written before the gate verdict.
-	if !strings.Contains(sb.String(), "Fig2TripCurve") {
-		t.Fatal("report not emitted alongside the gate failure")
-	}
-}
-
-func TestGateArgumentErrors(t *testing.T) {
-	base := writeBaseline(t, sample)
-	for _, tc := range []struct {
-		name string
-		args []string
-	}{
-		{"gate without baseline", []string{"-gate", "Fig2TripCurve:allocs/op"}},
-		{"malformed spec", []string{"-baseline", base, "-gate", "Fig2TripCurve"}},
-		{"unknown benchmark", []string{"-baseline", base, "-gate", "Nope:allocs/op"}},
-		{"unknown unit", []string{"-baseline", base, "-gate", "Fig2TripCurve:furlongs"}},
-		{"missing baseline file", []string{"-baseline", filepath.Join(t.TempDir(), "nope.json"), "-gate", "Fig2TripCurve:allocs/op"}},
-	} {
-		var sb strings.Builder
-		if err := run(append([]string{"-compact"}, tc.args...), strings.NewReader(sample), &sb); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if strings.Contains(sb.String(), " ok") {
+			t.Errorf("%s: a malformed gate printed a passing verdict: %q", tc.name, sb.String())
 		}
 	}
 }

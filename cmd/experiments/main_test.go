@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dcsprint/internal/telemetry"
@@ -13,6 +16,50 @@ func TestRunFastSubset(t *testing.T) {
 	if err := run([]string{"-run", "fig2,fig5,fig8,fig11,notes,skew,capping,outage,endurance,chippcm"}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRunMatchesExperimentsOutput pins every printed line of the whole
+// harness: `go run ./cmd/experiments` must reproduce experiments_output.txt,
+// the file EXPERIMENTS.md's measured numbers are read from, byte for byte.
+// A deliberate change regenerates it with
+// `go run ./cmd/experiments > experiments_output.txt`.
+func TestRunMatchesExperimentsOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment")
+	}
+	want, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(nil)
+	os.Stdout = stdout
+	w.Close()
+	got := <-printed
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("output differs from experiments_output.txt at line %d:\n got %q\nwant %q", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("output has %d lines, experiments_output.txt %d", len(gl), len(wl))
 }
 
 func TestRunWritesMetricsSnapshot(t *testing.T) {
@@ -43,14 +90,5 @@ func TestRunWritesMetricsSnapshot(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-run", "nope"}); err == nil {
 		t.Fatal("unknown experiment accepted")
-	}
-}
-
-func TestRunMediumSubset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("medium experiments")
-	}
-	if err := run([]string{"-run", "fig4,reserve,day,burstiness,montecarlo,headroom,pue,adaptive"}); err != nil {
-		t.Fatal(err)
 	}
 }
