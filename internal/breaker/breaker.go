@@ -64,10 +64,10 @@ func (b *Breaker) Load() units.Watts { return b.load }
 
 // Derate permanently reduces the rating to frac of its current value — an
 // aged or heat-soaked breaker that can no longer carry its nameplate. The
-// thermal accumulator and trip state are preserved; frac outside (0, 1] is
-// ignored.
+// thermal accumulator and trip state are preserved; frac outside (0, 1],
+// NaN included, is ignored.
 func (b *Breaker) Derate(frac float64) {
-	if frac <= 0 || frac > 1 {
+	if !(frac > 0 && frac <= 1) {
 		return
 	}
 	b.Rated = units.Watts(float64(b.Rated) * frac)
@@ -101,6 +101,9 @@ func (b *Breaker) Step(load units.Watts, dt time.Duration) error {
 		return fmt.Errorf("breaker %s: magnetic trip at ratio %.2f: %w", b.Name, r, ErrTripped)
 	}
 	if r <= 1 {
+		if b.acc == 0 {
+			return nil // already cold: the clamp below would keep it at 0
+		}
 		cd := b.Cooldown
 		if cd <= 0 {
 			cd = DefaultCooldown
@@ -138,6 +141,13 @@ func (b *Breaker) RemainingTime(load units.Watts) (time.Duration, bool) {
 	t, _ := b.Curve.TripTime(r)
 	rem := time.Duration((1 - b.acc) * float64(t))
 	return rem, true
+}
+
+// SameMaxLoad reports whether MaxLoadFor answers the same on b and o for
+// every duration: the two breakers share a rating, a curve, a thermal
+// accumulator and a trip state.
+func (b *Breaker) SameMaxLoad(o *Breaker) bool {
+	return b.Rated == o.Rated && b.Curve == o.Curve && b.acc == o.acc && b.tripped == o.tripped
 }
 
 // MaxLoadFor returns the largest load the breaker can carry continuously for

@@ -2,6 +2,7 @@ package breaker
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -252,5 +253,67 @@ func TestMaxLoadForSurvivesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestDerateIgnoresFractionsOutsideUnitInterval(t *testing.T) {
+	tests := []struct {
+		name string
+		frac float64
+		want units.Watts
+	}{
+		{"half", 0.5, 500},
+		{"one", 1, 1000},
+		{"zero", 0, 1000},
+		{"negative", -0.3, 1000},
+		{"above one", 1.2, 1000},
+		{"NaN", math.NaN(), 1000},
+		{"infinite", math.Inf(1), 1000},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			b := newTestBreaker(t)
+			b.Derate(tt.frac)
+			if b.Rated != tt.want {
+				t.Fatalf("Derate(%v): rating %v, want %v", tt.frac, b.Rated, tt.want)
+			}
+		})
+	}
+}
+
+func TestSameMaxLoad(t *testing.T) {
+	steeper := Bulletin1489A()
+	steeper.B = 3
+	tests := []struct {
+		name  string
+		other func(b *Breaker)
+		same  bool
+	}{
+		{"identical", func(*Breaker) {}, true},
+		{"other name and cooldown", func(b *Breaker) { b.Name, b.Cooldown = "twin", time.Minute }, true},
+		{"derated", func(b *Breaker) { b.Derate(0.9) }, false},
+		{"other curve", func(b *Breaker) { b.Curve = steeper }, false},
+		{"warmer", func(b *Breaker) { b.acc = 0.25 }, false},
+		{"tripped", func(b *Breaker) { b.tripped = true }, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			a, b := newTestBreaker(t), newTestBreaker(t)
+			a.acc, b.acc = 0.5, 0.5
+			tt.other(b)
+			if got := a.SameMaxLoad(b); got != tt.same {
+				t.Fatalf("SameMaxLoad = %v, want %v", got, tt.same)
+			}
+			if b.SameMaxLoad(a) != tt.same {
+				t.Fatal("SameMaxLoad is not symmetric")
+			}
+			if tt.same {
+				for _, d := range []time.Duration{0, time.Second, time.Minute, time.Hour} {
+					if x, y := a.MaxLoadFor(d), b.MaxLoadFor(d); x != y {
+						t.Fatalf("MaxLoadFor(%v): %v and %v on breakers reported alike", d, x, y)
+					}
+				}
+			}
+		})
 	}
 }

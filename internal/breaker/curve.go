@@ -66,7 +66,16 @@ func (c TripCurve) TripTime(r float64) (time.Duration, bool) {
 	if r >= c.Instantaneous {
 		return 0, true
 	}
-	secs := c.A / math.Pow(r-1, c.B)
+	// x*x is bit-identical to math.Pow(x, 2) whenever the square is a
+	// normal number, and r-1 >= 2^-52 keeps it above the subnormal range.
+	x := r - 1
+	var p float64
+	if c.B == 2 {
+		p = x * x
+	} else {
+		p = math.Pow(x, c.B)
+	}
+	secs := c.A / p
 	// Guard against sub-tick answers turning into 0 and being read as
 	// "instantaneous": round up to a nanosecond floor.
 	if secs <= 0 {

@@ -154,3 +154,45 @@ func TestPaperQuadrupleRule(t *testing.T) {
 		}
 	}
 }
+
+// powTripTime is TripTime computed through math.Pow for every exponent.
+func powTripTime(c TripCurve, r float64) time.Duration {
+	secs := c.A / math.Pow(r-1, c.B)
+	const maxSecs = float64(math.MaxInt64) / float64(time.Second)
+	if secs >= maxSecs {
+		return time.Duration(math.MaxInt64)
+	}
+	return time.Duration(secs * float64(time.Second))
+}
+
+func TestTripTimeSquareMatchesPow(t *testing.T) {
+	steep := Bulletin1489A()
+	steep.B = 3
+	tests := []struct {
+		name  string
+		curve TripCurve
+		r     float64
+	}{
+		{"smallest overload", Bulletin1489A(), 1 + 0x1p-52},
+		{"nano overload", Bulletin1489A(), 1 + 1e-9},
+		{"30% overload", Bulletin1489A(), 1.3},
+		{"60% overload", Bulletin1489A(), 1.6},
+		{"just under magnetic", Bulletin1489A(), 4.999},
+		{"cubic curve", steep, 1.6},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			x := tt.r - 1
+			if tt.curve.B == 2 && math.Float64bits(x*x) != math.Float64bits(math.Pow(x, 2)) {
+				t.Fatalf("x*x = %v but math.Pow(x, 2) = %v at x = %v", x*x, math.Pow(x, 2), x)
+			}
+			got, trips := tt.curve.TripTime(tt.r)
+			if !trips {
+				t.Fatalf("TripTime(%v) does not trip", tt.r)
+			}
+			if want := powTripTime(tt.curve, tt.r); got != want {
+				t.Fatalf("TripTime(%v) = %v, math.Pow form %v", tt.r, got, want)
+			}
+		})
+	}
+}

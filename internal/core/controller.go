@@ -203,11 +203,17 @@ type scratch struct {
 
 	ctx planContext
 
+	// built is the plan the latest plan call assembled; plan returns a
+	// pointer to it, so each probe overwrites the last.
+	built plan
+
 	// capHint is the last cap search's answer, -1 for none; the next
-	// search probes it and its successor before bisecting.
+	// search probes its successor and then it before bisecting.
 	capHint int
+	// plans counts plan calls; only tests read it.
+	plans int
 	// onSearch, set only by tests, observes each cap search's answer
-	// before the chosen plan is rebuilt.
+	// before the winning plan is returned.
 	onSearch func(capCores int, in Input, dt time.Duration, best int)
 }
 
@@ -545,17 +551,8 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 	// forced fallback only triggers when a breaker has been stressed by an
 	// external event.
 	c.prepare(in, dt)
-	p, ok := c.plan(capCores, in, dt, false)
-	if !ok {
-		if best := c.searchCap(capCores, in, dt); best >= 0 {
-			// plan reads component state without mutating it, so re-planning
-			// at the best cap reproduces the candidate the search found; the
-			// probes can then all share one set of scratch buffers instead
-			// of each retaining a copy of the winning plan.
-			p, ok = c.plan(best, in, dt, false)
-		}
-	}
-	if !ok {
+	p := c.searchCap(capCores, in, dt)
+	if p == nil {
 		p, _ = c.plan(c.cfg.Server.NormalCores, in, dt, true)
 	}
 	res := c.commit(p, in, dt)
@@ -563,47 +560,48 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 	return res
 }
 
-// searchCap returns the largest cap in [NormalCores, capCores-1] whose
-// plan is feasible, or -1 when none is (capCores itself has failed).
-// Feasibility is monotone in the cap: fewer cores mean less power and less
-// heat. The answer rarely moves between ticks, so the search probes the
-// last answer h and h+1 first, and bisects only inside the bracket those
-// probes leave; by monotonicity it returns exactly what a full bisection
-// of the range would.
-func (c *Controller) searchCap(capCores int, in Input, dt time.Duration) int {
-	lo, hi := c.cfg.Server.NormalCores, capCores-1
-	best := -1
-	if h := c.buf.capHint; h >= 0 && lo <= hi {
-		if h > hi {
-			h = hi
-		}
-		if _, ok := c.plan(h, in, dt, false); !ok {
-			hi = h - 1
-		} else {
-			best, lo = h, h+1
-			if lo <= hi {
-				if _, ok := c.plan(lo, in, dt, false); ok {
-					best, lo = lo, lo+1
-				} else {
-					hi = lo - 1
-				}
-			}
-		}
+// searchCap returns the plan at the largest cap in [NormalCores, capCores]
+// whose plan is feasible, or nil when none is. Feasibility is monotone in
+// the cap: fewer cores mean less power and less heat. The answer rarely
+// moves between ticks, so the search probes the last answer's successor
+// h+1 first and, if that fails, h itself, then bisects only inside the
+// bracket those probes leave; by monotonicity it returns exactly what a
+// full bisection of the range would. Every probe builds into the same
+// scratch plan, so the search plans again only when its last probe was not
+// the answer.
+func (c *Controller) searchCap(capCores int, in Input, dt time.Duration) *plan {
+	lo, hi := c.cfg.Server.NormalCores, capCores
+	h := c.buf.capHint
+	if h < 0 || h >= capCores {
+		h = capCores - 1 // cold, or the cap fell: probe the cap itself first
 	}
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if _, ok := c.plan(mid, in, dt, false); ok {
-			best = mid
-			lo = mid + 1
+	best, lastOK := -1, false
+	for n, first := h+1, true; lo <= hi; first = false {
+		_, lastOK = c.plan(n, in, dt, false)
+		if lastOK {
+			best, lo = n, n+1
 		} else {
-			hi = mid - 1
+			hi = n - 1
+		}
+		if first && !lastOK {
+			n = h
+		} else {
+			n = (lo + hi) / 2
 		}
 	}
 	c.buf.capHint = best
 	if c.buf.onSearch != nil {
 		c.buf.onSearch(capCores, in, dt, best)
+		lastOK = false // the hook's probes overwrote the scratch plan
 	}
-	return best
+	if best < 0 {
+		return nil
+	}
+	if !lastOK {
+		p, _ := c.plan(best, in, dt, false)
+		return p
+	}
+	return &c.buf.built
 }
 
 // prepare builds the tick's plan context (see planContext). It runs after
@@ -625,7 +623,11 @@ func (c *Controller) prepare(in Input, dt time.Duration) {
 	}
 	ctx.rows = ctx.rows[:0]
 	for g, pdu := range c.tree.PDUs {
-		ctx.pduMax[g] = pdu.Breaker.MaxLoadFor(c.cfg.Reserve)
+		if g > 0 && pdu.Breaker.SameMaxLoad(c.tree.PDUs[g-1].Breaker) {
+			ctx.pduMax[g] = ctx.pduMax[g-1] // identical breakers share a bound
+		} else {
+			ctx.pduMax[g] = pdu.Breaker.MaxLoadFor(c.cfg.Reserve)
+		}
 		if c.sensors != nil {
 			ctx.upsMax[g] = pdu.UPS.MaxOutputAtSoC(c.view.soc[g], dt)
 		} else {
@@ -659,11 +661,13 @@ func (ctx *planContext) operatingPoint(srv *server.Model, r, n int) (units.Watts
 	return srv.PowerAtDemandPow(n, row.demand, row.pow)
 }
 
-// plan builds a tick plan with every group's core count capped at capCores.
-// When force is false the plan is rejected (ok = false) if any constraint
-// cannot be met; when force is true the plan clamps to whatever the stores
-// can deliver and lets the breakers carry the remainder.
-func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) (plan, bool) {
+// plan builds a tick plan with every group's core count capped at capCores
+// into the scratch plan and returns it. When force is false the plan is
+// rejected (ok = false) if any constraint cannot be met; when force is true
+// the plan clamps to whatever the stores can deliver and lets the breakers
+// carry the remainder.
+func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) (*plan, bool) {
+	c.buf.plans++
 	srv := c.srv
 	ctx := &c.buf.ctx
 	groupSize := units.Watts(c.tree.Config().ServersPerPDU)
@@ -745,7 +749,7 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 		if t, finite := c.cfg.Cooling.TimeToThresholdFrom(planTemp, gap); finite && t < c.cfg.ThermalGuard {
 			if sprinting {
 				// Let the core-cap descent shrink the gap first.
-				return plan{}, false
+				return nil, false
 			}
 			// Even the normal operating point out-heats the (degraded)
 			// plant. Shed load so the residual gap keeps the room below
@@ -837,7 +841,7 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 		if need > afford+1e-9 && !force {
 			// Not even an idle server fits the budget: a blackout no
 			// shedding can avoid.
-			return plan{}, false
+			return nil, false
 		}
 		ups := need - cbAlloc[g]
 		if ups < 0 {
@@ -851,7 +855,8 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 	}
 
 	// Assemble the result from the (possibly reduced) groups.
-	p := plan{
+	p := &c.buf.built
+	*p = plan{
 		flow:          flow,
 		chillerElec:   chillerElec,
 		chillerAbsorb: chillerAbsorb,
@@ -893,7 +898,7 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 	// Idle headroom recharges the stores (the paper: "the used battery
 	// capacity can be recharged later when the power demand is low").
 	if !p.sprinting && in.Demand <= 0.98 {
-		c.planRecharge(&p, dcAllow, dt)
+		c.planRecharge(p, dcAllow, dt)
 	}
 	return p, true
 }
@@ -943,7 +948,7 @@ func (c *Controller) planRecharge(p *plan, dcAllow units.Watts, dt time.Duration
 
 // commit executes a plan: steps the breakers, batteries, tank and room, and
 // accumulates burst bookkeeping and the energy split.
-func (c *Controller) commit(p plan, in Input, dt time.Duration) TickResult {
+func (c *Controller) commit(p *plan, in Input, dt time.Duration) TickResult {
 	demand := in.Demand
 	flow := p.flow
 

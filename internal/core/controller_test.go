@@ -30,6 +30,7 @@ type facilityOpts struct {
 	noTES        bool
 	dcHeadroom   float64
 	weights      []float64
+	servers      int // zero means 1000
 }
 
 func newFacility(t *testing.T, opts facilityOpts) *facility {
@@ -37,9 +38,12 @@ func newFacility(t *testing.T, opts facilityOpts) *facility {
 	if opts.dcHeadroom == 0 {
 		opts.dcHeadroom = 0.10
 	}
+	if opts.servers == 0 {
+		opts.servers = 1000
+	}
 	srv := server.Default()
 	treeCfg := power.Config{
-		Servers:          1000,
+		Servers:          opts.servers,
 		ServersPerPDU:    200,
 		ServerPeakNormal: srv.PeakNormalPower(),
 		PDUHeadroom:      0.25,

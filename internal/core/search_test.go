@@ -2,11 +2,11 @@ package core
 
 // The cap search warm-starts from the previous tick's answer. That returns
 // exactly what a full bisection returns only because plan feasibility is
-// monotone in the cap. These tests pin both: on every searching tick the
-// committed cap is the largest feasible one found by scanning every cap,
-// and feasibility over the scanned range is a prefix. A controller
-// restored from a snapshot starts cold and must decide exactly as the
-// original does.
+// monotone in the cap. These tests pin both: on every tick the committed
+// cap is the largest feasible one found by scanning every cap up to the
+// strategy's, and feasibility over the scanned range is a prefix. A
+// controller restored from a snapshot starts cold and must decide exactly
+// as the original does.
 
 import (
 	"math/rand"
@@ -20,15 +20,16 @@ import (
 	"dcsprint/internal/tes"
 	"dcsprint/internal/units"
 	"dcsprint/internal/ups"
+	"dcsprint/internal/workload"
 )
 
-// linearCap scans every cap in [NormalCores, capCores-1] and returns the
+// linearCap scans every cap in [NormalCores, capCores] and returns the
 // largest feasible one (-1 when none is), failing the test if a feasible
 // cap lies above an infeasible one.
 func linearCap(t *testing.T, c *Controller, capCores int, in Input, dt time.Duration) int {
 	t.Helper()
 	best, firstBad := -1, -1
-	for n := c.cfg.Server.NormalCores; n < capCores; n++ {
+	for n := c.cfg.Server.NormalCores; n <= capCores; n++ {
 		if _, ok := c.plan(n, in, dt, false); !ok {
 			if firstBad < 0 {
 				firstBad = n
@@ -75,7 +76,7 @@ func TestCapSearchMatchesLinearScan(t *testing.T) {
 		Heuristic{EstimatedAvgDegree: 2.2, Flexibility: 0.1},
 	}
 	weightSets := [][]float64{nil, {0.4, 0.8, 1.0, 1.2, 1.6}}
-	var searches, warm, hint int
+	var capped, warm, hint int
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		opts := facilityOpts{
@@ -95,13 +96,15 @@ func TestCapSearchMatchesLinearScan(t *testing.T) {
 			inj.BindChiller(f.ctl)
 		}
 		f.ctl.buf.onSearch = func(capCores int, in Input, dt time.Duration, best int) {
-			searches++
-			if hint >= 0 {
-				warm++
+			if best < capCores {
+				capped++
+				if hint >= 0 {
+					warm++
+				}
 			}
 			if want := linearCap(t, f.ctl, capCores, in, dt); best != want {
 				t.Fatalf("seed %d at %v: search chose cap %d, linear scan %d (caps up to %d)",
-					seed, f.ctl.now, best, want, capCores-1)
+					seed, f.ctl.now, best, want, capCores)
 			}
 		}
 		rated := f.tree.DCBreaker.Rated
@@ -123,9 +126,10 @@ func TestCapSearchMatchesLinearScan(t *testing.T) {
 			f.ctl.TickInput(in, time.Second)
 		}
 	}
-	t.Logf("%d searching ticks, %d of them warm-started", searches, warm)
-	if searches < 1000 || warm < 1000 {
-		t.Fatalf("only %d searching ticks (%d warm-started); the property is barely exercised", searches, warm)
+	t.Logf("%d ticks capped below the strategy's cap, %d of them warm-started", capped, warm)
+	if capped < 1000 || warm < 1000 {
+		t.Fatalf("only %d ticks capped below the strategy's cap (%d warm-started); the property is barely exercised",
+			capped, warm)
 	}
 }
 
@@ -164,16 +168,22 @@ func TestRestoredControllerDecidesLikeOriginal(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		demands = append(demands, 0.7)
 	}
-	cut := -1
+	// Cut on a tick whose answer lay below the strategy's cap, so the
+	// original carries a warm hint the restored controller lacks.
+	cut, capped := -1, false
+	orig.ctl.buf.onSearch = func(capCores int, _ Input, _ time.Duration, best int) {
+		capped = best < capCores
+	}
 	for i, d := range demands {
 		orig.ctl.Tick(d, time.Second)
-		if i >= 400 && orig.ctl.buf.capHint >= 0 {
+		if i >= 400 && capped {
 			cut = i + 1
 			break
 		}
 	}
+	orig.ctl.buf.onSearch = nil
 	if cut < 0 {
-		t.Fatal("the burst never made the controller search for a cap")
+		t.Fatal("the burst never made the controller cap below the strategy's cap")
 	}
 
 	snap := capturePlant(orig)
@@ -205,5 +215,44 @@ func TestRestoredControllerDecidesLikeOriginal(t *testing.T) {
 	}
 	if a, b := orig.ctl.DumpState(), restored.ctl.DumpState(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("final controller states differ:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestReferenceRunPlanCalls bounds the planning work of the reference run
+// (the SyntheticYahoo(1, 3.2, 15m) trace on sim's default 2,000-server
+// facility): the search ends on its winning plan and starts from the last
+// answer, so most ticks plan once or twice.
+func TestReferenceRunPlanCalls(t *testing.T) {
+	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFacility(t, facilityOpts{servers: 2000})
+	for _, d := range tr.Samples {
+		f.ctl.TickInput(Input{Demand: d}, tr.Step)
+	}
+	const maxPlans = 2700
+	t.Logf("%d plan calls over %d ticks", f.ctl.buf.plans, tr.Len())
+	if f.ctl.buf.plans > maxPlans {
+		t.Fatalf("%d plan calls over %d ticks, want at most %d", f.ctl.buf.plans, tr.Len(), maxPlans)
+	}
+}
+
+// TestPrepareBoundsFollowEachBreaker checks that sharing reserve bounds
+// across identical PDU breakers never hands a breaker another's bound.
+func TestPrepareBoundsFollowEachBreaker(t *testing.T) {
+	f := newFacility(t, facilityOpts{})
+	pdus := f.tree.PDUs
+	pdus[1].Breaker.Derate(0.9)
+	warm := pdus[3].Breaker.State()
+	warm.Acc = 0.4
+	if err := pdus[3].Breaker.SetState(warm); err != nil {
+		t.Fatal(err)
+	}
+	f.ctl.prepare(Input{Demand: 1.5}, time.Second)
+	for g, pdu := range pdus {
+		if got, want := f.ctl.buf.ctx.pduMax[g], pdu.Breaker.MaxLoadFor(f.ctl.cfg.Reserve); got != want {
+			t.Errorf("PDU %d: planning bound %v, breaker's own %v", g, got, want)
+		}
 	}
 }

@@ -280,7 +280,7 @@ func (c *Controller) supervise(dt time.Duration) {
 // noteExpectations records, after a commit, which telemetry channels the
 // tick's commands imply must be changing — the cross-check that catches
 // stuck-at sensors (and stuck actuators) whose timestamps stay fresh.
-func (s *supervisor) noteExpectations(p plan, actualAbsorbed units.Watts, tempEst, ambient units.Celsius) {
+func (s *supervisor) noteExpectations(p *plan, actualAbsorbed units.Watts, tempEst, ambient units.Celsius) {
 	gap := float64(p.heatGen - actualAbsorbed)
 	s.expectRoom = gap > 1 || (gap < -1 && float64(tempEst) > float64(ambient)+1e-9)
 	s.expectTES = p.tesAbsorb > 1

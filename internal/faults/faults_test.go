@@ -57,22 +57,22 @@ func TestParseFullTaxonomy(t *testing.T) {
 
 func TestParseRejectsMalformed(t *testing.T) {
 	bad := []string{
-		"10s",                                    // missing kind
-		"oops battery-fail group=1",              // bad time
-		"10s no-such-fault",                      // unknown kind
-		"10s battery-fail group",                 // not key=value
-		"10s battery-fail group=x",               // bad group
-		"10s battery-fail group=-2",              // negative group
-		"10s battery-fade group=1 frac=nope",     // bad frac
-		"10s battery-fade group=1 frac=1.5",      // frac out of range
-		"10s tes-leak rate=-5",                   // non-positive rate
-		"10s grid-curtail frac=0.5",              // missing dur
-		"10s breaker-derate level=pdu frac=0.9",  // pdu without group
-		"10s breaker-derate level=attic frac=1",  // bad level
-		"10s breaker-derate level=dc frac=0",     // frac out of (0,1]
-		"10s sensor-stale dur=1m",                // missing sensor
-		"10s sensor-stale sensor=barometer dur=1m", // unknown sensor
-		"10s sensor-stale sensor=room-temp",      // missing dur
+		"10s",                                              // missing kind
+		"oops battery-fail group=1",                        // bad time
+		"10s no-such-fault",                                // unknown kind
+		"10s battery-fail group",                           // not key=value
+		"10s battery-fail group=x",                         // bad group
+		"10s battery-fail group=-2",                        // negative group
+		"10s battery-fade group=1 frac=nope",               // bad frac
+		"10s battery-fade group=1 frac=1.5",                // frac out of range
+		"10s tes-leak rate=-5",                             // non-positive rate
+		"10s grid-curtail frac=0.5",                        // missing dur
+		"10s breaker-derate level=pdu frac=0.9",            // pdu without group
+		"10s breaker-derate level=attic frac=1",            // bad level
+		"10s breaker-derate level=dc frac=0",               // frac out of (0,1]
+		"10s sensor-stale dur=1m",                          // missing sensor
+		"10s sensor-stale sensor=barometer dur=1m",         // unknown sensor
+		"10s sensor-stale sensor=room-temp",                // missing dur
 		"10s sensor-noise sensor=room-temp dur=1m sigma=0", // non-positive sigma
 		"10s sensor-stuck sensor=room-temp dur=1m value=+Inf",
 		"10s battery-fail group=1 color=red", // unknown key

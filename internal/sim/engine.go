@@ -48,6 +48,14 @@ type plant struct {
 // two cannot drift. The observer is consulted only for the fault-plane
 // registry probes; it is not attached as an event sink here.
 func buildPlant(sc Scenario, obs Observer) (*plant, error) {
+	if sc.Faults != nil {
+		// A schedule built as a literal bypasses faults.NewSchedule's checks.
+		for i, ev := range sc.Faults.Events {
+			if err := ev.Validate(); err != nil {
+				return nil, fmt.Errorf("sim: fault event %d: %w", i, err)
+			}
+		}
+	}
 	srv := sc.Server
 	battery := ups.DefaultServerBattery()
 	if sc.BatteryAh > 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dcsprint/internal/core"
+	"dcsprint/internal/faults"
 	"dcsprint/internal/server"
 	"dcsprint/internal/trace"
 	"dcsprint/internal/workload"
@@ -254,5 +255,48 @@ func TestResultAvgBurstDegree(t *testing.T) {
 	}
 	if got := calm.AvgBurstDegree(); got != 1 {
 		t.Fatalf("no-burst avg degree = %v, want 1", got)
+	}
+}
+
+func TestNewRejectsInvalidFaultEvents(t *testing.T) {
+	tr := mustTrace(workload.SyntheticYahoo(1, 3.2, 15*time.Minute))
+	tests := []struct {
+		name string
+		ev   faults.Event
+	}{
+		{"NaN breaker derate", faults.Event{At: 10 * time.Second, Kind: faults.KindBreakerDerate,
+			Group: faults.GroupAll, Frac: math.NaN()}},
+		{"zero breaker derate", faults.Event{At: 10 * time.Second, Kind: faults.KindBreakerDerate,
+			Group: faults.GroupAll}},
+		{"NaN battery fade", faults.Event{At: 10 * time.Second, Kind: faults.KindBatteryFade,
+			Group: faults.GroupAll, Frac: math.NaN()}},
+		{"chiller fraction above one", faults.Event{At: 10 * time.Second, Kind: faults.KindChillerFail,
+			Frac: 1.5}},
+		{"negative time", faults.Event{At: -time.Second, Kind: faults.KindBreakerDerate,
+			Group: faults.GroupAll, Frac: 0.9}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			// A literal bypasses faults.NewSchedule's validation.
+			sched := &faults.Schedule{Events: []faults.Event{
+				{At: 5 * time.Second, Kind: faults.KindBreakerDerate, Group: 1, Frac: 0.9},
+				tt.ev,
+			}}
+			if _, err := New(Scenario{Trace: tr, Faults: sched}); err == nil {
+				t.Error("New accepted the event")
+			}
+			if _, err := New(Scenario{Faults: sched}); err == nil {
+				t.Error("New accepted the event for a streaming engine")
+			}
+			if _, err := Run(Scenario{Trace: tr, Faults: sched}); err == nil {
+				t.Error("Run accepted the event")
+			}
+		})
+	}
+	valid := &faults.Schedule{Events: []faults.Event{
+		{At: 10 * time.Second, Kind: faults.KindBreakerDerate, Group: faults.GroupAll, Frac: 0.9},
+	}}
+	if _, err := Run(Scenario{Trace: tr, Faults: valid}); err != nil {
+		t.Fatalf("valid literal schedule rejected: %v", err)
 	}
 }

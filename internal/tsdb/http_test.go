@@ -169,12 +169,12 @@ func TestHTTPQueryMalformedSeriesName(t *testing.T) {
 	st.Series("ok").Append(1000, 1)
 
 	bad := []string{
-		"bad%7Bname",           // "bad{name" — unclosed label block
-		"bad%7D",               // "bad}" — close without open
-		"a%7Bx%7Dtail",         // "a{x}tail" — bytes after the label block
-		"a%7B%7B",              // "a{{" — nested open
-		"bad%09name",           // control byte
-		"caf%C3%A9",            // non-ASCII
+		"bad%7Bname",   // "bad{name" — unclosed label block
+		"bad%7D",       // "bad}" — close without open
+		"a%7Bx%7Dtail", // "a{x}tail" — bytes after the label block
+		"a%7B%7B",      // "a{{" — nested open
+		"bad%09name",   // control byte
+		"caf%C3%A9",    // non-ASCII
 	}
 	for _, name := range bad {
 		w := get(t, mux, "/debug/tsdb?series=ok,"+name)

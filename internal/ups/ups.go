@@ -12,6 +12,7 @@ package ups
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dcsprint/internal/units"
@@ -205,8 +206,11 @@ func (b *Battery) Failed() bool { return b.failed }
 // Fade multiplies the battery's capacity and power limits by frac in
 // [0, 1] — capacity fade from age, temperature or cell dropout. Stored
 // energy above the new capacity is lost. Fade composes: two 0.5 fades
-// leave a quarter of the original capacity.
+// leave a quarter of the original capacity. A NaN frac is ignored.
 func (b *Battery) Fade(frac float64) {
+	if math.IsNaN(frac) {
+		return
+	}
 	frac = units.Clamp(frac, 0, 1)
 	b.cfg.Capacity = units.AmpHours(float64(b.cfg.Capacity) * frac)
 	b.cfg.MaxDischarge = units.Watts(float64(b.cfg.MaxDischarge) * frac)

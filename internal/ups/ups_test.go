@@ -285,3 +285,29 @@ func TestEnergyConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestFadeIgnoresNaN(t *testing.T) {
+	tests := []struct {
+		name string
+		frac float64
+		want float64 // fraction of the original capacity left
+	}{
+		{"half", 0.5, 0.5},
+		{"NaN", math.NaN(), 1},
+		{"negative clamps to zero", -1, 0},
+		{"above one clamps to one", 2, 1},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			b := newFull(t, idealConfig())
+			full := b.TotalEnergy()
+			b.Fade(tt.frac)
+			if got, want := b.TotalEnergy(), units.Joules(tt.want)*full; got != want {
+				t.Fatalf("Fade(%v): capacity %v, want %v", tt.frac, got, want)
+			}
+			if math.IsNaN(float64(b.Stored())) || math.IsNaN(float64(b.MaxOutput(time.Second))) {
+				t.Fatalf("Fade(%v) left NaN state", tt.frac)
+			}
+		})
+	}
+}
