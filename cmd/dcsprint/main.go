@@ -147,8 +147,7 @@ func run(args []string) error {
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
 
-	// Any telemetry sink routes the run through the instrumented path; the
-	// Result is bit-for-bit identical either way.
+	// Any telemetry sink gets an instrument, fed from the finished Result.
 	var inst *dcsprint.Instrument
 	if *metrics != "" || *traceOut != "" || *listen != "" {
 		inst = dcsprint.NewInstrument(dcsprint.DefaultMetricRegistry(), dcsprint.NewTracer())
@@ -164,16 +163,16 @@ func run(args []string) error {
 
 	var res *dcsprint.Result
 	var err error
-	switch {
-	case *resume != "" || *snapOut != "" || *seriesOut != "":
-		res, err = runEngine(sc, inst, *resume, *snapOut, *seriesOut, *snapAt)
-	case inst != nil:
-		res, err = dcsprint.RunObserved(sc, inst)
-	default:
+	if *resume != "" || *snapOut != "" || *seriesOut != "" {
+		res, err = runEngine(sc, *resume, *snapOut, *seriesOut, *snapAt)
+	} else {
 		res, err = dcsprint.Run(sc)
 	}
 	if err != nil {
 		return err
+	}
+	if inst != nil {
+		inst.Observe(res)
 	}
 	printSummary(res, stats)
 	if *events {
@@ -212,7 +211,7 @@ func run(args []string) error {
 // from a snapshot file, checkpointed to one mid-trace, or dump the plant
 // time series — in any combination. The Result is bit-for-bit identical to
 // the batch path.
-func runEngine(sc dcsprint.Scenario, inst *dcsprint.Instrument, resume, snapOut, seriesOut string, snapAt time.Duration) (*dcsprint.Result, error) {
+func runEngine(sc dcsprint.Scenario, resume, snapOut, seriesOut string, snapAt time.Duration) (*dcsprint.Result, error) {
 	var eng *dcsprint.Engine
 	var err error
 	if resume != "" {
@@ -220,21 +219,13 @@ func runEngine(sc dcsprint.Scenario, inst *dcsprint.Instrument, resume, snapOut,
 		if rerr != nil {
 			return nil, rerr
 		}
-		if inst != nil {
-			eng, err = dcsprint.RestoreObservedEngine(sc, snap, inst)
-		} else {
-			eng, err = dcsprint.RestoreEngine(sc, snap)
-		}
+		eng, err = dcsprint.RestoreEngine(sc, snap)
 		if err != nil {
 			return nil, err
 		}
 		fmt.Printf("resumed from %s at t=%v (tick %d)\n", resume, eng.Now(), eng.Tick())
 	} else {
-		if inst != nil {
-			eng, err = dcsprint.NewObservedEngine(sc, inst)
-		} else {
-			eng, err = dcsprint.NewEngine(sc)
-		}
+		eng, err = dcsprint.NewEngine(sc)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +277,7 @@ func runEngine(sc dcsprint.Scenario, inst *dcsprint.Instrument, resume, snapOut,
 }
 
 // printEvents renders the controller's transition log: the classic text
-// form, or JSONL span/point records through the telemetry trace sink.
+// form, or the JSONL span/point records an instrument traces from it.
 func printEvents(w io.Writer, res *dcsprint.Result, format string) error {
 	if format == "text" {
 		fmt.Fprintln(w, "events:")
@@ -296,11 +287,7 @@ func printEvents(w io.Writer, res *dcsprint.Result, format string) error {
 		return nil
 	}
 	tr := dcsprint.NewTracer()
-	for _, e := range res.Events {
-		dcsprint.TraceEventRecord(tr, e)
-	}
-	tele := res.Telemetry.Required
-	tr.CloseOpen(time.Duration(tele.Len()) * tele.Step)
+	dcsprint.NewInstrument(dcsprint.NewMetricRegistry(), tr).Observe(res)
 	return tr.WriteJSONL(w)
 }
 

@@ -82,16 +82,12 @@ var facadeFor = map[string]map[string]string{
 		"Instrument":        "Instrument",
 		"New":               "NewEngine",
 		"NewInstrument":     "NewInstrument",
-		"NewObserved":       "NewObservedEngine",
-		"Observer":          "Observer",
 		"PlantRecorder":     "PlantRecorder",
 		"PlantSample":       "PlantSample",
 		"Restore":           "RestoreEngine",
-		"RestoreObserved":   "RestoreObservedEngine",
 		"Result":            "Result",
 		"Run":               "Run",
 		"RunCapping":        "RunCapping",
-		"RunObserved":       "RunObserved",
 		"Scenario":          "Scenario",
 		"Telemetry":         "Telemetry",
 		"TickDecision":      "TickDecision",

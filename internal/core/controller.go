@@ -166,7 +166,6 @@ type Controller struct {
 	// Event-log state.
 	now           time.Duration
 	events        []Event
-	sink          func(Event)
 	prevPhase     int
 	prevTES       bool
 	prevGenStart  bool

@@ -155,21 +155,14 @@ func burstDetail(demand float64, budget units.Joules) string {
 	return string(b)
 }
 
-// emitEvent records a fully formed event and forwards it to the sink, if
-// any. The sink sees every event, including those past the log cap.
+// emitEvent records a fully formed event; events past the log cap are
+// dropped.
 func (c *Controller) emitEvent(e Event) {
-	if c.sink != nil {
-		c.sink(e)
-	}
 	if len(c.events) >= maxEvents {
 		return
 	}
 	c.events = append(c.events, e)
 }
-
-// SetEventSink installs a function called synchronously for every emitted
-// event — the hook the telemetry tracer attaches to. Pass nil to detach.
-func (c *Controller) SetEventSink(sink func(Event)) { c.sink = sink }
 
 // Events returns the transitions recorded so far (shared slice; do not
 // mutate).

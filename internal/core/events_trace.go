@@ -35,10 +35,12 @@ func PhaseSpanName(phase int) string {
 // TraceEvent translates one controller event into tracer activity: lifecycle
 // pairs (burst, phases, genset, TES, supervision episodes) become spans,
 // instantaneous transitions become points. It reports whether the kind was
-// recognised, so tests can prove every EventKind has a mapping. Wire it up
-// with:
+// recognised, so tests can prove every EventKind has a mapping. Replay a
+// run's event log through it in order:
 //
-//	ctl.SetEventSink(func(e core.Event) { core.TraceEvent(tr, e) })
+//	for _, e := range ctl.Events() {
+//		core.TraceEvent(tr, e)
+//	}
 func TraceEvent(tr *telemetry.Tracer, e Event) bool {
 	switch e.Kind {
 	case EventBurstStarted:

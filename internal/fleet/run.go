@@ -9,23 +9,14 @@ import (
 	"dcsprint/internal/sim"
 )
 
-// lastSample retains an engine's most recent plant probe — the per-DC
-// ledger feed of the simulation fleet. Written on the DC's step goroutine,
-// read between tick barriers, so it needs no lock.
-type lastSample struct {
-	s    sim.PlantSample
-	have bool
-}
-
-// RecordPlant implements sim.PlantRecorder.
-func (r *lastSample) RecordPlant(s sim.PlantSample) { r.s, r.have = s, true }
-
 // simDC is one simulated data centre of the fleet: its profile, its
 // engine, its ledger feed and its per-run accounting.
 type simDC struct {
 	profile Profile
 	eng     *sim.Engine
-	rec     lastSample
+	// plant is the engine's probe after its last step, read once per tick
+	// between barriers; it is meaningful once eng.Tick() > 0.
+	plant sim.PlantSample
 
 	admitted  int // active load units placed here
 	bursts    int // lifetime bursts served (incl. spilled-in)
@@ -41,9 +32,8 @@ type simDC struct {
 // ledger derives the DC's current capacity ledger.
 func (d *simDC) ledger() Ledger {
 	l := FreshLedger(d.profile.ID, d.admitted, d.profile.AdmitCap)
-	if d.rec.have {
-		m := LedgerOf(d.profile.ID, d.rec.s)
-		l.Fold(m)
+	if d.eng.Tick() > 0 {
+		l.Fold(LedgerOf(d.profile.ID, d.plant))
 	}
 	l.Dead = d.dead
 	return l
@@ -88,9 +78,7 @@ func New(spec Spec) (*Fleet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: building %s: %w", p.ID, err)
 		}
-		d := &simDC{profile: p, eng: eng, minMargin: 1e9, minUPS: 1}
-		eng.AttachPlantRecorder(&d.rec)
-		f.dcs[i] = d
+		f.dcs[i] = &simDC{profile: p, eng: eng, minMargin: 1e9, minUPS: 1}
 	}
 	return f, nil
 }
@@ -256,10 +244,8 @@ func (f *Fleet) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 		}
 		// Fold the tick's probes into per-DC and burst accounting.
 		for _, d := range f.dcs {
-			if !d.rec.have {
-				continue
-			}
-			s := d.rec.s
+			d.plant = d.eng.Plant()
+			s := &d.plant
 			if s.BreakerStress > d.maxStress {
 				d.maxStress = s.BreakerStress
 			}
@@ -282,8 +268,8 @@ func (f *Fleet) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 			}
 			d := f.dcs[st.serving]
 			ratio := 0.0
-			if d.rec.have && !d.dead && demands[st.serving] > 0 {
-				ratio = d.rec.s.Delivered / demands[st.serving]
+			if !d.dead && demands[st.serving] > 0 {
+				ratio = d.plant.Delivered / demands[st.serving]
 				if ratio > 1 {
 					ratio = 1
 				}

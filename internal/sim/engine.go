@@ -45,9 +45,9 @@ type plant struct {
 
 // buildPlant assembles the facility for a normalized scenario. It is the
 // single construction path shared by the batch and streaming engines, so the
-// two cannot drift. The observer is consulted only for the fault-plane
-// registry probes; it is not attached as an event sink here.
-func buildPlant(sc Scenario, obs Observer) (*plant, error) {
+// two cannot drift. A faulted scenario's sensor bus and injector feed their
+// probes into the process-wide registry.
+func buildPlant(sc Scenario) (*plant, error) {
 	if sc.Faults != nil {
 		// A schedule built as a literal bypasses faults.NewSchedule's checks.
 		for i, ev := range sc.Faults.Events {
@@ -120,12 +120,8 @@ func buildPlant(sc Scenario, obs Observer) (*plant, error) {
 		inj := faults.NewInjector(sc.Faults, tree, tank, bus)
 		inj.BindChiller(ctl)
 		p.inj = inj
-		// An observer that carries a registry (sim.Instrument does) also
-		// gets the fault-plane probes.
-		if rp, ok := obs.(interface{ Registry() *telemetry.Registry }); ok && rp.Registry() != nil {
-			bus.Instrument(rp.Registry())
-			inj.Instrument(rp.Registry())
-		}
+		bus.Instrument(telemetry.Default())
+		inj.Instrument(telemetry.Default())
 	}
 	if sc.ChipPCMMinutes > 0 {
 		sustainable := srv.PeakNormalPower() - srv.NonCPUPower
@@ -186,13 +182,12 @@ type PlantRecorder interface {
 
 // Engine drives one scenario tick-at-a-time: the online form of Run, built
 // for streaming control planes that observe demand one sample at a time.
-// Construct with New or NewObserved, feed demand through Step, and call
-// Finish for the Result. Engines are not safe for concurrent use; a serving
-// layer must confine each engine to one goroutine.
+// Construct with New, feed demand through Step, and call Finish for the
+// Result. Engines are not safe for concurrent use; a serving layer must
+// confine each engine to one goroutine.
 type Engine struct {
 	sc   Scenario
 	p    *plant
-	obs  Observer
 	rec  PlantRecorder
 	step time.Duration
 	i    int
@@ -221,11 +216,7 @@ type Engine struct {
 // the trace's step and Result.Scenario echoes it unchanged; a scenario
 // without a trace streams unbounded at DefaultStreamStep and the demand fed
 // through Step becomes the echoed trace at Finish.
-func New(sc Scenario) (*Engine, error) { return NewObserved(sc, nil) }
-
-// NewObserved returns an engine with an optional telemetry observer. As with
-// RunObserved, observation never changes the outcome.
-func NewObserved(sc Scenario, obs Observer) (*Engine, error) {
+func New(sc Scenario) (*Engine, error) {
 	step := DefaultStreamStep
 	if sc.Trace != nil {
 		if err := sc.normalize(); err != nil {
@@ -235,17 +226,13 @@ func NewObserved(sc Scenario, obs Observer) (*Engine, error) {
 	} else {
 		sc.normalizeDefaults()
 	}
-	p, err := buildPlant(sc, obs)
+	p, err := buildPlant(sc)
 	if err != nil {
 		return nil, err
-	}
-	if obs != nil {
-		p.ctl.SetEventSink(obs.ObserveEvent)
 	}
 	e := &Engine{
 		sc:        sc,
 		p:         p,
-		obs:       obs,
 		step:      step,
 		dcRated:   p.tree.DCBreaker.Rated,
 		pduRated:  p.tree.PDUs[0].Breaker.Rated,
@@ -349,9 +336,6 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) error {
 	}
 	*dec = e.p.ctl.TickInput(in, step)
 	tick := dec
-	if e.obs != nil {
-		e.obs.ObserveTick(time.Duration(i)*step, *tick)
-	}
 	if len(e.required) == cap(e.required) {
 		e.growSeries()
 	}
@@ -547,8 +531,5 @@ func (e *Engine) Finish() (*Result, error) {
 	}
 	res.Telemetry = tele
 	defaultRunCounters(res)
-	if e.obs != nil {
-		e.obs.ObserveDone(time.Duration(n)*step, res)
-	}
 	return res, nil
 }

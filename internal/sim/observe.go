@@ -7,29 +7,15 @@ import (
 	"dcsprint/internal/telemetry"
 )
 
-// Observer receives run activity as it happens. Run results are bit-for-bit
-// identical with and without an observer attached: observation is strictly
-// read-only and lives outside the Scenario.
-type Observer interface {
-	// ObserveTick is called once per simulated tick with the tick start
-	// time (i*step, matching the Telemetry series alignment).
-	ObserveTick(t time.Duration, tick core.TickResult)
-	// ObserveEvent is called synchronously for every controller event.
-	ObserveEvent(e core.Event)
-	// ObserveDone is called once when the run completes, with the trace end
-	// time and the finished result.
-	ObserveDone(t time.Duration, res *Result)
-}
-
-// Instrument is the standard Observer: it feeds a telemetry registry
-// (gauges for the live plant state, counters and histograms for run
-// statistics) and brackets the sprint lifecycle on a tracer via
-// core.TraceEvent.
+// Instrument observes finished runs: it feeds a telemetry registry (gauges
+// for the final plant state, counters and histograms for run statistics)
+// and brackets the sprint lifecycle on a tracer via core.TraceEvent. It
+// reads only the Result, so observing a run can never change it.
 type Instrument struct {
 	reg *telemetry.Registry
 	tr  *telemetry.Tracer
 
-	// Hot-path handles resolved once at construction.
+	// Handles resolved once at construction.
 	ticks      *telemetry.Counter
 	events     *telemetry.Counter
 	demand     *telemetry.Gauge
@@ -78,40 +64,45 @@ func (in *Instrument) Registry() *telemetry.Registry { return in.reg }
 // Tracer returns the tracer, or nil when tracing is disabled.
 func (in *Instrument) Tracer() *telemetry.Tracer { return in.tr }
 
-// ObserveTick implements Observer.
-func (in *Instrument) ObserveTick(_ time.Duration, tick core.TickResult) {
-	in.ticks.Inc()
-	in.demand.Set(tick.Demand)
-	in.delivered.Set(tick.Delivered)
-	in.degree.Set(tick.Degree)
-	in.phase.Set(float64(tick.Phase))
-	in.dcLoad.Set(float64(tick.DCLoad))
-	in.pduLoad.Set(float64(tick.PDULoad))
-	in.upsPower.Set(float64(tick.UPSPower))
-	in.genPower.Set(float64(tick.GenPower))
-	in.coolPower.Set(float64(tick.CoolingPower))
-	in.tesRate.Set(float64(tick.TESHeatRate))
-	in.roomTemp.Set(float64(tick.RoomTemp))
-	in.degreeHist.Observe(tick.Degree)
-	in.tempHist.Observe(float64(tick.RoomTemp))
-}
-
-// ObserveEvent implements Observer: events are counted by kind and mapped
-// onto tracer spans/points.
-func (in *Instrument) ObserveEvent(e core.Event) {
-	in.events.Inc()
-	in.reg.CounterWith("dcsprint_controller_events_by_kind_total",
-		"Controller events by kind.", telemetry.Labels{"kind": e.Kind.String()}).Inc()
-	if in.tr != nil {
-		core.TraceEvent(in.tr, e)
+// Observe feeds one finished run into the registry and tracer. The gauges
+// hold the run's last tick, the histograms and the tick counter cover
+// every tick, and the events come from Result.Events, so they stop at the
+// controller's event-log cap. Lifecycle spans still open at the end of
+// the run are closed there.
+func (in *Instrument) Observe(res *Result) {
+	tele := &res.Telemetry
+	n := tele.Required.Len()
+	in.ticks.Add(float64(n))
+	if n > 0 {
+		i := n - 1
+		// Required echoes the raw input; the gauge reports the demand
+		// the tick served.
+		in.demand.Set(core.SanitizeDemand(tele.Required.Samples[i]))
+		in.delivered.Set(tele.Achieved.Samples[i])
+		in.degree.Set(tele.Degree.Samples[i])
+		in.phase.Set(float64(tele.Phase[i]))
+		in.dcLoad.Set(tele.DCLoad.Samples[i])
+		in.pduLoad.Set(tele.PDULoad.Samples[i])
+		in.upsPower.Set(tele.UPSPower.Samples[i])
+		in.genPower.Set(tele.GenPower.Samples[i])
+		in.coolPower.Set(tele.CoolingPower.Samples[i])
+		in.tesRate.Set(tele.TESRate.Samples[i])
+		in.roomTemp.Set(tele.RoomTemp.Samples[i])
 	}
-}
-
-// ObserveDone implements Observer: still-open lifecycle spans are closed at
-// the trace end and the run summary lands in the registry.
-func (in *Instrument) ObserveDone(t time.Duration, res *Result) {
+	for i := 0; i < n; i++ {
+		in.degreeHist.Observe(tele.Degree.Samples[i])
+		in.tempHist.Observe(tele.RoomTemp.Samples[i])
+	}
+	for _, e := range res.Events {
+		in.events.Inc()
+		in.reg.CounterWith("dcsprint_controller_events_by_kind_total",
+			"Controller events by kind.", telemetry.Labels{"kind": e.Kind.String()}).Inc()
+		if in.tr != nil {
+			core.TraceEvent(in.tr, e)
+		}
+	}
 	if in.tr != nil {
-		in.tr.CloseOpen(t)
+		in.tr.CloseOpen(time.Duration(n) * tele.Required.Step)
 	}
 	in.reg.Gauge("dcsprint_sim_improvement_ratio",
 		"Average burst performance relative to no sprinting.").Set(res.Improvement())

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,22 +13,16 @@ import (
 	"dcsprint/internal/workload"
 )
 
-// TestRunObservedResultIsBitIdentical is the acceptance-criteria check:
-// attaching telemetry must not perturb the simulation in any way.
-func TestRunObservedResultIsBitIdentical(t *testing.T) {
-	sc := Scenario{Name: "parity", Trace: mustTrace(workload.SyntheticYahoo(1, 3.2, 15*time.Minute))}
-	plain, err := Run(sc)
+// observed runs sc and feeds the Result into a fresh instrument over reg
+// and tr.
+func observed(t *testing.T, sc Scenario, reg *telemetry.Registry, tr *telemetry.Tracer) *Result {
+	t.Helper()
+	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := NewInstrument(telemetry.NewRegistry(), telemetry.NewTracer())
-	observed, err := RunObserved(sc, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, observed) {
-		t.Fatal("observed run result differs from unobserved run")
-	}
+	NewInstrument(reg, tr).Observe(res)
+	return res
 }
 
 func TestInstrumentPopulatesRegistryAndTracer(t *testing.T) {
@@ -38,10 +33,7 @@ func TestInstrumentPopulatesRegistryAndTracer(t *testing.T) {
 		t.Fatal("instrument accessors do not round-trip")
 	}
 	sc := Scenario{Name: "obs", Trace: mustTrace(workload.SyntheticYahoo(1, 3.2, 15*time.Minute))}
-	res, err := RunObserved(sc, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := observed(t, sc, reg, tr)
 	n := float64(sc.Trace.Len())
 	if got := reg.Counter("dcsprint_sim_ticks_total", "").Value(); got != n {
 		t.Fatalf("ticks counter = %v, want %v", got, n)
@@ -72,7 +64,118 @@ func TestInstrumentPopulatesRegistryAndTracer(t *testing.T) {
 		t.Fatalf("missing phase span; have %v", spans)
 	}
 	if got := len(tr.OpenSpans()); got != 0 {
-		t.Fatalf("%d spans left open after ObserveDone", got)
+		t.Fatalf("%d spans left open after Observe", got)
+	}
+}
+
+// TestObserveGaugesMatchFinalPlant checks the per-tick gauges hold the
+// run's last tick, exactly as the engine's plant probe reports it. The
+// last demand is NaN, so the demand gauge must carry the sanitized value
+// the tick served rather than the raw input the Result echoes.
+func TestObserveGaugesMatchFinalPlant(t *testing.T) {
+	sc := Scenario{Name: "gauges", Generator: true,
+		Trace: mustTrace(workload.SyntheticYahoo(1, 3.2, 15*time.Minute))}
+	eng, err := New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := eng.Scenario().Trace
+	// Stop inside the burst, so the gauges hold sprinting values.
+	last := tr.Len() / 2
+	for i := 0; i < last; i++ {
+		if _, err := eng.Step(tr.Samples[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Step(math.NaN()); err != nil {
+		t.Fatal(err)
+	}
+	want := eng.Plant()
+	res, err := eng.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	NewInstrument(reg, nil).Observe(res)
+	if want.Demand != 1 {
+		t.Fatalf("plant demand = %v, want the sanitized 1", want.Demand)
+	}
+	for name, v := range map[string]float64{
+		"dcsprint_sim_demand_ratio":        want.Demand,
+		"dcsprint_sim_delivered_ratio":     want.Delivered,
+		"dcsprint_controller_degree_ratio": want.Degree,
+		"dcsprint_controller_phase_index":  float64(want.Phase),
+		"dcsprint_power_dc_load_watts":     want.DCLoadW,
+		"dcsprint_power_pdu_load_watts":    want.PDULoadW,
+		"dcsprint_power_ups_watts":         want.UPSPowerW,
+		"dcsprint_power_gen_watts":         want.GenPowerW,
+		"dcsprint_cooling_plant_watts":     want.CoolPowerW,
+		"dcsprint_cooling_tes_watts":       want.TESRateW,
+		"dcsprint_cooling_room_celsius":    want.RoomTempC,
+	} {
+		if got := reg.Gauge(name, "").Value(); got != v {
+			t.Errorf("%s = %v, want %v", name, got, v)
+		}
+	}
+	if got := reg.Counter("dcsprint_sim_ticks_total", "").Value(); got != float64(last+1) {
+		t.Fatalf("ticks counter = %v, want %d", got, last+1)
+	}
+}
+
+// TestObserveResumedRunCoversWholeResult checks that a run restored from a
+// mid-trace snapshot observes exactly like the uninterrupted run: the
+// instrument reads the whole Result, ticks before the snapshot included.
+func TestObserveResumedRunCoversWholeResult(t *testing.T) {
+	sc := Scenario{Name: "resumed", Trace: mustTrace(workload.SyntheticYahoo(1, 3.2, 15*time.Minute))}
+	wantReg, wantTr := telemetry.NewRegistry(), telemetry.NewTracer()
+	observed(t, sc, wantReg, wantTr)
+
+	first, err := New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := first.Scenario().Trace.Samples
+	half := len(samples) / 2
+	for _, d := range samples[:half] {
+		if _, err := first.Step(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := first.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Restore(sc, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range samples[half:] {
+		if _, err := eng.Step(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := eng.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, tr := telemetry.NewRegistry(), telemetry.NewTracer()
+	NewInstrument(reg, tr).Observe(res)
+
+	if got := reg.Counter("dcsprint_sim_ticks_total", "").Value(); got != float64(len(samples)) {
+		t.Fatalf("ticks counter = %v, want the whole run's %d", got, len(samples))
+	}
+	var got, want strings.Builder
+	if err := reg.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := wantReg.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("resumed registry differs from the uninterrupted run's\n--- want\n%s--- got\n%s", &want, &got)
+	}
+	if !reflect.DeepEqual(tr.Spans(), wantTr.Spans()) || !reflect.DeepEqual(tr.Points(), wantTr.Points()) {
+		t.Fatal("resumed trace differs from the uninterrupted run's")
 	}
 }
 
@@ -81,14 +184,10 @@ func TestInstrumentPopulatesRegistryAndTracer(t *testing.T) {
 // a span's window is the series window shifted by one step.
 func TestPhaseSpansMatchPhaseTimeline(t *testing.T) {
 	tr := telemetry.NewTracer()
-	in := NewInstrument(telemetry.NewRegistry(), tr)
-	res, err := RunObserved(Scenario{
+	res := observed(t, Scenario{
 		Name:  "spans",
 		Trace: mustTrace(workload.SyntheticYahoo(1, 3.2, 15*time.Minute)),
-	}, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, telemetry.NewRegistry(), tr)
 	step := res.Telemetry.Required.Step
 	for _, s := range tr.Spans() {
 		phase := 0
@@ -124,31 +223,39 @@ func TestPhaseSpansMatchPhaseTimeline(t *testing.T) {
 	}
 }
 
+// TestInstrumentFaultProbes checks a faulted run's sensor bus and injector
+// feed the process-wide registry, and the instrument counts the applied
+// faults from the Result.
 func TestInstrumentFaultProbes(t *testing.T) {
 	sched, err := faults.Parse(strings.NewReader("2m sensor-stuck sensor=room-temp value=24 dur=3m\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	def := telemetry.Default()
+	injected := def.CounterWith("dcsprint_faults_injected_total", "",
+		telemetry.Labels{"kind": "sensor-stuck"})
+	windows := def.CounterWith("dcsprint_sensors_fault_windows_total", "",
+		telemetry.Labels{"kind": "sensor-stuck"})
+	reads := def.CounterWith("dcsprint_sensors_reads_total", "",
+		telemetry.Labels{"channel": "room"})
+	i0, w0, r0 := injected.Value(), windows.Value(), reads.Value()
 	reg := telemetry.NewRegistry()
-	in := NewInstrument(reg, nil)
-	if _, err := RunObserved(Scenario{
+	observed(t, Scenario{
 		Name:   "faulted",
 		Trace:  mustTrace(workload.SyntheticYahoo(1, 3.0, 10*time.Minute)),
 		Faults: sched,
-	}, in); err != nil {
-		t.Fatal(err)
+	}, reg, nil)
+	if got := injected.Value() - i0; got != 1 {
+		t.Fatalf("injected counter moved by %v, want 1", got)
 	}
-	if got := reg.CounterWith("dcsprint_faults_injected_total", "",
-		telemetry.Labels{"kind": "sensor-stuck"}).Value(); got != 1 {
-		t.Fatalf("injected counter = %v, want 1", got)
+	if got := windows.Value() - w0; got != 1 {
+		t.Fatalf("window counter moved by %v, want 1", got)
 	}
-	if got := reg.CounterWith("dcsprint_sensors_fault_windows_total", "",
-		telemetry.Labels{"kind": "sensor-stuck"}).Value(); got != 1 {
-		t.Fatalf("window counter = %v, want 1", got)
-	}
-	if got := reg.CounterWith("dcsprint_sensors_reads_total", "",
-		telemetry.Labels{"channel": "room"}).Value(); got == 0 {
+	if reads.Value() == r0 {
 		t.Fatal("no room sensor reads counted")
+	}
+	if got := reg.Counter("dcsprint_faults_applied_total", "").Value(); got != 1 {
+		t.Fatalf("applied counter = %v, want 1", got)
 	}
 }
 

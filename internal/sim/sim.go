@@ -215,24 +215,15 @@ func (r *Result) AvgBurstDegree() float64 {
 	return sum / float64(n)
 }
 
-// Run executes one scenario.
+// Run executes one scenario. It is a thin loop over Engine.Step: it
+// consumes the scenario's trace one sample at a time through exactly the
+// code path a streaming session uses, so the batch and streaming results
+// cannot drift.
 func Run(sc Scenario) (*Result, error) {
-	return RunObserved(sc, nil)
-}
-
-// RunObserved executes one scenario with an optional telemetry observer.
-// The observer is deliberately not part of the Scenario: Result.Scenario
-// echoes the input, and observation must never change the outcome — a run
-// with an observer attached is bit-for-bit identical to one without.
-//
-// RunObserved is a thin loop over Engine.Step: it consumes the scenario's
-// trace one sample at a time through exactly the code path a streaming
-// session uses, so the batch and streaming results cannot drift.
-func RunObserved(sc Scenario, obs Observer) (*Result, error) {
 	if err := sc.normalize(); err != nil {
 		return nil, err
 	}
-	eng, err := NewObserved(sc, obs)
+	eng, err := New(sc)
 	if err != nil {
 		return nil, err
 	}

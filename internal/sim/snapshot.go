@@ -71,13 +71,19 @@ const numSeries = 11
 type snapWriter struct{ buf []byte }
 
 func (w *snapWriter) u8(v uint8)          { w.buf = append(w.buf, v) }
-func (w *snapWriter) bool(v bool)         { w.u8(map[bool]uint8{false: 0, true: 1}[v]) }
 func (w *snapWriter) u16(v uint16)        { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
 func (w *snapWriter) u32(v uint32)        { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *snapWriter) u64(v uint64)        { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *snapWriter) i64(v int64)         { w.u64(uint64(v)) }
 func (w *snapWriter) f64(v float64)       { w.u64(math.Float64bits(v)) }
 func (w *snapWriter) dur(v time.Duration) { w.i64(int64(v)) }
+func (w *snapWriter) bool(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
 func (w *snapWriter) str(s string) {
 	w.u16(uint16(len(s)))
 	w.buf = append(w.buf, s...)
@@ -780,12 +786,6 @@ func applyImage(e *Engine, img *snapImage) error {
 // the original. Corrupt or mismatched snapshots return an error — never a
 // panic, never a half-restored engine.
 func Restore(sc Scenario, snap []byte) (*Engine, error) {
-	return RestoreObserved(sc, snap, nil)
-}
-
-// RestoreObserved is Restore with an optional telemetry observer attached to
-// the resumed run.
-func RestoreObserved(sc Scenario, snap []byte, obs Observer) (*Engine, error) {
 	img, _, err := decodeImage(snap, true)
 	if err != nil {
 		return nil, err
@@ -793,7 +793,7 @@ func RestoreObserved(sc Scenario, snap []byte, obs Observer) (*Engine, error) {
 	if sc.Faults != nil {
 		return nil, ErrSnapshotFaults
 	}
-	e, err := NewObserved(sc, obs)
+	e, err := New(sc)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,8 @@ import (
 //
 //	GET /debug/tsdb                          list series names
 //	GET /debug/tsdb?series=X&from=&to=&step= range query (ms timestamps;
-//	    from/to <= 0 are relative to now, so from=-60000 is "last minute")
+//	    from/to <= 0 are relative to now, so from=-60000 is "last minute";
+//	    a range needing more than maxQueryBuckets buckets is a 400)
 //	GET /debug/slo                           rules + active alerts
 //	GET /debug/dash                          self-contained live dashboard
 //
@@ -37,6 +38,11 @@ func (h *Handler) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/slo", h.handleSLO)
 	mux.HandleFunc("/debug/dash", h.handleDash)
 }
+
+// maxQueryBuckets bounds the buckets one range query may return per
+// series: Series.Query allocates them all up front, so an unbounded
+// from/to/step from the URL could exhaust the daemon's memory.
+const maxQueryBuckets = 10_000
 
 // queryResponse is the /debug/tsdb?series= wire shape.
 type queryResponse struct {
@@ -143,12 +149,20 @@ func (h *Handler) handleTSDB(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tsdb: empty range", http.StatusBadRequest)
 		return
 	}
+	span := to - from
+	if span <= 0 {
+		http.Error(w, "tsdb: range overflows", http.StatusBadRequest)
+		return
+	}
 	if step <= 0 {
 		// Default to ~240 buckets across the range, at least 1ms.
-		step = (to - from) / 240
-		if step < 1 {
-			step = 1
-		}
+		step = max(span/240, 1)
+	}
+	// ceil(span/step), written so a huge step cannot overflow.
+	if (span-1)/step+1 > maxQueryBuckets {
+		http.Error(w, "tsdb: range needs more than "+strconv.Itoa(maxQueryBuckets)+" buckets; widen step",
+			http.StatusBadRequest)
+		return
 	}
 	list := strings.Split(names, ",")
 	resp := queryResponse{Now: now, From: from, To: to, Step: step,

@@ -104,11 +104,63 @@ func TestHTTPQuery(t *testing.T) {
 		"/debug/tsdb?series=x&from=banana",
 		"/debug/tsdb?series=x&from=2000&to=1000",
 		"/debug/tsdb?series=x&step=nope",
+		// More than maxQueryBuckets buckets, relative and absolute.
+		"/debug/tsdb?series=x&from=-20001&step=1",
+		"/debug/tsdb?series=x&from=1&to=10002&step=1",
+		// to-from overflows int64.
+		"/debug/tsdb?series=x&from=-9223372036854775807&to=9223372036854775807",
 	} {
 		if w := get(t, mux, bad); w.Code != 400 {
 			t.Fatalf("%s: %d", bad, w.Code)
 		}
 	}
+	// The bound itself is allowed, and a step wider than the whole int64
+	// range is one bucket, not an overflow.
+	for _, ok := range []string{
+		"/debug/tsdb?series=x&from=1&to=10001&step=1",
+		"/debug/tsdb?series=x&from=1&to=9223372036854775807&step=9223372036854775807",
+	} {
+		if w := get(t, mux, ok); w.Code != 200 {
+			t.Fatalf("%s: %d %s", ok, w.Code, w.Body.String())
+		}
+	}
+}
+
+// FuzzTSDBQuery drives the range-query parameters with arbitrary strings:
+// the handler must never panic, and a 200 holds at most maxQueryBuckets
+// buckets per series.
+func FuzzTSDBQuery(f *testing.F) {
+	f.Add("x", "-60000", "", "")
+	f.Add("x,ghost", "1", "60000", "5000")
+	f.Add("x", "-20001", "0", "1")
+	f.Add("x", "-9223372036854775807", "9223372036854775807", "")
+	f.Add("x", "1", "9223372036854775807", "9223372036854775807")
+	f.Add("x", "-9223372036854775808", "-1", "-9223372036854775808")
+	f.Add("x{a=b}", "banana", "", "")
+	st := New(Options{})
+	for ts := int64(0); ts < 60_000; ts += 100 {
+		st.Series("x").Append(ts, float64(ts))
+	}
+	h := NewHandler(st, nil)
+	h.clock = func() int64 { return 60_000 }
+	mux := http.NewServeMux()
+	h.Register(mux)
+	f.Fuzz(func(t *testing.T, series, from, to, step string) {
+		q := url.Values{"series": {series}, "from": {from}, "to": {to}, "step": {step}}
+		w := get(t, mux, "/debug/tsdb?"+q.Encode())
+		if w.Code != 200 || series == "" {
+			return
+		}
+		var resp queryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 body does not decode: %v\n%s", err, w.Body.String())
+		}
+		for name, b := range resp.Series {
+			if len(b) > maxQueryBuckets {
+				t.Fatalf("series %q: %d buckets, want at most %d", name, len(b), maxQueryBuckets)
+			}
+		}
+	})
 }
 
 func TestHTTPSLO(t *testing.T) {

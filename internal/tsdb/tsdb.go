@@ -423,7 +423,8 @@ func (s *Series) Query(from, to, step int64) []Bucket {
 		step = s.opts.T1Width
 	}
 	s.mu.Lock()
-	n := int((to - from + step - 1) / step)
+	// ceil((to-from)/step), written so a huge step cannot overflow.
+	n := int((to-from-1)/step + 1)
 	out := make([]Bucket, n)
 	on := make([]bool, n)
 	fold := func(ts int64, b Bucket) {

@@ -66,20 +66,10 @@ type PlantRecorder = sim.PlantRecorder
 // NewEngine builds an engine over a scenario without running it.
 func NewEngine(sc Scenario) (*Engine, error) { return sim.New(sc) }
 
-// NewObservedEngine builds an engine with a telemetry observer attached.
-func NewObservedEngine(sc Scenario, obs Observer) (*Engine, error) {
-	return sim.NewObserved(sc, obs)
-}
-
 // RestoreEngine rebuilds an engine from a scenario and a Snapshot payload,
 // resuming it to a bit-identical future; see sim.Restore.
 func RestoreEngine(sc Scenario, snap []byte) (*Engine, error) {
 	return sim.Restore(sc, snap)
-}
-
-// RestoreObservedEngine is RestoreEngine with a telemetry observer attached.
-func RestoreObservedEngine(sc Scenario, snap []byte, obs Observer) (*Engine, error) {
-	return sim.RestoreObserved(sc, snap, obs)
 }
 
 // Batch owns N engines in a slot table and advances every live session one

@@ -1,14 +1,13 @@
 package dcsprint
 
 // This file is the observability facade: the unified metrics registry,
-// lifecycle tracer, run observers and the live exposition server. The
+// lifecycle tracer, the run instrument and the live exposition server. The
 // implementation lives in internal/telemetry; see DESIGN.md's "Telemetry"
 // section.
 
 import (
 	"io"
 
-	"dcsprint/internal/core"
 	"dcsprint/internal/sim"
 	"dcsprint/internal/telemetry"
 )
@@ -23,9 +22,8 @@ type (
 	Tracer = telemetry.Tracer
 	// TraceRecord is the JSONL wire form of one span or point.
 	TraceRecord = telemetry.TraceRecord
-	// Observer receives run activity as it happens; see sim.Observer.
-	Observer = sim.Observer
-	// Instrument is the standard Observer feeding a registry and tracer.
+	// Instrument feeds a finished run's Result into a registry and tracer;
+	// see sim.Instrument.
 	Instrument = sim.Instrument
 	// TelemetryServer exposes /metrics, /healthz, /trace.jsonl and pprof.
 	TelemetryServer = telemetry.Server
@@ -41,15 +39,11 @@ func DefaultMetricRegistry() *MetricRegistry { return telemetry.Default() }
 // NewTracer returns an empty lifecycle tracer.
 func NewTracer() *Tracer { return telemetry.NewTracer() }
 
-// NewInstrument returns the standard run observer over a registry and an
-// optional tracer.
+// NewInstrument returns a run instrument over a registry and an optional
+// tracer.
 func NewInstrument(reg *MetricRegistry, tr *Tracer) *Instrument {
 	return sim.NewInstrument(reg, tr)
 }
-
-// RunObserved executes one scenario with a telemetry observer attached; the
-// Result is bit-for-bit identical to Run's.
-func RunObserved(sc Scenario, obs Observer) (*Result, error) { return sim.RunObserved(sc, obs) }
 
 // WriteRunCSV writes a run's canonical per-second telemetry table; one
 // schema shared by every CSV consumer. It is a thin wrapper around
@@ -61,7 +55,3 @@ func WriteRunCSV(w io.Writer, res *Result) error { return res.WriteCSV(w) }
 func StartTelemetryServer(addr string, reg *MetricRegistry, tr *Tracer) (*TelemetryServer, error) {
 	return telemetry.StartServer(addr, reg, tr)
 }
-
-// TraceEventRecord converts one controller event into tracer activity; see
-// core.TraceEvent.
-func TraceEventRecord(tr *Tracer, e Event) bool { return core.TraceEvent(tr, e) }
