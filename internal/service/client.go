@@ -114,6 +114,7 @@ type Client struct {
 
 	mu         sync.Mutex
 	seq        int64
+	reqPrefix  []byte // Trace+".", the request ids' shared prefix
 	retries    *telemetry.Counter
 	reconnects *telemetry.Counter
 	rng        *rand.Rand
@@ -147,20 +148,27 @@ func (c *Client) http() *http.Client {
 func (c *Client) TraceID() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.traceLocked()
+}
+
+func (c *Client) traceLocked() string {
 	if c.Trace == "" {
 		c.Trace = telemetry.NewTraceID()
 	}
 	return c.Trace
 }
 
-// nextReq returns a fresh request id: the trace id plus an ordinal.
+// nextReq returns a fresh request id: the trace id, a dot and an ordinal.
 func (c *Client) nextReq() string {
-	trace := c.TraceID()
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	trace := c.traceLocked()
+	if len(c.reqPrefix) != len(trace)+1 || string(c.reqPrefix[:len(trace)]) != trace {
+		// Spare capacity for the ordinal, so AppendInt never grows it.
+		c.reqPrefix = append(append(make([]byte, 0, len(trace)+21), trace...), '.')
+	}
 	c.seq++
-	n := c.seq
-	c.mu.Unlock()
-	return fmt.Sprintf("%s.%d", trace, n)
+	return string(strconv.AppendInt(c.reqPrefix, c.seq, 10))
 }
 
 // retryCounter returns the client-retries counter, registering it lazily.
@@ -224,30 +232,37 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("service: HTTP %d: %s", e.Status, e.Message)
 }
 
+// retryHint converts a server's backoff hint of n units to a duration. Hints
+// outside (0s, 1h] are discarded: a zero, negative or absurdly long hint from
+// a confused or hostile server must not stall the client.
+func retryHint(n float64, unit time.Duration) time.Duration {
+	if d := n * float64(unit); d > 0 && d <= float64(time.Hour) {
+		return time.Duration(d)
+	}
+	return 0
+}
+
 // retryAfterHeader parses the Retry-After header: decimal seconds first —
 // the form this control plane emits, fractional included, since sub-second
 // backoffs matter at step cadence — then the RFC 9110 HTTP-date form that
 // proxies and other servers send, interpreted relative to the response's
-// own Date header when present. Hints outside (0s, 1h] are discarded.
+// own Date header when present. The hint is bounded by retryHint.
 func retryAfterHeader(resp *http.Response) time.Duration {
 	v := strings.TrimSpace(resp.Header.Get("Retry-After"))
 	if v == "" {
 		return 0
 	}
-	var d time.Duration
 	if secs, err := strconv.ParseFloat(v, 64); err == nil {
-		d = time.Duration(secs * float64(time.Second))
-	} else if at, err := http.ParseTime(v); err == nil {
+		return retryHint(secs, time.Second)
+	}
+	if at, err := http.ParseTime(v); err == nil {
 		now := time.Now()
 		if sent, err := http.ParseTime(resp.Header.Get("Date")); err == nil {
 			now = sent
 		}
-		d = at.Sub(now)
+		return retryHint(float64(at.Sub(now)), time.Nanosecond)
 	}
-	if d <= 0 || d > time.Hour {
-		return 0
-	}
-	return d
+	return 0
 }
 
 // stamp attaches the trace headers for one request.
@@ -367,10 +382,11 @@ func (c *Client) List(ctx context.Context) ([]SessionInfo, error) {
 // carries a fresh request id, so the server can tag its spans, exemplars and
 // flight events with it.
 type Stream struct {
-	pw      *io.PipeWriter
+	body    *stepBody
 	resp    *http.Response
 	br      *bufio.Reader // resp.Body, read a line at a time
 	buf     []byte        // the outgoing line, reused
+	line    StepLine      // the incoming line, reused
 	c       *Client
 	session string
 	lastRID string
@@ -378,6 +394,91 @@ type Stream struct {
 	hello     StreamHello
 	seq       int64 // the tick the next Step applies to
 	lastAcked int64 // tick of the last decision read; -1 before the first
+}
+
+// errStepBodyRead is what a steps stream body returns to a reader: only a
+// transport that copies bodies through io.WriterTo, as net/http's HTTP/1.1
+// Transport does, can carry the stream.
+var errStepBodyRead = errors.New("service: the steps stream body is written through WriteTo; it needs the HTTP/1.1 Transport")
+
+// stepBody is a steps stream's request body. The HTTP/1.1 Transport copies a
+// request body with io.Copy, which hands its chunked connection writer to
+// WriteTo on the Transport's write goroutine. WriteTo parks that writer here
+// and blocks until the stream ends, so each Step writes its line straight
+// into the connection from the caller's goroutine, one flushed chunk per
+// line, instead of waking the write goroutine for every line.
+//
+// The caller and the write goroutine share the connection's buffered
+// writer, so mu keeps them apart: a Write holds it, and end takes it before
+// releasing WriteTo. Once the body has ended, nothing but the write
+// goroutine touches the writer again.
+type stepBody struct {
+	mu    sync.Mutex
+	w     io.Writer // the chunked writer, set when WriteTo arrives
+	n     int64     // bytes written through w
+	ended bool
+	err   error         // what WriteTo returns; nil for a clean close
+	ready chan struct{} // closed once w is set or the body has ended
+	done  chan struct{} // closed when the body ends; releases WriteTo
+}
+
+func newStepBody() *stepBody {
+	return &stepBody{ready: make(chan struct{}), done: make(chan struct{})}
+}
+
+// WriteTo lends w to the stream's Writes until the body ends. A nil return
+// lets the Transport write the terminating chunk; an error makes it drop the
+// connection.
+func (b *stepBody) WriteTo(w io.Writer) (int64, error) {
+	b.mu.Lock()
+	if b.ended {
+		b.mu.Unlock()
+		return 0, b.err
+	}
+	b.w = w
+	close(b.ready)
+	b.mu.Unlock()
+	<-b.done
+	return b.n, b.err
+}
+
+// Write sends one line as one chunk, waiting first for WriteTo to lend the
+// writer. After the body has ended it returns io.ErrClosedPipe.
+func (b *stepBody) Write(p []byte) (int, error) {
+	<-b.ready
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.ended {
+		return 0, io.ErrClosedPipe
+	}
+	n, err := b.w.Write(p)
+	b.n += int64(n)
+	return n, err
+}
+
+// Read always fails: the stream has no fallback for a transport that reads.
+func (b *stepBody) Read([]byte) (int, error) { return 0, errStepBodyRead }
+
+// Close is the Transport letting go of the body: after WriteTo returns, or
+// when it abandons the request. It ends the body, which wakes a waiting
+// Write with an error.
+func (b *stepBody) Close() error {
+	b.end(io.ErrClosedPipe)
+	return nil
+}
+
+// end releases WriteTo with err once, after any Write in flight.
+func (b *stepBody) end(err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.ended {
+		return
+	}
+	b.ended, b.err = true, err
+	if b.w == nil {
+		close(b.ready)
+	}
+	close(b.done)
 }
 
 // defaultStreamOpenTimeout bounds the stream open phase (dial, response
@@ -389,55 +490,55 @@ const defaultStreamOpenTimeout = 30 * time.Second
 // hello line, which names the tick the next step will apply to. The open
 // phase is bounded by Retry.OpTimeout (defaultStreamOpenTimeout when unset):
 // if the connection dies before the response headers arrive, the transport
-// waits for its write loop and the write loop waits for request-body data
-// that will never come — only closing the body pipe breaks that cycle.
+// waits for its write goroutine, which holds the request body until the
+// stream ends — only ending the body breaks that cycle.
+//
+// Steps write their lines from the caller's goroutine (see stepBody), which
+// needs net/http's HTTP/1.1 Transport; a transport that reads request
+// bodies instead fails the stream.
 func (c *Client) Stream(ctx context.Context, id string) (*Stream, error) {
-	pr, pw := io.Pipe()
+	body := newStepBody()
 	openT := c.Retry.withDefaults().OpTimeout
 	if openT <= 0 {
 		openT = defaultStreamOpenTimeout
 	}
 	octx, ocancel := context.WithTimeout(ctx, openT)
 	defer ocancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/sessions/"+id+"/steps", pr)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/sessions/"+id+"/steps", body)
 	if err != nil {
-		pw.Close()
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	c.stamp(req, c.nextReq())
 	// The server commits its headers before the first input line, so Do
-	// returns while the request body pipe stays open for streaming.
-	stop := context.AfterFunc(octx, func() { pw.CloseWithError(octx.Err()) })
+	// returns while the request body stays open for streaming.
+	stop := context.AfterFunc(octx, func() { body.end(octx.Err()) })
 	resp, err := c.http().Do(req)
 	stop()
 	if err != nil {
-		pw.Close()
+		body.end(err)
 		if octx.Err() != nil && ctx.Err() == nil {
 			return nil, fmt.Errorf("service: stream open timed out after %v: %w", openT, err)
 		}
 		return nil, err
 	}
+	s := &Stream{
+		body: body, resp: resp, br: newLineReader(resp.Body),
+		c: c, session: id,
+	}
 	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		pw.Close()
 		var apiErr struct {
 			Error string `json:"error"`
 		}
 		json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&apiErr) //nolint:errcheck
-		return nil, &APIError{Status: resp.StatusCode, Message: apiErr.Error,
+		err := &APIError{Status: resp.StatusCode, Message: apiErr.Error,
 			RetryAfter: retryAfterHeader(resp)}
-	}
-	s := &Stream{
-		pw: pw, resp: resp, br: newLineReader(resp.Body),
-		c: c, session: id,
+		s.abort(err)
+		return nil, err
 	}
 	// Read the hello under the open context: tear the stream down on
 	// cancellation or open timeout, the only way to unblock the body read.
-	stop = context.AfterFunc(octx, func() {
-		pw.CloseWithError(octx.Err())
-		resp.Body.Close()
-	})
+	stop = context.AfterFunc(octx, func() { s.abort(octx.Err()) })
 	raw, err := readLine(s.br)
 	if err == nil {
 		err = json.Unmarshal(raw, &s.hello)
@@ -452,13 +553,21 @@ func (c *Client) Stream(ctx context.Context, id string) (*Stream, error) {
 		err = fmt.Errorf("service: steps stream did not start with a hello line")
 	}
 	if err != nil {
-		pw.Close()
-		resp.Body.Close()
+		s.abort(err)
 		return nil, err
 	}
 	s.seq = s.hello.Tick
 	s.lastAcked = s.hello.Tick - 1
 	return s, nil
+}
+
+// abort tears the stream down. Closing the response body first ends the
+// connection, which fails any Write in flight; only then is WriteTo
+// released, so the Transport's write goroutine never touches the
+// connection while a Write still does.
+func (s *Stream) abort(err error) {
+	s.resp.Body.Close()
+	s.body.end(err)
 }
 
 // Tick returns the tick the next Step will apply to.
@@ -551,20 +660,20 @@ func (s *Stream) stepRaw(demand float64, rid string) (Decision, error) {
 	if s.buf, err = appendStepRequest(s.buf[:0], &StepRequest{Demand: demand, Seq: &seq, RID: rid}); err != nil {
 		return Decision{}, err
 	}
-	if _, err = s.pw.Write(s.buf); err != nil {
+	if _, err = s.body.Write(s.buf); err != nil {
 		return Decision{}, err
 	}
 	raw, err := readLine(s.br)
 	if err != nil {
 		return Decision{}, err
 	}
-	var line StepLine
-	if err := decodeStepLine(raw, &line); err != nil {
+	line := &s.line
+	if err := decodeStepLine(raw, line); err != nil {
 		return Decision{}, err
 	}
 	if line.Err != "" {
 		return Decision{}, &APIError{Status: line.Code, Message: line.Err,
-			RetryAfter: time.Duration(line.RetryAfterMs) * time.Millisecond}
+			RetryAfter: retryHint(float64(line.RetryAfterMs), time.Millisecond)}
 	}
 	if line.Decision == nil {
 		return Decision{}, fmt.Errorf("service: stream line with neither decision nor error")
@@ -583,11 +692,11 @@ func (s *Stream) stepOnce(ctx context.Context, demand float64) (Decision, error)
 	if err := ctx.Err(); err != nil {
 		return Decision{}, err
 	}
-	stop := context.AfterFunc(ctx, func() {
-		s.pw.CloseWithError(ctx.Err())
-		s.resp.Body.Close()
-	})
-	defer stop()
+	// A context that cannot be canceled needs no teardown hook.
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { s.abort(ctx.Err()) })
+		defer stop()
+	}
 	d, err := s.Step(demand)
 	if cerr := ctx.Err(); cerr != nil {
 		return Decision{}, cerr
@@ -615,9 +724,11 @@ func (s *Stream) StepContext(ctx context.Context, demand float64) (Decision, err
 		if cancel != nil {
 			cancel()
 		}
+		if err == nil || attempt+1 >= p.MaxAttempts {
+			return d, err
+		}
 		var apiErr *APIError
-		if err == nil || !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests ||
-			attempt+1 >= p.MaxAttempts {
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 			return d, err
 		}
 		s.c.retryCounter().Inc()
@@ -630,7 +741,9 @@ func (s *Stream) StepContext(ctx context.Context, demand float64) (Decision, err
 // Close ends the stream. The session stays alive for snapshots, further
 // streams, or Finish.
 func (s *Stream) Close() error {
-	s.pw.Close()
+	// A clean end: the Transport writes the terminating chunk, the server
+	// ends its reply, and the drained connection goes back to the pool.
+	s.body.end(nil)
 	io.Copy(io.Discard, s.resp.Body) //nolint:errcheck // drain for connection reuse
 	return s.resp.Body.Close()
 }

@@ -223,10 +223,10 @@ func (m *Manager) handleSteps(w http.ResponseWriter, r *http.Request) {
 	tc := traceFrom(w, r)
 	s, err := m.lookup(id)
 	if err != nil {
-		// The client streams its request body through a pipe that stays
-		// open until it sees a response; without Connection: close the
-		// server would drain the unread chunked body before committing
-		// the error headers and both sides would deadlock.
+		// The client keeps its streamed request body open until it sees
+		// a response; without Connection: close the server would drain
+		// the unread chunked body before committing the error headers and
+		// both sides would deadlock.
 		w.Header().Set("Connection", "close")
 		writeError(w, err)
 		return
