@@ -286,23 +286,38 @@ func (c *Client) postJSON(ctx context.Context, path, rid string, in, out any) er
 }
 
 func (c *Client) doJSON(req *http.Request, want int, out any) error {
-	resp, err := c.http().Do(req)
+	resp, err := c.do(req, want)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != want {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&apiErr) //nolint:errcheck
-		return &APIError{Status: resp.StatusCode, Message: apiErr.Error,
-			RetryAfter: retryAfterHeader(resp)}
-	}
 	if out == nil {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// do sends req and returns the response if its status is want. Any other
+// status closes the body and is an *APIError.
+func (c *Client) do(req *http.Request, want int) (*http.Response, error) {
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != want {
+		defer resp.Body.Close()
+		return nil, apiError(resp)
+	}
+	return resp, nil
+}
+
+// apiError reads an error reply's message.
+func apiError(resp *http.Response) *APIError {
+	var body struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body) //nolint:errcheck
+	return &APIError{Status: resp.StatusCode, Message: body.Error, RetryAfter: retryAfterHeader(resp)}
 }
 
 // Create opens a session.
@@ -355,12 +370,36 @@ func (c *Client) Finish(ctx context.Context, id string) (ResultView, error) {
 	}
 	c.stamp(req, rid)
 	var v ResultView
-	if err := c.doJSON(req, http.StatusOK, &v); err != nil {
+	if err := c.finish(req, &v); err != nil {
 		c.span("finish", id, rid, start, err.Error())
 		return ResultView{}, err
 	}
 	c.span("finish", id, rid, start, "")
 	return v, nil
+}
+
+// finish reads a finish reply whole and decodes it with the wire codec.
+func (c *Client) finish(req *http.Request, v *ResultView) error {
+	resp, err := c.do(req, http.StatusOK)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	// Content-Length sizes the buffer, up to the cap on request bodies.
+	var body []byte
+	if n := resp.ContentLength; n > 0 && n <= maxBodyBytes {
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		body, err = io.ReadAll(resp.Body)
+	}
+	if err != nil {
+		return fmt.Errorf("service: reading finish reply: %w", err)
+	}
+	if err := decodeResultView(body, v); err != nil {
+		return fmt.Errorf("service: decoding finish reply: %w", err)
+	}
+	return nil
 }
 
 // List returns the live sessions.
@@ -527,12 +566,7 @@ func (c *Client) Stream(ctx context.Context, id string) (*Stream, error) {
 		c: c, session: id,
 	}
 	if resp.StatusCode != http.StatusOK {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&apiErr) //nolint:errcheck
-		err := &APIError{Status: resp.StatusCode, Message: apiErr.Error,
-			RetryAfter: retryAfterHeader(resp)}
+		err := apiError(resp)
 		s.abort(err)
 		return nil, err
 	}

@@ -79,6 +79,10 @@ func statusOf(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrTraceExhausted), errors.Is(err, ErrStepSeq):
 		return http.StatusConflict
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, errNotFinite):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}
@@ -121,6 +125,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // 2^20 samples of ~20 JSON bytes each, plus slack for bound tables.
 const maxBodyBytes = 64 << 20
 
+// errTrailingData rejects a request body with more than whitespace after
+// its JSON document.
+var errTrailingData = errors.New("service: request body has data after its JSON document")
+
+// decodeBody decodes r's body, one JSON document of at most maxBodyBytes,
+// into v. A longer body is a *http.MaxBytesError.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	}
+	return errTrailingData
+}
+
 // Handler returns the control-plane API:
 //
 //	POST   /v1/sessions              open a session from a ScenarioSpec
@@ -145,7 +169,7 @@ func (m *Manager) Handler() http.Handler {
 func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	tc := traceFrom(w, r)
 	var spec ScenarioSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&spec); err != nil {
+	if err := decodeBody(w, r, &spec); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -160,7 +184,7 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (m *Manager) handleRestore(w http.ResponseWriter, r *http.Request) {
 	tc := traceFrom(w, r)
 	var doc SnapshotDoc
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&doc); err != nil {
+	if err := decodeBody(w, r, &doc); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -205,7 +229,16 @@ func (m *Manager) handleFinish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, NewResultView(res))
+	v := NewResultView(res)
+	body, err := appendResultView(nil, &v)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck
 }
 
 // badLineGrace is how long a steps stream that rejected a line waits for

@@ -2,9 +2,13 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -367,6 +371,70 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if m.metrics.active.Value() != 0 {
 		t.Error("failed create leaked an active-session slot")
+	}
+}
+
+// spaces is an endless body of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestCreateRestoreBodies: create and restore take exactly one JSON
+// document. Whitespace may follow it; anything else is a 400, and a body
+// over maxBodyBytes is a 413. A rejected body opens no session.
+func TestCreateRestoreBodies(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	s, err := m.Create(ScenarioSpec{})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	doc, err := m.Snapshot(s.ID)
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if _, err := m.Finish(s.ID); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	snap, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	h := m.Handler()
+	live := 0
+	for _, ep := range []struct{ path, doc string }{
+		{"/v1/sessions", "{}"},
+		{"/v1/sessions/restore", string(snap)},
+	} {
+		for _, c := range []struct {
+			name string
+			body io.Reader
+			want int
+		}{
+			{"trailing whitespace", strings.NewReader(ep.doc + " \n\t\r\n"), http.StatusCreated},
+			{"trailing garbage", strings.NewReader(ep.doc + " trailing garbage"), http.StatusBadRequest},
+			{"second document", strings.NewReader(ep.doc + ep.doc), http.StatusBadRequest},
+			{"trailing brace", strings.NewReader(ep.doc + "}"), http.StatusBadRequest},
+			{"oversize", io.MultiReader(strings.NewReader(ep.doc), io.LimitReader(spaces{}, maxBodyBytes)),
+				http.StatusRequestEntityTooLarge},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep.path, c.body))
+			if rec.Code != c.want {
+				t.Fatalf("POST %s, %s: status %d (%s), want %d", ep.path, c.name, rec.Code, rec.Body, c.want)
+			}
+			if c.want == http.StatusCreated {
+				live++
+			}
+			if n := len(m.List()); n != live {
+				t.Fatalf("POST %s, %s: %d live sessions, want %d", ep.path, c.name, n, live)
+			}
+		}
 	}
 }
 

@@ -2,22 +2,27 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
+	"strings"
+	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// The steps stream is line-framed NDJSON: one JSON object per line, a
-// StepRequest per input line and a StepLine per output line. This file is
-// its per-line codec. Encoding appends into a caller-owned buffer and emits
-// exactly the bytes encoding/json's Encoder would, so the wire format is
-// encoding/json's. Decoding scans the flat objects those encoders emit —
-// scalar values, escape-free strings, known keys in any order — and hands
-// every other line to json.Unmarshal, which stays the reference semantics.
+// This file is the JSON codec for the two hot replies: the steps stream's
+// lines and the finish reply. The steps stream is line-framed NDJSON, one
+// JSON object per line: a StepRequest per input line and a StepLine per
+// output line. The finish reply is one ResultView document. Encoding
+// appends into a caller-owned buffer and emits exactly the bytes
+// encoding/json's Encoder would, so the wire format is encoding/json's.
+// Decoding scans the shapes those encoders emit — scalars, strings,
+// number arrays, the known keys in any order — and hands every other
+// input to json.Unmarshal, which stays the reference semantics.
 
 // maxStepLine caps one line of the steps stream, newline included. A
 // canonical request is under 100 bytes and a decision line under 500.
@@ -98,10 +103,8 @@ func appendStepLine(b []byte, l *StepLine) ([]byte, error) {
 		b = appendFloatField(b, "delivered", d.Delivered)
 		b = appendFloatField(b, "degree", d.Degree)
 		b = appendFloatField(b, "bound", d.Bound)
-		b = append(b, `,"phase":`...)
-		b = strconv.AppendInt(b, int64(d.Phase), 10)
-		b = append(b, `,"active_cores":`...)
-		b = strconv.AppendInt(b, int64(d.ActiveCores), 10)
+		b = appendIntField(b, "phase", int64(d.Phase))
+		b = appendIntField(b, "active_cores", int64(d.ActiveCores))
 		b = appendFloatField(b, "it_power_w", d.ITPowerW)
 		b = appendFloatField(b, "cooling_power_w", d.CoolingPowerW)
 		b = appendFloatField(b, "dc_load_w", d.DCLoadW)
@@ -141,14 +144,151 @@ func appendStepLine(b []byte, l *StepLine) ([]byte, error) {
 	return append(b, '}', '\n'), nil
 }
 
-// finite rejects what JSON cannot carry, as encoding/json does.
+// errNotFinite is the codec's error for a NaN or Inf, which JSON cannot
+// carry, as encoding/json rejects them.
+var errNotFinite = errors.New("service: JSON cannot carry the value")
+
 func finite(fs ...float64) error {
 	for _, f := range fs {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("service: step line: unsupported value %v", f)
+			return fmt.Errorf("%w %v", errNotFinite, f)
 		}
 	}
 	return nil
+}
+
+// appendResultView appends v's finish reply, newline included: the bytes
+// json.Encoder writes for v. A NaN or Inf anywhere in v is an error and
+// leaves b as it was.
+func appendResultView(b []byte, v *ResultView) ([]byte, error) {
+	if err := finite(v.AvgBurstPerformance, v.Improvement, v.MaxBreakerStress, v.ExcessServed,
+		v.SplitUPSJ, v.SplitTESJ, v.SplitCBOverloadJ, v.DCRatedW, v.PDURatedW); err != nil {
+		return b, err
+	}
+	start := len(b)
+	b = append(b, '{')
+	if v.Name != "" {
+		b = appendString(append(b, `"name":`...), v.Name)
+		b = append(b, ',')
+	}
+	b = append(b, `"step_ns":`...)
+	b = strconv.AppendInt(b, v.StepNs, 10)
+	b = appendIntField(b, "ticks", int64(v.Ticks))
+	b = appendFloatField(b, "avg_burst_performance", v.AvgBurstPerformance)
+	b = appendFloatField(b, "improvement", v.Improvement)
+	b = appendIntField(b, "sprint_sustained_ns", v.SprintSustainedNs)
+	b = appendIntField(b, "tripped_at_ns", v.TrippedAtNs)
+	if v.Dead {
+		b = append(b, `,"dead":true`...)
+	}
+	if v.Aborts != 0 {
+		b = appendIntField(b, "aborts", int64(v.Aborts))
+	}
+	b = appendFloatField(b, "max_breaker_stress", v.MaxBreakerStress)
+	b = appendFloatField(b, "excess_served", v.ExcessServed)
+	if v.FaultsApplied != 0 {
+		b = appendIntField(b, "faults_applied", int64(v.FaultsApplied))
+	}
+	b = appendFloatField(b, "split_ups_j", v.SplitUPSJ)
+	b = appendFloatField(b, "split_tes_j", v.SplitTESJ)
+	b = appendFloatField(b, "split_cb_overload_j", v.SplitCBOverloadJ)
+	b = appendFloatField(b, "dc_rated_w", v.DCRatedW)
+	b = appendFloatField(b, "pdu_rated_w", v.PDURatedW)
+	if len(v.Events) > 0 {
+		b = append(b, `,"events":[`...)
+		for i := range v.Events {
+			ev := &v.Events[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"time_ns":`...)
+			b = strconv.AppendInt(b, ev.TimeNs, 10)
+			b = appendIntField(b, "kind", int64(ev.Kind))
+			b = appendString(append(b, `,"name":`...), ev.Name)
+			if ev.Detail != "" {
+				b = appendString(append(b, `,"detail":`...), ev.Detail)
+			}
+			if ev.From != 0 {
+				b = appendIntField(b, "from", int64(ev.From))
+			}
+			if ev.To != 0 {
+				b = appendIntField(b, "to", int64(ev.To))
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	t := &v.Telemetry
+	b = append(b, `,"telemetry":{`...)
+	for i, s := range [...]struct {
+		key string
+		fs  []float64
+	}{
+		{"required", t.Required}, {"achieved", t.Achieved}, {"degree", t.Degree},
+		{"dc_load_w", t.DCLoadW}, {"pdu_load_w", t.PDULoadW}, {"ups_power_w", t.UPSPowerW},
+		{"gen_power_w", t.GenPowerW}, {"ups_soc", t.UPSSoC}, {"cooling_power_w", t.CoolingPowerW},
+		{"tes_rate_w", t.TESRateW}, {"room_temp_c", t.RoomTempC},
+	} {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, '"'), s.key...), '"', ':')
+		var err error
+		if b, err = appendFloats(b, s.fs); err != nil {
+			return b[:start], fmt.Errorf("%w (telemetry %s)", err, s.key)
+		}
+	}
+	b = append(b, `,"phase":`...)
+	if t.Phase == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range t.Phase {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(p), 10)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}', '}', '\n'), nil
+}
+
+// appendFloats appends fs as a JSON array, null when fs is nil. A result's
+// series are mostly runs of bit-identical values, so each run formats its
+// value once: the rest of the run repeats ",v", written by doubling the
+// bytes already written.
+func appendFloats(b []byte, fs []float64) ([]byte, error) {
+	if fs == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	for i := 0; i < len(fs); {
+		f := fs[i]
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return b, finite(f)
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		start := len(b)
+		b = appendFloat(b, f)
+		bits, j := math.Float64bits(f), i+1
+		for j < len(fs) && math.Float64bits(fs[j]) == bits {
+			j++
+		}
+		if reps := j - i - 1; reps > 0 {
+			unit := len(b) - start + 1 // one ",v"
+			b = append(b, ',')
+			b = append(b, b[start:start+unit-1]...)
+			run := len(b) - unit
+			for end := run + reps*unit; len(b) < end; {
+				b = append(b, b[run:run+min(len(b)-run, end-len(b))]...)
+			}
+		}
+		i = j
+	}
+	return append(b, ']'), nil
 }
 
 func appendFloatField(b []byte, k string, f float64) []byte {
@@ -156,6 +296,13 @@ func appendFloatField(b []byte, k string, f float64) []byte {
 	b = append(b, k...)
 	b = append(b, '"', ':')
 	return appendFloat(b, f)
+}
+
+func appendIntField(b []byte, k string, n int64) []byte {
+	b = append(b, ',', '"')
+	b = append(b, k...)
+	b = append(b, '"', ':')
+	return strconv.AppendInt(b, n, 10)
 }
 
 // appendFloat formats a finite f as encoding/json does: the shortest
@@ -253,30 +400,25 @@ func malformed(err error) error {
 }
 
 func scanStepRequest(line []byte, in *StepRequest) bool {
-	o := flatObject{b: line}
-	for o.next() {
-		ok := false
-		switch string(o.key) {
+	s := scanner{b: line}
+	return s.object(func(key []byte) bool {
+		switch string(key) {
 		case "demand":
-			ok = o.setFloat(&in.Demand)
+			return s.setFloat(&in.Demand)
 		case "seq":
-			switch o.kind {
-			case valNull:
-				in.Seq, ok = nil, true
-			case valNumber:
-				if in.Seq == nil {
-					in.Seq = new(int64)
-				}
-				ok = o.setInt64(in.Seq)
+			if s.lit("null") {
+				in.Seq = nil
+				return true
 			}
+			if in.Seq == nil {
+				in.Seq = new(int64)
+			}
+			return s.setInt64(in.Seq)
 		case "rid":
-			ok = o.setString(&in.RID)
+			return s.setString(&in.RID)
 		}
-		if !ok {
-			return false
-		}
-	}
-	return o.closed
+		return false
+	}) && s.end()
 }
 
 // decodeStepLine decodes one output line into *l as json.Unmarshal would
@@ -292,307 +434,571 @@ func decodeStepLine(line []byte, l *StepLine) error {
 }
 
 func scanStepLine(line []byte, l *StepLine) bool {
-	o := flatObject{b: line}
-	for o.next() {
-		var ok bool
-		switch string(o.key) {
+	s := scanner{b: line}
+	return s.object(func(key []byte) bool {
+		switch string(key) {
 		case "rid":
-			ok = o.setString(&l.RID)
+			return s.setString(&l.RID)
 		case "error":
-			ok = o.setString(&l.Err)
+			return s.setString(&l.Err)
 		case "code":
-			ok = o.setInt(&l.Code)
+			return s.setInt(&l.Code)
 		case "retry_after_ms":
-			ok = o.setInt64(&l.RetryAfterMs)
-		default:
-			if l.Decision == nil {
-				l.Decision = new(Decision)
-			}
-			ok = o.setDecisionField(l.Decision)
+			return s.setInt64(&l.RetryAfterMs)
 		}
-		if !ok {
-			return false
+		if l.Decision == nil {
+			l.Decision = new(Decision)
 		}
-	}
-	return o.closed
+		return s.setDecisionField(key, l.Decision)
+	}) && s.end()
 }
 
-// setDecisionField stores the current value into the Decision field its
+// setDecisionField stores the value at the cursor into the Decision field
 // key names, or reports false for a key Decision does not have.
-func (o *flatObject) setDecisionField(d *Decision) bool {
-	switch string(o.key) {
+func (s *scanner) setDecisionField(key []byte, d *Decision) bool {
+	switch string(key) {
 	case "tick":
-		return o.setInt(&d.Tick)
+		return s.setInt(&d.Tick)
 	case "demand":
-		return o.setFloat(&d.Demand)
+		return s.setFloat(&d.Demand)
 	case "delivered":
-		return o.setFloat(&d.Delivered)
+		return s.setFloat(&d.Delivered)
 	case "degree":
-		return o.setFloat(&d.Degree)
+		return s.setFloat(&d.Degree)
 	case "bound":
-		return o.setFloat(&d.Bound)
+		return s.setFloat(&d.Bound)
 	case "phase":
-		return o.setInt(&d.Phase)
+		return s.setInt(&d.Phase)
 	case "active_cores":
-		return o.setInt(&d.ActiveCores)
+		return s.setInt(&d.ActiveCores)
 	case "it_power_w":
-		return o.setFloat(&d.ITPowerW)
+		return s.setFloat(&d.ITPowerW)
 	case "cooling_power_w":
-		return o.setFloat(&d.CoolingPowerW)
+		return s.setFloat(&d.CoolingPowerW)
 	case "dc_load_w":
-		return o.setFloat(&d.DCLoadW)
+		return s.setFloat(&d.DCLoadW)
 	case "pdu_load_w":
-		return o.setFloat(&d.PDULoadW)
+		return s.setFloat(&d.PDULoadW)
 	case "ups_power_w":
-		return o.setFloat(&d.UPSPowerW)
+		return s.setFloat(&d.UPSPowerW)
 	case "gen_power_w":
-		return o.setFloat(&d.GenPowerW)
+		return s.setFloat(&d.GenPowerW)
 	case "tes_heat_rate_w":
-		return o.setFloat(&d.TESHeatRateW)
+		return s.setFloat(&d.TESHeatRateW)
 	case "room_temp_c":
-		return o.setFloat(&d.RoomTempC)
+		return s.setFloat(&d.RoomTempC)
 	case "tripped":
-		return o.setBool(&d.Tripped)
+		return s.setBool(&d.Tripped)
 	case "dead":
-		return o.setBool(&d.Dead)
+		return s.setBool(&d.Dead)
 	}
 	return false
 }
 
-// Value kinds flatObject accepts.
-const (
-	valNumber = iota + 1
-	valString
-	valTrue
-	valFalse
-	valNull
-)
-
-// flatObject walks one JSON object whose values are all scalars. next
-// yields each key and value; it stops at the closing brace or at anything
-// outside the accepted subset — an escaped or invalid-UTF-8 string, a
-// nested value, a syntax error — after which closed stays false. Keys and
-// string values alias the input.
-type flatObject struct {
-	b      []byte
-	i      int
-	fields int
-	done   bool // next has stopped
-	closed bool // the closing brace ended the input, bar whitespace
-
-	key  []byte
-	kind int
-	val  []byte // a number's literal or a string's contents
+// decodeResultView decodes a finish reply into *v as json.Unmarshal would
+// into a zero ResultView.
+func decodeResultView(data []byte, v *ResultView) error {
+	*v = ResultView{}
+	if scanResultView(data, v) {
+		return nil
+	}
+	*v = ResultView{}
+	return json.Unmarshal(data, v)
 }
 
-func (o *flatObject) ws() {
-	for o.i < len(o.b) && isSpace(o.b[o.i]) {
-		o.i++
+// scanResultView accepts the shape appendResultView writes, with its keys
+// in any order and any whitespace. A second "events" key is left to
+// json.Unmarshal, which decodes it into the first one's elements.
+func scanResultView(data []byte, v *ResultView) bool {
+	s := scanner{b: data}
+	events := false
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "name":
+			return s.setString(&v.Name)
+		case "step_ns":
+			return s.setInt64(&v.StepNs)
+		case "ticks":
+			return s.setInt(&v.Ticks)
+		case "avg_burst_performance":
+			return s.setFloat(&v.AvgBurstPerformance)
+		case "improvement":
+			return s.setFloat(&v.Improvement)
+		case "sprint_sustained_ns":
+			return s.setInt64(&v.SprintSustainedNs)
+		case "tripped_at_ns":
+			return s.setInt64(&v.TrippedAtNs)
+		case "dead":
+			return s.setBool(&v.Dead)
+		case "aborts":
+			return s.setInt(&v.Aborts)
+		case "max_breaker_stress":
+			return s.setFloat(&v.MaxBreakerStress)
+		case "excess_served":
+			return s.setFloat(&v.ExcessServed)
+		case "faults_applied":
+			return s.setInt(&v.FaultsApplied)
+		case "split_ups_j":
+			return s.setFloat(&v.SplitUPSJ)
+		case "split_tes_j":
+			return s.setFloat(&v.SplitTESJ)
+		case "split_cb_overload_j":
+			return s.setFloat(&v.SplitCBOverloadJ)
+		case "dc_rated_w":
+			return s.setFloat(&v.DCRatedW)
+		case "pdu_rated_w":
+			return s.setFloat(&v.PDURatedW)
+		case "events":
+			if events {
+				return false
+			}
+			events = true
+			return s.setEvents(&v.Events)
+		case "telemetry":
+			return s.lit("null") || s.object(func(key []byte) bool {
+				return s.setTelemetryField(key, &v.Telemetry)
+			})
+		}
+		return false
+	}) && s.end()
+}
+
+func (s *scanner) setTelemetryField(key []byte, t *TelemetryView) bool {
+	switch string(key) {
+	case "required":
+		return setNumbers(s, &t.Required, parseFloat)
+	case "achieved":
+		return setNumbers(s, &t.Achieved, parseFloat)
+	case "degree":
+		return setNumbers(s, &t.Degree, parseFloat)
+	case "dc_load_w":
+		return setNumbers(s, &t.DCLoadW, parseFloat)
+	case "pdu_load_w":
+		return setNumbers(s, &t.PDULoadW, parseFloat)
+	case "ups_power_w":
+		return setNumbers(s, &t.UPSPowerW, parseFloat)
+	case "gen_power_w":
+		return setNumbers(s, &t.GenPowerW, parseFloat)
+	case "ups_soc":
+		return setNumbers(s, &t.UPSSoC, parseFloat)
+	case "cooling_power_w":
+		return setNumbers(s, &t.CoolingPowerW, parseFloat)
+	case "tes_rate_w":
+		return setNumbers(s, &t.TESRateW, parseFloat)
+	case "room_temp_c":
+		return setNumbers(s, &t.RoomTempC, parseFloat)
+	case "phase":
+		return setNumbers(s, &t.Phase, parseInt)
+	}
+	return false
+}
+
+// setEvents stores an array of event objects, or null.
+func (s *scanner) setEvents(dst *[]EventView) bool {
+	if s.lit("null") {
+		*dst = nil
+		return true
+	}
+	evs := []EventView{}
+	ok := s.array(func() bool {
+		evs = append(evs, EventView{})
+		ev := &evs[len(evs)-1]
+		return s.object(func(key []byte) bool {
+			switch string(key) {
+			case "time_ns":
+				return s.setInt64(&ev.TimeNs)
+			case "kind":
+				return s.setInt(&ev.Kind)
+			case "name":
+				return s.setString(&ev.Name)
+			case "detail":
+				return s.setString(&ev.Detail)
+			case "from":
+				return s.setInt(&ev.From)
+			case "to":
+				return s.setInt(&ev.To)
+			}
+			return false
+		})
+	})
+	*dst = evs
+	return ok
+}
+
+// scanner walks the JSON the codec's encoders write. Its methods consume
+// one value each and report false at anything outside that subset — a
+// nested value where a scalar belongs, a key with an escape, a string of
+// invalid UTF-8, a syntax error — or where json.Unmarshal would report a
+// type error. The decoders then hand the input to json.Unmarshal.
+type scanner struct {
+	b []byte
+	i int
+}
+
+func (s *scanner) ws() {
+	for s.i < len(s.b) && isSpace(s.b[s.i]) {
+		s.i++
 	}
 }
 
 // at consumes c if it is next.
-func (o *flatObject) at(c byte) bool {
-	if o.i < len(o.b) && o.b[o.i] == c {
-		o.i++
+func (s *scanner) at(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
 		return true
 	}
 	return false
 }
 
-func (o *flatObject) next() bool {
-	if o.done {
+// lit consumes the literal l if it is next.
+func (s *scanner) lit(l string) bool {
+	if len(s.b)-s.i < len(l) || string(s.b[s.i:s.i+len(l)]) != l {
 		return false
 	}
-	o.ws()
-	if o.fields == 0 && !o.at('{') {
-		return o.stop()
-	}
-	o.ws()
-	if o.at('}') {
-		o.ws()
-		o.closed = o.i == len(o.b)
-		return o.stop()
-	}
-	if o.fields > 0 && !o.at(',') {
-		return o.stop()
-	}
-	o.fields++
-	o.ws()
-	var ok bool
-	if o.key, ok = o.str(); !ok {
-		return o.stop()
-	}
-	o.ws()
-	if !o.at(':') {
-		return o.stop()
-	}
-	o.ws()
-	if !o.value() {
-		return o.stop()
-	}
+	s.i += len(l)
 	return true
 }
 
-func (o *flatObject) stop() bool {
-	o.done = true
-	return false
+// end reports whether only whitespace is left.
+func (s *scanner) end() bool {
+	s.ws()
+	return s.i == len(s.b)
 }
 
-// str consumes an escape-free, valid UTF-8 string and returns its contents.
-func (o *flatObject) str() ([]byte, bool) {
-	if !o.at('"') {
-		return nil, false
+// object walks an object, calling member with each key once the cursor is
+// on its value; member consumes the value.
+func (s *scanner) object(member func(key []byte) bool) bool {
+	s.ws()
+	if !s.at('{') {
+		return false
 	}
-	start, ascii := o.i, true
-	for ; o.i < len(o.b); o.i++ {
-		switch c := o.b[o.i]; {
+	s.ws()
+	if s.at('}') {
+		return true
+	}
+	for {
+		key, esc, ok := s.str()
+		if !ok || esc {
+			return false
+		}
+		s.ws()
+		if !s.at(':') {
+			return false
+		}
+		s.ws()
+		if !member(key) {
+			return false
+		}
+		s.ws()
+		if s.at('}') {
+			return true
+		}
+		if !s.at(',') {
+			return false
+		}
+		s.ws()
+	}
+}
+
+// array walks an array, calling elem with the cursor on each element;
+// elem consumes it.
+func (s *scanner) array(elem func() bool) bool {
+	if !s.at('[') {
+		return false
+	}
+	s.ws()
+	if s.at(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		s.ws()
+		if s.at(']') {
+			return true
+		}
+		if !s.at(',') {
+			return false
+		}
+		s.ws()
+	}
+}
+
+// str consumes a string of valid UTF-8 and returns its contents as they
+// stand in the input; esc reports a backslash among them.
+func (s *scanner) str() (raw []byte, esc, ok bool) {
+	if !s.at('"') {
+		return nil, false, false
+	}
+	start, ascii := s.i, true
+	for ; s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; {
 		case c == '"':
-			s := o.b[start:o.i]
-			o.i++
-			return s, ascii || utf8.Valid(s)
-		case c == '\\' || c < ' ':
-			return nil, false
+			raw = s.b[start:s.i]
+			s.i++
+			return raw, esc, ascii || utf8.Valid(raw)
+		case c == '\\':
+			// Skip the escaped byte, so \" does not end the string.
+			esc = true
+			s.i++
+		case c < ' ':
+			return nil, false, false
 		case c >= utf8.RuneSelf:
 			ascii = false
 		}
 	}
-	return nil, false
+	return nil, false, false
 }
 
-func (o *flatObject) value() bool {
-	if o.i >= len(o.b) {
-		return false
-	}
-	switch c := o.b[o.i]; {
-	case c == '"':
-		var ok bool
-		o.kind = valString
-		o.val, ok = o.str()
-		return ok
-	case c == '-' || c >= '0' && c <= '9':
-		o.kind = valNumber
-		return o.number()
-	case c == 't':
-		o.kind = valTrue
-		return o.lit("true")
-	case c == 'f':
-		o.kind = valFalse
-		return o.lit("false")
-	case c == 'n':
-		o.kind = valNull
-		return o.lit("null")
-	}
-	return false
-}
-
-func (o *flatObject) lit(s string) bool {
-	if len(o.b)-o.i < len(s) || string(o.b[o.i:o.i+len(s)]) != s {
-		return false
-	}
-	o.i += len(s)
-	return true
-}
-
-// number consumes a literal of JSON's number grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (o *flatObject) number() bool {
-	start := o.i
-	o.at('-')
-	if !o.at('0') && !o.digits() {
-		return false
-	}
-	if o.at('.') && !o.digits() {
-		return false
-	}
-	if o.at('e') || o.at('E') {
-		if !o.at('+') {
-			o.at('-')
+// unquote decodes a string's escapes as json.Unmarshal does. It reports
+// false for a malformed escape and for a \u escape of a UTF-16 surrogate,
+// which it leaves to json.Unmarshal; the encoder writes neither.
+func unquote(raw []byte) (string, bool) {
+	var sb strings.Builder
+	sb.Grow(len(raw))
+	for {
+		i := bytes.IndexByte(raw, '\\')
+		if i < 0 {
+			sb.Write(raw)
+			return sb.String(), true
 		}
-		if !o.digits() {
-			return false
+		sb.Write(raw[:i])
+		// str leaves a byte after every backslash.
+		c := raw[i+1]
+		raw = raw[i+2:]
+		switch c {
+		case '"', '\\', '/':
+			sb.WriteByte(c)
+		case 'b':
+			sb.WriteByte('\b')
+		case 'f':
+			sb.WriteByte('\f')
+		case 'n':
+			sb.WriteByte('\n')
+		case 'r':
+			sb.WriteByte('\r')
+		case 't':
+			sb.WriteByte('\t')
+		case 'u':
+			r, ok := hex4(raw)
+			if !ok || utf16.IsSurrogate(r) {
+				return "", false
+			}
+			sb.WriteRune(r)
+			raw = raw[4:]
+		default:
+			return "", false
 		}
 	}
-	o.val = o.b[start:o.i]
-	return true
+}
+
+// hex4 decodes the four hex digits b starts with.
+func hex4(b []byte) (rune, bool) {
+	if len(b) < 4 {
+		return 0, false
+	}
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, false
+		}
+		r = r<<4 | rune(c)
+	}
+	return r, true
+}
+
+// number consumes a literal of JSON's number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it.
+func (s *scanner) number() ([]byte, bool) {
+	start := s.i
+	s.at('-')
+	if !s.at('0') && !s.digits() {
+		return nil, false
+	}
+	if s.at('.') && !s.digits() {
+		return nil, false
+	}
+	if s.at('e') || s.at('E') {
+		if !s.at('+') {
+			s.at('-')
+		}
+		if !s.digits() {
+			return nil, false
+		}
+	}
+	return s.b[start:s.i], true
 }
 
 // digits consumes one or more decimal digits.
-func (o *flatObject) digits() bool {
-	start := o.i
-	for o.i < len(o.b) && o.b[o.i] >= '0' && o.b[o.i] <= '9' {
-		o.i++
+func (s *scanner) digits() bool {
+	b, i := s.b, s.i
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
 	}
-	return o.i > start
+	ok := i > s.i
+	s.i = i
+	return ok
 }
 
-// The setters below store the current value into a field of the given
-// type, or report false where json.Unmarshal would report a type error.
-// null leaves every non-pointer field untouched, as json.Unmarshal does.
+// The setters below consume one value and store it into a field of the
+// given type. null leaves every non-pointer, non-slice field untouched, as
+// json.Unmarshal does.
 
-func (o *flatObject) setFloat(dst *float64) bool {
-	switch o.kind {
-	case valNull:
+func (s *scanner) setFloat(dst *float64) bool {
+	if s.lit("null") {
 		return true
-	case valNumber:
-		f, err := strconv.ParseFloat(string(o.val), 64)
-		if err != nil {
+	}
+	lit, ok := s.number()
+	if !ok {
+		return false
+	}
+	f, err := parseFloat(lit)
+	if err != nil {
+		return false
+	}
+	*dst = f
+	return true
+}
+
+func (s *scanner) setInt64(dst *int64) bool {
+	if s.lit("null") {
+		return true
+	}
+	lit, ok := s.number()
+	if !ok {
+		return false
+	}
+	n, err := strconv.ParseInt(string(lit), 10, 64)
+	if err != nil {
+		return false
+	}
+	*dst = n
+	return true
+}
+
+func (s *scanner) setInt(dst *int) bool {
+	if s.lit("null") {
+		return true
+	}
+	lit, ok := s.number()
+	if !ok {
+		return false
+	}
+	n, err := parseInt(lit)
+	if err != nil {
+		return false
+	}
+	*dst = n
+	return true
+}
+
+func (s *scanner) setBool(dst *bool) bool {
+	switch {
+	case s.lit("null"):
+	case s.lit("true"):
+		*dst = true
+	case s.lit("false"):
+		*dst = false
+	default:
+		return false
+	}
+	return true
+}
+
+func (s *scanner) setString(dst *string) bool {
+	if s.lit("null") {
+		return true
+	}
+	raw, esc, ok := s.str()
+	switch {
+	case !ok:
+		return false
+	case esc:
+		*dst, ok = unquote(raw)
+		return ok
+	}
+	*dst = string(raw)
+	return true
+}
+
+// setNumbers consumes an array of numbers, or null, and stores it as
+// json.Unmarshal stores one into a nil slice: null leaves nil, [] makes an
+// empty slice. A literal that repeats the one before it reuses its value
+// instead of scanning and parsing it again; a result's series are mostly
+// such runs.
+func setNumbers[T float64 | int](s *scanner, dst *[]T, parse func([]byte) (T, error)) bool {
+	if s.lit("null") {
+		*dst = nil
+		return true
+	}
+	if !s.at('[') {
+		return false
+	}
+	out := make([]T, 0, s.elems())
+	s.ws()
+	if s.at(']') {
+		*dst = out
+		return true
+	}
+	var (
+		prev []byte
+		x    T
+	)
+	for {
+		if rest := s.b[s.i:]; len(prev) > 0 && bytes.HasPrefix(rest, prev) &&
+			(len(rest) == len(prev) || !numberByte(rest[len(prev)])) {
+			s.i += len(prev)
+		} else {
+			lit, ok := s.number()
+			if !ok {
+				return false
+			}
+			var err error
+			if x, err = parse(lit); err != nil {
+				return false
+			}
+			prev = lit
+		}
+		out = append(out, x)
+		s.ws()
+		if s.at(']') {
+			*dst = out
+			return true
+		}
+		if !s.at(',') {
 			return false
 		}
-		*dst = f
-		return true
+		s.ws()
 	}
-	return false
 }
 
-func (o *flatObject) setInt64(dst *int64) bool {
-	switch o.kind {
-	case valNull:
-		return true
-	case valNumber:
-		n, err := strconv.ParseInt(string(o.val), 10, 64)
-		if err != nil {
-			return false
-		}
-		*dst = n
-		return true
-	}
-	return false
+// numberByte reports whether c can continue a number literal.
+func numberByte(c byte) bool {
+	return '0' <= c && c <= '9' || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-'
 }
 
-func (o *flatObject) setInt(dst *int) bool {
-	switch o.kind {
-	case valNull:
-		return true
-	case valNumber:
-		n, err := strconv.ParseInt(string(o.val), 10, strconv.IntSize)
-		if err != nil {
-			return false
-		}
-		*dst = int(n)
-		return true
+// elems counts the elements of the array at the cursor, if they are
+// numbers: one more than the commas before the first ']'.
+func (s *scanner) elems() int {
+	rest := s.b[s.i:]
+	end := bytes.IndexByte(rest, ']')
+	if end < 0 {
+		return 0
 	}
-	return false
+	return bytes.Count(rest[:end], []byte{','}) + 1
 }
 
-func (o *flatObject) setBool(dst *bool) bool {
-	switch o.kind {
-	case valNull:
-		return true
-	case valTrue, valFalse:
-		*dst = o.kind == valTrue
-		return true
-	}
-	return false
-}
+func parseFloat(lit []byte) (float64, error) { return strconv.ParseFloat(string(lit), 64) }
 
-func (o *flatObject) setString(dst *string) bool {
-	switch o.kind {
-	case valNull:
-		return true
-	case valString:
-		*dst = string(o.val)
-		return true
-	}
-	return false
+func parseInt(lit []byte) (int, error) {
+	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
+	return int(n), err
 }

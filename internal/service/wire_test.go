@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -16,6 +18,10 @@ import (
 	"time"
 
 	"dcsprint/internal/chaosnet"
+	"dcsprint/internal/faults"
+	"dcsprint/internal/sim"
+	"dcsprint/internal/trace"
+	"dcsprint/internal/workload"
 )
 
 // encoderLine is the reference: what json.Encoder writes for v.
@@ -169,15 +175,19 @@ var wireSeeds = []string{
 
 // FuzzStepRequestWire: the request decoder agrees with json.Unmarshal on
 // every input — value and whether it errors — and an accepted request
-// re-encodes to json.Encoder's bytes and decodes back to itself.
+// re-encodes to json.Encoder's bytes, which decode and encode back to
+// themselves.
 func FuzzStepRequestWire(f *testing.F) { fuzzWire(f, decodeStepRequest, appendStepRequest) }
 
 // FuzzStepLineWire is FuzzStepRequestWire for decision and error lines.
 func FuzzStepLineWire(f *testing.F) { fuzzWire(f, decodeStepLine, appendStepLine) }
 
-func fuzzWire[T any](f *testing.F, decode func([]byte, *T) error, encode func([]byte, *T) ([]byte, error)) {
+func fuzzWire[T any](f *testing.F, decode func([]byte, *T) error, encode func([]byte, *T) ([]byte, error), seeds ...[]byte) {
 	for _, s := range wireSeeds {
 		f.Add([]byte(s))
+	}
+	for _, s := range seeds {
+		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got, want T
@@ -197,11 +207,20 @@ func fuzzWire[T any](f *testing.F, decode func([]byte, *T) error, encode func([]
 		if ref, _ := encoderLine(got); !bytes.Equal(line, ref) {
 			t.Fatalf("re-encode differs from json.Encoder:\n got %s\nwant %s", line, ref)
 		}
-		var back T
+		// Decoding the re-encoded line agrees with json.Unmarshal and gives
+		// back a value that encodes to the same bytes. It need not equal
+		// got: an omitempty slice that was empty decodes back as nil.
+		var back, ref T
 		if err := decode(line[:len(line)-1], &back); err != nil {
 			t.Fatalf("decode re-encoded %s: %v", line, err)
 		}
-		sameWireValue(t, line, back, got)
+		if err := json.Unmarshal(line, &ref); err != nil {
+			t.Fatalf("json.Unmarshal re-encoded %s: %v", line, err)
+		}
+		sameWireValue(t, line, back, ref)
+		if again, err := encode(nil, &back); err != nil || !bytes.Equal(again, line) {
+			t.Fatalf("re-encoding the decoded line gives %s, %v; want %s", again, err, line)
+		}
 	})
 }
 
@@ -428,6 +447,318 @@ func BenchmarkStepWire(b *testing.B) {
 		}
 		if err = decodeStepLine(buf[:len(buf)-1], &gotLine); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// refResultViews are finish replies of seeded reference runs: a controlled
+// one, an uncontrolled one that trips and dies, a faulted one, and a
+// streaming session finished before its first tick.
+func refResultViews(tb testing.TB) []ResultView {
+	tb.Helper()
+	yahoo := func(seed int64) *trace.Series {
+		tr, err := workload.SyntheticYahoo(seed, 3.2, 15*time.Minute)
+		if err != nil {
+			tb.Fatalf("SyntheticYahoo: %v", err)
+		}
+		return tr
+	}
+	// Seed 30's faults make supervision abort sprints, then kill the
+	// facility.
+	faulted := yahoo(30)
+	var views []ResultView
+	for _, sc := range []sim.Scenario{
+		{Name: "controlled", Trace: yahoo(1)},
+		{Name: "uncontrolled", Trace: yahoo(2), Uncontrolled: true},
+		{Name: "faulted", Trace: faulted, Faults: faults.Random(30, faulted.Duration(), sim.DefaultServers/200)},
+	} {
+		res, err := sim.Run(sc)
+		if err != nil {
+			tb.Fatalf("Run %s: %v", sc.Name, err)
+		}
+		views = append(views, NewResultView(res))
+	}
+	eng, err := sim.New(sim.Scenario{})
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	res, err := eng.Finish()
+	if err != nil {
+		tb.Fatalf("Finish: %v", err)
+	}
+	return append(views, NewResultView(res))
+}
+
+// checkResultViewWire fails unless appendResultView writes exactly what
+// json.Encoder writes for v, after any prefix already in the buffer, and
+// decodeResultView reads it back as json.Unmarshal does.
+func checkResultViewWire(t *testing.T, v ResultView) {
+	t.Helper()
+	want, err := encoderLine(v)
+	if err != nil {
+		t.Fatalf("json.Encoder: %v", err)
+	}
+	prefix := []byte("prefix")
+	got, err := appendResultView(prefix, &v)
+	if err != nil {
+		t.Fatalf("appendResultView: %v", err)
+	}
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("finish reply differs from json.Encoder:\n got %s\nwant %s", got, want)
+	}
+	var back, ref ResultView
+	if err := decodeResultView(want, &back); err != nil {
+		t.Fatalf("decodeResultView: %v", err)
+	}
+	if err := json.Unmarshal(want, &ref); err != nil {
+		t.Fatalf("json.Unmarshal: %v", err)
+	}
+	sameWireValue(t, want, back, ref)
+	if !scanResultView(want, &ResultView{}) {
+		t.Fatalf("the scanner handed an encoder reply to json.Unmarshal: %s", want)
+	}
+}
+
+// TestResultViewWireMatchesEncoder is the finish reply's byte-identity
+// property, over real runs, the float format boundaries, every string
+// escape, nil against empty slices and random views; NaN and Inf are errors
+// wherever they sit, as they are for encoding/json.
+func TestResultViewWireMatchesEncoder(t *testing.T) {
+	refs := refResultViews(t)
+	var dead, tripped, aborts, faulted, events bool
+	for _, v := range refs {
+		dead = dead || v.Dead
+		tripped = tripped || v.TrippedAtNs >= 0
+		aborts = aborts || v.Aborts != 0
+		faulted = faulted || v.FaultsApplied != 0
+		events = events || len(v.Events) > 0
+		checkResultViewWire(t, v)
+	}
+	if !dead || !tripped || !aborts || !faulted || !events {
+		t.Fatalf("reference runs miss a case: dead %v tripped %v aborts %v faulted %v events %v",
+			dead, tripped, aborts, faulted, events)
+	}
+	if v := refs[len(refs)-1]; v.Ticks != 0 || v.Telemetry.Required == nil {
+		t.Fatalf("0-tick view: %d ticks, required %v; want 0 and an empty series", v.Ticks, v.Telemetry.Required)
+	}
+
+	edge := []float64{0, math.Copysign(0, -1), 0, 1e-6, 9.99e-7, 1e-7, 1e-7, -1e-7, 1e20, 1e21, 1e21, -1e21, 5e-324}
+	odd := "<>&    \xff\xe2\x82 \"\\\n\x00 phase 0 -> 1"
+	v := ResultView{
+		Name: odd, StepNs: -1, Ticks: len(edge), AvgBurstPerformance: math.Copysign(0, -1),
+		Improvement: 1e-7, TrippedAtNs: -1, Dead: true, Aborts: -2, MaxBreakerStress: 1e21,
+		FaultsApplied: 3, SplitUPSJ: 9.99e-7,
+		Events: []EventView{{TimeNs: 1, Kind: 2, Name: odd, Detail: odd, From: -1, To: 3}, {Name: ""}},
+		Telemetry: TelemetryView{
+			Required: edge, Achieved: []float64{}, Degree: edge[:1], DCLoadW: edge[1:],
+			Phase: []int{0, 1, -1, 1 << 40},
+		},
+	}
+	checkResultViewWire(t, v)
+	v.Events, v.Telemetry.Phase, v.Telemetry.Required = []EventView{}, []int{}, nil
+	checkResultViewWire(t, v)
+	checkResultViewWire(t, ResultView{})
+
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 500; i++ {
+		checkResultViewWire(t, randResultView(rng))
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*ResultView){
+			func(v *ResultView) { v.Improvement = bad },
+			func(v *ResultView) { v.PDURatedW = bad },
+			func(v *ResultView) { v.Telemetry.RoomTempC = []float64{1, 1, bad} },
+		} {
+			v := refs[0]
+			v.Telemetry.RoomTempC = append([]float64(nil), v.Telemetry.RoomTempC...)
+			set(&v)
+			if _, werr := encoderLine(v); werr == nil {
+				t.Fatalf("json.Encoder accepted %v", bad)
+			}
+			b, err := appendResultView([]byte("x"), &v)
+			if !errors.Is(err, errNotFinite) || string(b) != "x" {
+				t.Fatalf("appendResultView with %v: %q, %v; want the buffer as it was and errNotFinite", bad, b, err)
+			}
+		}
+	}
+}
+
+func randFloats(rng *rand.Rand) []float64 {
+	switch rng.Intn(6) {
+	case 0:
+		return nil
+	case 1:
+		return []float64{}
+	}
+	fs := make([]float64, rng.Intn(40))
+	for i := range fs {
+		// Runs of repeats, as a result's series hold.
+		if i > 0 && rng.Intn(2) == 0 {
+			fs[i] = fs[i-1]
+		} else {
+			fs[i] = randFloat(rng)
+		}
+	}
+	return fs
+}
+
+func randResultView(rng *rand.Rand) ResultView {
+	v := ResultView{
+		Name: randWireString(rng), StepNs: rng.Int63(), Ticks: rng.Intn(4000),
+		AvgBurstPerformance: randFloat(rng), Improvement: randFloat(rng),
+		SprintSustainedNs: rng.Int63(), TrippedAtNs: rng.Int63n(1<<40) - 1, Dead: rng.Intn(2) == 0,
+		Aborts: rng.Intn(3), MaxBreakerStress: randFloat(rng), ExcessServed: randFloat(rng),
+		FaultsApplied: rng.Intn(3), SplitUPSJ: randFloat(rng), SplitTESJ: randFloat(rng),
+		SplitCBOverloadJ: randFloat(rng), DCRatedW: randFloat(rng), PDURatedW: randFloat(rng),
+		Telemetry: TelemetryView{
+			Required: randFloats(rng), Achieved: randFloats(rng), Degree: randFloats(rng),
+			DCLoadW: randFloats(rng), PDULoadW: randFloats(rng), UPSPowerW: randFloats(rng),
+			GenPowerW: randFloats(rng), UPSSoC: randFloats(rng), CoolingPowerW: randFloats(rng),
+			TESRateW: randFloats(rng), RoomTempC: randFloats(rng),
+		},
+	}
+	if n := rng.Intn(5); n > 0 {
+		v.Telemetry.Phase = make([]int, n-1)
+		for i := range v.Telemetry.Phase {
+			v.Telemetry.Phase[i] = rng.Intn(4)
+		}
+	}
+	if n := rng.Intn(5); n > 0 {
+		v.Events = make([]EventView, n-1)
+		for i := range v.Events {
+			v.Events[i] = EventView{TimeNs: rng.Int63(), Kind: rng.Intn(9), Name: randWireString(rng),
+				Detail: randWireString(rng), From: rng.Intn(4), To: rng.Intn(4)}
+		}
+	}
+	return v
+}
+
+// TestResultViewAppendAllocs: encoding into a reused buffer does not
+// allocate.
+func TestResultViewAppendAllocs(t *testing.T) {
+	v := refResultViews(t)[0]
+	buf, err := appendResultView(nil, &v)
+	if err != nil {
+		t.Fatalf("appendResultView: %v", err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if buf, err = appendResultView(buf[:0], &v); err != nil {
+			t.Fatalf("appendResultView: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("appendResultView into a reused buffer allocates %v/op, want 0", allocs)
+	}
+}
+
+// FuzzResultViewWire: the finish-reply decoder agrees with json.Unmarshal
+// on every input, value and error, and an accepted reply re-encodes to
+// json.Encoder's bytes, which decode and encode back to themselves.
+func FuzzResultViewWire(f *testing.F) {
+	eng, err := sim.New(sim.Scenario{Name: "fuzz"})
+	if err != nil {
+		f.Fatalf("New: %v", err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := eng.Step(3.2); err != nil {
+			f.Fatalf("Step: %v", err)
+		}
+	}
+	res, err := eng.Finish()
+	if err != nil {
+		f.Fatalf("Finish: %v", err)
+	}
+	// The faulted view, cut to its first ticks and events: a dead result
+	// with aborts and faults_applied, small enough to mutate quickly.
+	refs := refResultViews(f)
+	cut := refs[2]
+	tv := &cut.Telemetry
+	for _, s := range []*[]float64{&tv.Required, &tv.Achieved, &tv.Degree, &tv.DCLoadW, &tv.PDULoadW,
+		&tv.UPSPowerW, &tv.GenPowerW, &tv.UPSSoC, &tv.CoolingPowerW, &tv.TESRateW, &tv.RoomTempC} {
+		*s = (*s)[:6]
+	}
+	tv.Phase, cut.Events = tv.Phase[:6], cut.Events[:4]
+	var seeds [][]byte
+	for _, v := range []ResultView{cut, refs[3], NewResultView(res)} {
+		b, err := appendResultView(nil, &v)
+		if err != nil {
+			f.Fatalf("appendResultView: %v", err)
+		}
+		seeds = append(seeds, b)
+	}
+	if !bytes.Contains(seeds[len(seeds)-1], []byte(`\u003e`)) {
+		f.Fatalf("the 12-tick seed has no escaped event detail: %s", seeds[len(seeds)-1])
+	}
+	for _, s := range []string{
+		`{"Name":"x","STEP_NS":1,"Telemetry":{"Required":[1]}}`,
+		` { "ticks" : 2 ,  "telemetry" : { "required" : [ 1 , 1 ] , "phase" : [ 0 , 1 ] } } ` + "\n\t",
+		`{"name":null,"events":null,"telemetry":{"required":null,"achieved":[],"phase":null}}`,
+		`{"telemetry":null,"dead":null,"aborts":null}`,
+		`{"events":[{"time_ns":1,"name":"aA\/\t","detail":"phase 0 > 1"}],"events":[{"kind":2}]}`,
+		`{"events":[]}`,
+		`{"events":[null]}`,
+		`{"telemetry":{"required":[1,null]}}`,
+		`{"telemetry":{"required":[1],"required":[2,3]},"telemetry":{"achieved":[4]}}`,
+		`{"name":"😀"}`,
+		`{"name":"\ud800"}`,
+		`{"telemetry":{"phase":[1.5]}}`,
+		`{"ticks":2}x`,
+	} {
+		seeds = append(seeds, []byte(s))
+	}
+	fuzzWire(f, decodeResultView, appendResultView, seeds...)
+}
+
+// BenchmarkResultViewWire times the finish reply's codec against
+// encoding/json on the streaming reference session: finished at a churn
+// session's 12 ticks and at its full 1,800. Each encode reuses a buffer.
+func BenchmarkResultViewWire(b *testing.B) {
+	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
+	if err != nil {
+		b.Fatalf("SyntheticYahoo: %v", err)
+	}
+	for _, ticks := range []int{12, 1800} {
+		eng, err := sim.New(sim.Scenario{})
+		if err != nil {
+			b.Fatalf("New: %v", err)
+		}
+		for _, d := range tr.Samples[:ticks] {
+			if _, err := eng.Step(d); err != nil {
+				b.Fatalf("Step: %v", err)
+			}
+		}
+		res, err := eng.Finish()
+		if err != nil {
+			b.Fatalf("Finish: %v", err)
+		}
+		v := NewResultView(res)
+		reply, err := appendResultView(nil, &v)
+		if err != nil {
+			b.Fatalf("appendResultView: %v", err)
+		}
+		var out ResultView
+		for _, c := range []struct {
+			name string
+			op   func() error
+		}{
+			{"encode", func() (err error) { reply, err = appendResultView(reply[:0], &v); return err }},
+			{"json-encode", func() error {
+				buf := bytes.NewBuffer(reply[:0])
+				return json.NewEncoder(buf).Encode(&v)
+			}},
+			{"decode", func() error { return decodeResultView(reply, &out) }},
+			{"json-decode", func() error { out = ResultView{}; return json.Unmarshal(reply, &out) }},
+		} {
+			b.Run(fmt.Sprintf("%s/t%d", c.name, ticks), func(b *testing.B) {
+				b.SetBytes(int64(len(reply)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := c.op(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -29,8 +29,9 @@ func BenchmarkBatchStep(b *testing.B) {
 	}
 	// Pre-size every session's telemetry accumulators for the whole run so
 	// the timed loop measures steady-state stepping, not buffer regrowth
-	// (regrowth is a rare amortized event; at the default streamPrealloc a
-	// session pays it about once per 17 simulated minutes).
+	// (regrowth is a rare amortized event: growSeries doubles the capacity
+	// from streamPrealloc's 64 ticks, so a session pays it about log2(n/64)
+	// times in n ticks).
 	for slot := 0; slot < batch.Slots(); slot++ {
 		batch.Engine(slot).grow(b.N + 64)
 	}

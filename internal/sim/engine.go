@@ -241,17 +241,17 @@ func New(sc Scenario) (*Engine, error) {
 	if n := e.traceLen(); n > 0 {
 		e.grow(n)
 	} else {
-		// Streaming mode has no known length; start with a generous chunk so
-		// the first streamPrealloc ticks append without allocating and later
-		// growth amortizes to nothing.
-		e.grow(streamPrealloc)
+		// Streaming mode has no known length: start small, so a short
+		// session pays for little history, and let growSeries double it.
+		e.growSeries()
 	}
 	return e, nil
 }
 
 // streamPrealloc is the accumulator capacity (in ticks) a streaming engine
-// starts with — about 17 minutes of one-second telemetry, ~100 KiB.
-const streamPrealloc = 1024
+// starts with: about a minute of one-second telemetry, 6 KiB. Doubling
+// from it, an 1,800-tick session ends at a capacity of 2,048 ticks.
+const streamPrealloc = 64
 
 // traceLen returns the scenario trace length, or 0 in streaming mode.
 func (e *Engine) traceLen() int {
@@ -388,7 +388,8 @@ func (e *Engine) breakerStress() float64 {
 }
 
 // growSeries doubles the telemetry accumulators' capacity once a streaming
-// session outlives its current buffers. One block allocation backs all
+// session outlives its current buffers, and gives a new streaming engine
+// its first streamPrealloc ticks. One block allocation backs all
 // float64 series (capacity-bounded sub-slices, so appends cannot cross into
 // a neighbor), and doubling — rather than append's shallower growth curve —
 // keeps the copy traffic amortized to a few bytes per tick.

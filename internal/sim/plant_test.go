@@ -144,6 +144,8 @@ func TestPlantProbeDetachedAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// Room for every step below, so none of them pays for history growth.
+	eng.grow(256)
 	for i := 0; i < 8; i++ {
 		if _, err := eng.Step(1.5); err != nil {
 			t.Fatalf("warmup: %v", err)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -299,4 +300,28 @@ func TestNewRejectsInvalidFaultEvents(t *testing.T) {
 	if _, err := Run(Scenario{Trace: tr, Faults: valid}); err != nil {
 		t.Fatalf("valid literal schedule rejected: %v", err)
 	}
+}
+
+// TestStreamingNewAllocBound bounds what a new streaming engine costs: its
+// history starts at streamPrealloc ticks, so a short session does not pay
+// for a long one's buffers.
+func TestStreamingNewAllocBound(t *testing.T) {
+	const runs, bound = 20, 16 << 10
+	perNew := uint64(math.MaxUint64)
+	// The least of three rounds, so a background allocation cannot fail it.
+	for round := 0; round < 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := New(Scenario{}); err != nil {
+				t.Fatalf("New: %v", err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perNew = min(perNew, (after.TotalAlloc-before.TotalAlloc)/runs)
+	}
+	if perNew > bound {
+		t.Fatalf("a streaming New allocates %d B, want at most %d", perNew, bound)
+	}
+	t.Logf("a streaming New allocates %d B", perNew)
 }
