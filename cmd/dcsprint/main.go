@@ -147,13 +147,13 @@ func run(args []string) error {
 		return fmt.Errorf("unknown strategy %q", *strategy)
 	}
 
-	// Any telemetry sink gets an instrument, fed from the finished Result.
+	// A metrics sink gets an instrument, fed from the finished Result.
 	var inst *dcsprint.Instrument
-	if *metrics != "" || *traceOut != "" || *listen != "" {
-		inst = dcsprint.NewInstrument(dcsprint.DefaultMetricRegistry(), dcsprint.NewTracer())
+	if *metrics != "" || *listen != "" {
+		inst = dcsprint.NewInstrument(dcsprint.DefaultMetricRegistry())
 	}
 	if *listen != "" {
-		srv, err := dcsprint.StartTelemetryServer(*listen, inst.Registry(), inst.Tracer())
+		srv, err := dcsprint.StartTelemetryServer(*listen, inst.Registry())
 		if err != nil {
 			return err
 		}
@@ -195,7 +195,7 @@ func run(args []string) error {
 		fmt.Printf("metrics written to %s\n", *metrics)
 	}
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, inst.Tracer().WriteJSONL); err != nil {
+		if err := writeFile(*traceOut, res.WriteTraceJSONL); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s\n", *traceOut)
@@ -277,7 +277,7 @@ func runEngine(sc dcsprint.Scenario, resume, snapOut, seriesOut string, snapAt t
 }
 
 // printEvents renders the controller's transition log: the classic text
-// form, or the JSONL span/point records an instrument traces from it.
+// form, or the JSONL span/point records of the lifecycle trace built from it.
 func printEvents(w io.Writer, res *dcsprint.Result, format string) error {
 	if format == "text" {
 		fmt.Fprintln(w, "events:")
@@ -286,9 +286,7 @@ func printEvents(w io.Writer, res *dcsprint.Result, format string) error {
 		}
 		return nil
 	}
-	tr := dcsprint.NewTracer()
-	dcsprint.NewInstrument(dcsprint.NewMetricRegistry(), tr).Observe(res)
-	return tr.WriteJSONL(w)
+	return res.WriteTraceJSONL(w)
 }
 
 // writeFile creates path and streams write into it.

@@ -120,12 +120,12 @@ func TestRunTelemetrySinks(t *testing.T) {
 func TestListenEndpointServesDuringRun(t *testing.T) {
 	reg := dcsprint.NewMetricRegistry()
 	reg.Counter("dcsprint_sim_runs_total", "").Inc()
-	srv, err := dcsprint.StartTelemetryServer("127.0.0.1:0", reg, dcsprint.NewTracer())
+	srv, err := dcsprint.StartTelemetryServer("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, path := range []string{"/metrics", "/healthz", "/trace.jsonl"} {
+	for _, path := range []string{"/metrics", "/healthz", "/debug/pprof/"} {
 		resp, err := http.Get("http://" + srv.Addr() + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -32,8 +33,9 @@ func TestEventKindStringsDistinct(t *testing.T) {
 }
 
 // TestTraceEventCoversEveryKind drives a realistic ordered lifecycle through
-// TraceEvent and checks (a) every kind is recognised, and (b) each leaves a
-// span or point in the tracer.
+// TraceRecords and checks (a) every kind has a mapping, (b) each event leaves
+// a mark on the trace: dropping it from the log changes the records, and
+// (c) the spans and points come out with the expected windows.
 func TestTraceEventCoversEveryKind(t *testing.T) {
 	// One plausible event per kind, ordered so ends follow starts.
 	seq := []Event{
@@ -57,11 +59,12 @@ func TestTraceEventCoversEveryKind(t *testing.T) {
 		{Time: 158 * time.Second, Kind: EventOverheated, Detail: "room at 45C"},
 		{Time: 159 * time.Second, Kind: EventBreakerTripped, Detail: "PDU 2"},
 	}
+	const end = 200 * time.Second
 	covered := map[EventKind]bool{}
-	tr := telemetry.NewTracer()
+	tb := traceBuilder{open: map[string]timedRecord{}}
 	for _, e := range seq {
-		if !TraceEvent(tr, e) {
-			t.Errorf("TraceEvent did not recognise %v", e.Kind)
+		if !tb.event(e) {
+			t.Errorf("no trace mapping for %v", e.Kind)
 		}
 		covered[e.Kind] = true
 	}
@@ -71,50 +74,137 @@ func TestTraceEventCoversEveryKind(t *testing.T) {
 		}
 	}
 	// Unknown kinds are reported, not silently traced.
-	if TraceEvent(tr, Event{Kind: eventKindEnd}) {
-		t.Error("TraceEvent claimed to recognise the sentinel kind")
+	if tb.event(Event{Kind: eventKindEnd}) {
+		t.Error("the sentinel kind has a trace mapping")
 	}
 
-	// The lifecycle must close everything it opened and produce the expected
+	recs := TraceRecords(seq, end)
+	for i, e := range seq {
+		rest := append(append([]Event(nil), seq[:i]...), seq[i+1:]...)
+		if reflect.DeepEqual(TraceRecords(rest, end), recs) {
+			t.Errorf("dropping %v (%v) leaves the trace unchanged", e.Kind, e.Time)
+		}
+	}
+	withSentinel := append(append([]Event(nil), seq...), Event{Time: 160 * time.Second, Kind: eventKindEnd})
+	if !reflect.DeepEqual(TraceRecords(withSentinel, end), recs) {
+		t.Error("the sentinel kind changed the trace")
+	}
+
+	// The lifecycle closes everything it opened and produces the expected
 	// span windows.
-	if open := tr.OpenSpans(); len(open) != 0 {
-		t.Errorf("lifecycle left spans open: %v", open)
+	spans := map[string]telemetry.TraceRecord{}
+	points := map[string]bool{}
+	for _, r := range recs {
+		switch r.Type {
+		case "span":
+			if _, dup := spans[r.Name]; dup {
+				t.Errorf("span %q appears twice", r.Name)
+			}
+			spans[r.Name] = r
+		case "point":
+			points[r.Name] = true
+		}
 	}
-	spans := map[string]telemetry.Span{}
-	for _, s := range tr.Spans() {
-		spans[s.Name] = s
-	}
-	for name, want := range map[string][2]time.Duration{
-		SpanBurst:             {10 * time.Second, 156 * time.Second},
-		"phase-cb-overload":   {10 * time.Second, 40 * time.Second},
-		"phase-ups-discharge": {40 * time.Second, 90 * time.Second},
-		"phase-tes-cooling":   {90 * time.Second, 155 * time.Second},
-		SpanGenset:            {50 * time.Second, 154 * time.Second},
-		SpanTESActive:         {90 * time.Second, 150 * time.Second},
-		"supervision:room":    {70 * time.Second, 80 * time.Second},
+	for name, want := range map[string][2]float64{
+		SpanBurst:             {10, 156},
+		"phase-cb-overload":   {10, 40},
+		"phase-ups-discharge": {40, 90},
+		"phase-tes-cooling":   {90, 155},
+		SpanGenset:            {50, 154},
+		SpanTESActive:         {90, 150},
+		"supervision:room":    {70, 80},
 	} {
 		s, ok := spans[name]
 		if !ok {
-			t.Errorf("missing span %q; have %v", name, tr.Spans())
+			t.Errorf("missing span %q; have %v", name, recs)
 			continue
 		}
-		if s.Start != want[0] || s.End != want[1] {
-			t.Errorf("span %q = %v..%v, want %v..%v", name, s.Start, s.End, want[0], want[1])
+		if s.StartS != want[0] || s.EndS != want[1] {
+			t.Errorf("span %q = %v..%v, want %v..%v", name, s.StartS, s.EndS, want[0], want[1])
 		}
 	}
-	// Instantaneous kinds became points.
-	points := map[string]bool{}
-	for _, p := range tr.Points() {
-		points[p.Name] = true
+	if len(spans) != 7 {
+		t.Errorf("%d spans, want 7: %v", len(spans), recs)
 	}
+	// Instantaneous kinds became points.
 	for _, want := range []string{
 		"tes-exhausted", "generator-online", "chip-pcm-exhausted",
 		"thermal-shed", "sprint-aborted", "brownout", "overheated",
 		"breaker-tripped",
 	} {
 		if !points[want] {
-			t.Errorf("missing point %q; have %v", want, tr.Points())
+			t.Errorf("missing point %q; have %v", want, recs)
 		}
+	}
+}
+
+// TestTraceRecordsSpanPairing covers the pairing rules: a duplicate open
+// keeps the first, an end without an open is ignored, and spans still open
+// at the end of the run close there, in name order.
+func TestTraceRecordsSpanPairing(t *testing.T) {
+	got := TraceRecords([]Event{
+		{Time: 10 * time.Second, Kind: EventBurstStarted, Detail: "degree 1.3"},
+		{Time: 11 * time.Second, Kind: EventBurstStarted, Detail: "dup ignored"},
+		{Time: 12 * time.Second, Kind: EventPhaseChanged, From: 0, To: 1},
+		{Time: 12 * time.Second, Kind: EventTESActivated},
+		{Time: 20 * time.Second, Kind: EventSensorRestored, Detail: "room"}, // never opened
+		{Time: 40 * time.Second, Kind: EventPhaseChanged, From: 1, To: 0},
+	}, 60*time.Second)
+	want := []telemetry.TraceRecord{
+		{Type: "span", Name: SpanBurst, StartS: 10, EndS: 60, Detail: "degree 1.3"},
+		// Both start at 12 s; the phase closed first.
+		{Type: "span", Name: "phase-cb-overload", StartS: 12, EndS: 40},
+		{Type: "span", Name: SpanTESActive, StartS: 12, EndS: 60},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records = %+v\nwant      %+v", got, want)
+	}
+	// Open spans close in name order, which decides ties on start.
+	got = TraceRecords([]Event{
+		{Time: 5 * time.Second, Kind: EventTESActivated},
+		{Time: 5 * time.Second, Kind: EventBurstStarted},
+	}, 9*time.Second)
+	if len(got) != 2 || got[0].Name != SpanBurst || got[1].Name != SpanTESActive {
+		t.Fatalf("spans closed at the end = %+v, want burst then tes-active", got)
+	}
+	if recs := TraceRecords(nil, time.Minute); len(recs) != 0 {
+		t.Fatalf("empty log traced %+v", recs)
+	}
+}
+
+// TestTraceRecordsEndClampsToStart checks an end before the start, and an
+// end of run before an open span's start, both clamp to the start.
+func TestTraceRecordsEndClampsToStart(t *testing.T) {
+	got := TraceRecords([]Event{
+		{Time: 10 * time.Second, Kind: EventBurstStarted},
+		{Time: 5 * time.Second, Kind: EventBurstEnded},
+		{Time: 30 * time.Second, Kind: EventGeneratorStarted},
+	}, 20*time.Second)
+	want := []telemetry.TraceRecord{
+		{Type: "span", Name: SpanBurst, StartS: 10, EndS: 10},
+		{Type: "span", Name: SpanGenset, StartS: 30, EndS: 30},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records = %+v, want %+v", got, want)
+	}
+}
+
+// TestTraceRecordsPoints checks points are sorted by time and follow the
+// spans that start at the same time.
+func TestTraceRecordsPoints(t *testing.T) {
+	got := TraceRecords([]Event{
+		{Time: 30 * time.Second, Kind: EventBreakerTripped, Detail: "PDU 3"},
+		{Time: 20 * time.Second, Kind: EventBrownout},
+		{Time: 20 * time.Second, Kind: EventBurstStarted},
+		{Time: 25 * time.Second, Kind: EventBurstEnded},
+	}, time.Minute)
+	want := []telemetry.TraceRecord{
+		{Type: "span", Name: SpanBurst, StartS: 20, EndS: 25},
+		{Type: "point", Name: "brownout", AtS: 20},
+		{Type: "point", Name: "breaker-tripped", AtS: 30, Detail: "PDU 3"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records = %+v, want %+v", got, want)
 	}
 }
 

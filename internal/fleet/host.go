@@ -447,8 +447,12 @@ func (h *Host) Handler() http.Handler {
 
 func (h *Host) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec service.ScenarioSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&spec); err != nil {
-		writeFleetError(w, http.StatusBadRequest, err)
+	if err := service.DecodeBody(w, r, &spec); err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeFleetError(w, status, err)
 		return
 	}
 	rs, err := h.CreateSession(spec)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -148,6 +149,53 @@ func TestHostRejectsWhenFleetExhausted(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("status %d Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+}
+
+// spaces is an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestHostCreateBodies: POST /v1/fleet/sessions takes exactly one JSON
+// document, like the service's own create. Whitespace may follow it;
+// anything else is a 400, and a body over the 64 MiB cap is a 413. A
+// rejected body opens no session.
+func TestHostCreateBodies(t *testing.T) {
+	h, mgr, _ := newTestHost(t, Spec{DCs: 2, Seed: 6})
+	handler := h.Handler()
+	live := 0
+	for _, c := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"trailing whitespace", strings.NewReader("{} \n\t\r\n"), http.StatusCreated},
+		{"trailing garbage", strings.NewReader("{} trailing garbage"), http.StatusBadRequest},
+		{"second document", strings.NewReader("{}{}"), http.StatusBadRequest},
+		{"trailing brace", strings.NewReader("{}}"), http.StatusBadRequest},
+		{"not json", strings.NewReader("once upon a time"), http.StatusBadRequest},
+		{"oversize", io.MultiReader(strings.NewReader("{}"), io.LimitReader(spaces{}, 64<<20)),
+			http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/sessions", c.body))
+		if rec.Code != c.want {
+			t.Fatalf("%s: status %d (%s), want %d", c.name, rec.Code, rec.Body, c.want)
+		}
+		if c.want == http.StatusCreated {
+			live++
+		} else if !strings.Contains(rec.Body.String(), `"error"`) {
+			t.Fatalf("%s: reply %q carries no error", c.name, rec.Body)
+		}
+		if n := len(mgr.List()); n != live {
+			t.Fatalf("%s: %d live sessions, want %d", c.name, n, live)
+		}
 	}
 }
 

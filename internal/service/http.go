@@ -129,9 +129,11 @@ const maxBodyBytes = 64 << 20
 // its JSON document.
 var errTrailingData = errors.New("service: request body has data after its JSON document")
 
-// decodeBody decodes r's body, one JSON document of at most maxBodyBytes,
-// into v. A longer body is a *http.MaxBytesError.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+// DecodeBody decodes r's body, one JSON document of at most maxBodyBytes,
+// into v. A longer body is a *http.MaxBytesError (413 in statusOf); data
+// other than whitespace after the document is errTrailingData (400). The
+// fleet host decodes its create body through it too.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -169,7 +171,7 @@ func (m *Manager) Handler() http.Handler {
 func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	tc := traceFrom(w, r)
 	var spec ScenarioSpec
-	if err := decodeBody(w, r, &spec); err != nil {
+	if err := DecodeBody(w, r, &spec); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -184,7 +186,7 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (m *Manager) handleRestore(w http.ResponseWriter, r *http.Request) {
 	tc := traceFrom(w, r)
 	var doc SnapshotDoc
-	if err := decodeBody(w, r, &doc); err != nil {
+	if err := DecodeBody(w, r, &doc); err != nil {
 		writeError(w, err)
 		return
 	}

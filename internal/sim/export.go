@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"bufio"
+	"encoding/json"
 	"io"
+	"time"
 
+	"dcsprint/internal/core"
 	"dcsprint/internal/telemetry"
 )
 
@@ -28,6 +32,24 @@ func (res *Result) WriteCSV(w io.Writer) error {
 		telemetry.Column{Name: "tes_w", Values: tele.TESRate.Samples, Format: "%.0f"},
 		telemetry.Column{Name: "room_c", Values: tele.RoomTemp.Samples, Format: "%.2f"},
 	)
+}
+
+// WriteTraceJSONL writes the run's sprint-lifecycle trace, one JSON span or
+// point record per line in time order: core.TraceRecords over the event
+// log, with spans still open at the last tick closed there. Like the event
+// log it stops at the controller's event-log cap; telemetry.ReadJSONL
+// parses it back.
+func (res *Result) WriteTraceJSONL(w io.Writer) error {
+	tele := &res.Telemetry
+	end := time.Duration(tele.Required.Len()) * tele.Required.Step
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, rec := range core.TraceRecords(res.Events, end) {
+		if err := enc.Encode(rec); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }
 
 // WriteRunCSV writes res's canonical telemetry table; it is a thin wrapper

@@ -1,19 +1,17 @@
 package sim
 
 import (
-	"time"
-
 	"dcsprint/internal/core"
 	"dcsprint/internal/telemetry"
 )
 
 // Instrument observes finished runs: it feeds a telemetry registry (gauges
-// for the final plant state, counters and histograms for run statistics)
-// and brackets the sprint lifecycle on a tracer via core.TraceEvent. It
-// reads only the Result, so observing a run can never change it.
+// for the final plant state, counters and histograms for run statistics).
+// It reads only the Result, so observing a run can never change it. The
+// sprint-lifecycle trace is an export of the Result too; see
+// (*Result).WriteTraceJSONL.
 type Instrument struct {
 	reg *telemetry.Registry
-	tr  *telemetry.Tracer
 
 	// Handles resolved once at construction.
 	ticks      *telemetry.Counter
@@ -33,11 +31,10 @@ type Instrument struct {
 	tempHist   *telemetry.Histogram
 }
 
-// NewInstrument returns an Instrument observing into reg and tracer. Either
-// may be shared across runs (the registry is concurrency-safe; share a
-// tracer only across sequential runs). A nil tracer disables tracing.
-func NewInstrument(reg *telemetry.Registry, tracer *telemetry.Tracer) *Instrument {
-	in := &Instrument{reg: reg, tr: tracer}
+// NewInstrument returns an Instrument observing into reg, which may be
+// shared across runs (the registry is concurrency-safe).
+func NewInstrument(reg *telemetry.Registry) *Instrument {
+	in := &Instrument{reg: reg}
 	in.ticks = reg.Counter("dcsprint_sim_ticks_total", "Simulated ticks observed.")
 	in.events = reg.Counter("dcsprint_controller_events_total", "Controller events emitted.")
 	in.demand = reg.Gauge("dcsprint_sim_demand_ratio", "Normalized demand this tick.")
@@ -61,14 +58,10 @@ func NewInstrument(reg *telemetry.Registry, tracer *telemetry.Tracer) *Instrumen
 // Registry returns the registry the instrument observes into.
 func (in *Instrument) Registry() *telemetry.Registry { return in.reg }
 
-// Tracer returns the tracer, or nil when tracing is disabled.
-func (in *Instrument) Tracer() *telemetry.Tracer { return in.tr }
-
-// Observe feeds one finished run into the registry and tracer. The gauges
-// hold the run's last tick, the histograms and the tick counter cover
-// every tick, and the events come from Result.Events, so they stop at the
-// controller's event-log cap. Lifecycle spans still open at the end of
-// the run are closed there.
+// Observe feeds one finished run into the registry. The gauges hold the
+// run's last tick, the histograms and the tick counter cover every tick,
+// and the events come from Result.Events, so they stop at the controller's
+// event-log cap.
 func (in *Instrument) Observe(res *Result) {
 	tele := &res.Telemetry
 	n := tele.Required.Len()
@@ -97,12 +90,6 @@ func (in *Instrument) Observe(res *Result) {
 		in.events.Inc()
 		in.reg.CounterWith("dcsprint_controller_events_by_kind_total",
 			"Controller events by kind.", telemetry.Labels{"kind": e.Kind.String()}).Inc()
-		if in.tr != nil {
-			core.TraceEvent(in.tr, e)
-		}
-	}
-	if in.tr != nil {
-		in.tr.CloseOpen(time.Duration(n) * tele.Required.Step)
 	}
 	in.reg.Gauge("dcsprint_sim_improvement_ratio",
 		"Average burst performance relative to no sprinting.").Set(res.Improvement())

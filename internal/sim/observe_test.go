@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,27 +12,24 @@ import (
 	"dcsprint/internal/workload"
 )
 
-// observed runs sc and feeds the Result into a fresh instrument over reg
-// and tr.
-func observed(t *testing.T, sc Scenario, reg *telemetry.Registry, tr *telemetry.Tracer) *Result {
+// observed runs sc and feeds the Result into a fresh instrument over reg.
+func observed(t *testing.T, sc Scenario, reg *telemetry.Registry) *Result {
 	t.Helper()
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	NewInstrument(reg, tr).Observe(res)
+	NewInstrument(reg).Observe(res)
 	return res
 }
 
-func TestInstrumentPopulatesRegistryAndTracer(t *testing.T) {
+func TestInstrumentPopulatesRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := telemetry.NewTracer()
-	in := NewInstrument(reg, tr)
-	if in.Registry() != reg || in.Tracer() != tr {
-		t.Fatal("instrument accessors do not round-trip")
+	if NewInstrument(reg).Registry() != reg {
+		t.Fatal("instrument registry accessor does not round-trip")
 	}
 	sc := Scenario{Name: "obs", Trace: mustTrace(workload.SyntheticYahoo(1, 3.2, 15*time.Minute))}
-	res := observed(t, sc, reg, tr)
+	res := observed(t, sc, reg)
 	n := float64(sc.Trace.Len())
 	if got := reg.Counter("dcsprint_sim_ticks_total", "").Value(); got != n {
 		t.Fatalf("ticks counter = %v, want %v", got, n)
@@ -46,25 +42,6 @@ func TestInstrumentPopulatesRegistryAndTracer(t *testing.T) {
 	}
 	if got := reg.Gauge("dcsprint_sim_improvement_ratio", "").Value(); got != res.Improvement() {
 		t.Fatalf("improvement gauge = %v, want %v", got, res.Improvement())
-	}
-	// The burst produced controller phases; the tracer must hold one span
-	// per phase episode plus the burst span, all closed.
-	spans := tr.Spans()
-	if len(spans) == 0 {
-		t.Fatal("tracer recorded no spans")
-	}
-	names := map[string]bool{}
-	for _, s := range spans {
-		names[s.Name] = true
-	}
-	if !names[core.SpanBurst] {
-		t.Fatalf("missing burst span; have %v", spans)
-	}
-	if !names["phase-cb-overload"] {
-		t.Fatalf("missing phase span; have %v", spans)
-	}
-	if got := len(tr.OpenSpans()); got != 0 {
-		t.Fatalf("%d spans left open after Observe", got)
 	}
 }
 
@@ -96,7 +73,7 @@ func TestObserveGaugesMatchFinalPlant(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	NewInstrument(reg, nil).Observe(res)
+	NewInstrument(reg).Observe(res)
 	if want.Demand != 1 {
 		t.Fatalf("plant demand = %v, want the sanitized 1", want.Demand)
 	}
@@ -123,12 +100,12 @@ func TestObserveGaugesMatchFinalPlant(t *testing.T) {
 }
 
 // TestObserveResumedRunCoversWholeResult checks that a run restored from a
-// mid-trace snapshot observes exactly like the uninterrupted run: the
-// instrument reads the whole Result, ticks before the snapshot included.
+// mid-trace snapshot observes and traces exactly like the uninterrupted
+// run: both read the whole Result, ticks before the snapshot included.
 func TestObserveResumedRunCoversWholeResult(t *testing.T) {
 	sc := Scenario{Name: "resumed", Trace: mustTrace(workload.SyntheticYahoo(1, 3.2, 15*time.Minute))}
-	wantReg, wantTr := telemetry.NewRegistry(), telemetry.NewTracer()
-	observed(t, sc, wantReg, wantTr)
+	wantReg := telemetry.NewRegistry()
+	wantRes := observed(t, sc, wantReg)
 
 	first, err := New(sc)
 	if err != nil {
@@ -158,8 +135,8 @@ func TestObserveResumedRunCoversWholeResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, tr := telemetry.NewRegistry(), telemetry.NewTracer()
-	NewInstrument(reg, tr).Observe(res)
+	reg := telemetry.NewRegistry()
+	NewInstrument(reg).Observe(res)
 
 	if got := reg.Counter("dcsprint_sim_ticks_total", "").Value(); got != float64(len(samples)) {
 		t.Fatalf("ticks counter = %v, want the whole run's %d", got, len(samples))
@@ -174,22 +151,30 @@ func TestObserveResumedRunCoversWholeResult(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatalf("resumed registry differs from the uninterrupted run's\n--- want\n%s--- got\n%s", &want, &got)
 	}
-	if !reflect.DeepEqual(tr.Spans(), wantTr.Spans()) || !reflect.DeepEqual(tr.Points(), wantTr.Points()) {
-		t.Fatal("resumed trace differs from the uninterrupted run's")
+	var gotTrace, wantTrace strings.Builder
+	if err := res.WriteTraceJSONL(&gotTrace); err != nil {
+		t.Fatal(err)
+	}
+	if err := wantRes.WriteTraceJSONL(&wantTrace); err != nil {
+		t.Fatal(err)
+	}
+	if gotTrace.Len() == 0 || gotTrace.String() != wantTrace.String() {
+		t.Fatalf("resumed trace differs from the uninterrupted run's\n--- want\n%s--- got\n%s", &wantTrace, &gotTrace)
 	}
 }
 
-// TestPhaseSpansMatchPhaseTimeline cross-checks tracer spans against the
+// TestPhaseSpansMatchPhaseTimeline cross-checks trace spans against the
 // per-tick phase series: controller events fire at tick end ((i+1)*step), so
 // a span's window is the series window shifted by one step.
 func TestPhaseSpansMatchPhaseTimeline(t *testing.T) {
-	tr := telemetry.NewTracer()
 	res := observed(t, Scenario{
 		Name:  "spans",
 		Trace: mustTrace(workload.SyntheticYahoo(1, 3.2, 15*time.Minute)),
-	}, telemetry.NewRegistry(), tr)
+	}, telemetry.NewRegistry())
 	step := res.Telemetry.Required.Step
-	for _, s := range tr.Spans() {
+	end := time.Duration(res.Telemetry.Required.Len()) * step
+	phases := 0
+	for _, s := range core.TraceRecords(res.Events, end) {
 		phase := 0
 		switch s.Name {
 		case "phase-cb-overload":
@@ -213,13 +198,17 @@ func TestPhaseSpansMatchPhaseTimeline(t *testing.T) {
 		if first < 0 {
 			t.Fatalf("span %q has no matching tick in the phase series", s.Name)
 		}
-		want := time.Duration(first+1) * step
-		if s.Start != want {
-			t.Errorf("span %q starts at %v, want %v (first tick %d)", s.Name, s.Start, want, first)
+		phases++
+		want := (time.Duration(first+1) * step).Seconds()
+		if s.StartS != want {
+			t.Errorf("span %q starts at %vs, want %vs (first tick %d)", s.Name, s.StartS, want, first)
 		}
-		if s.End < s.Start {
-			t.Errorf("span %q not closed: %v..%v", s.Name, s.Start, s.End)
+		if s.EndS < s.StartS {
+			t.Errorf("span %q ends before it starts: %v..%v", s.Name, s.StartS, s.EndS)
 		}
+	}
+	if phases != 3 {
+		t.Fatalf("%d phase spans, want one per phase", phases)
 	}
 }
 
@@ -244,7 +233,7 @@ func TestInstrumentFaultProbes(t *testing.T) {
 		Name:   "faulted",
 		Trace:  mustTrace(workload.SyntheticYahoo(1, 3.0, 10*time.Minute)),
 		Faults: sched,
-	}, reg, nil)
+	}, reg)
 	if got := injected.Value() - i0; got != 1 {
 		t.Fatalf("injected counter moved by %v, want 1", got)
 	}

@@ -71,15 +71,6 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	}
 }
 
-func BenchmarkTracerSpan(b *testing.B) {
-	tr := NewTracer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.StartSpan("burst", 0, "")
-		tr.EndSpan("burst", 1)
-	}
-}
-
 func BenchmarkWriteCSV(b *testing.B) {
 	vals := make([]float64, 1800)
 	for i := range vals {

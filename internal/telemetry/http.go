@@ -12,18 +12,16 @@ import (
 	"time"
 )
 
-// exposition serves a registry (and optionally a tracer, flight recorder
-// and op log) over HTTP:
+// exposition serves a registry (and optionally a flight recorder and op
+// log) over HTTP:
 //
 //	/metrics          Prometheus text exposition
-//	/healthz          JSON liveness (status, uptime, spans/points so far)
-//	/trace.jsonl      the tracer's closed spans and points as JSONL
+//	/healthz          JSON liveness (status, uptime, metric families)
 //	/debug/events     the flight recorder's retained events as JSON
 //	/debug/ops.jsonl  the op log's wall-clock wire spans as JSONL
 //	/debug/pprof/     the standard Go profiler endpoints
 type exposition struct {
 	reg    *Registry
-	tracer *Tracer
 	flight *FlightRecorder
 	ops    *OpLog
 	start  time.Time
@@ -33,26 +31,19 @@ type exposition struct {
 // other sink is optional and its route 404s when absent.
 type HandlerOpts struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Flight   *FlightRecorder
 	Ops      *OpLog
 }
 
-// Handler returns an http.Handler exposing the registry's /metrics, a
-// /healthz liveness probe, the tracer's /trace.jsonl (404 when tracer is
-// nil) and /debug/pprof/. Daemons embedding their own http.Server mount this
-// next to their API routes; StartServer wraps it for standalone use.
-func Handler(reg *Registry, tracer *Tracer) http.Handler {
-	return HandlerWith(HandlerOpts{Registry: reg, Tracer: tracer})
-}
-
-// HandlerWith is Handler plus the distributed-observability sinks: the
-// flight recorder at /debug/events and the server-side op spans at
-// /debug/ops.jsonl.
+// HandlerWith returns an http.Handler exposing the registry's /metrics, a
+// /healthz liveness probe, /debug/pprof/ and the optional
+// distributed-observability sinks: the flight recorder at /debug/events and
+// the server-side op spans at /debug/ops.jsonl. Daemons embedding their own
+// http.Server mount this next to their API routes; StartServer wraps it for
+// standalone use.
 func HandlerWith(opts HandlerOpts) http.Handler {
 	e := &exposition{
 		reg:    opts.Registry,
-		tracer: opts.Tracer,
 		flight: opts.Flight,
 		ops:    opts.Ops,
 		start:  time.Now(),
@@ -60,7 +51,6 @@ func HandlerWith(opts HandlerOpts) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", e.handleMetrics)
 	mux.HandleFunc("/healthz", e.handleHealthz)
-	mux.HandleFunc("/trace.jsonl", e.handleTrace)
 	mux.HandleFunc("/debug/events", e.handleEvents)
 	mux.HandleFunc("/debug/ops.jsonl", e.handleOps)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -72,7 +62,7 @@ func HandlerWith(opts HandlerOpts) http.Handler {
 }
 
 // Server exposes a registry over HTTP in a background goroutine for live
-// inspection of long experiment runs. See Handler for the routes.
+// inspection of long experiment runs. See HandlerWith for the routes.
 type Server struct {
 	ln     net.Listener
 	srv    *http.Server
@@ -83,10 +73,10 @@ type Server struct {
 // back to hard-closing open connections.
 const closeTimeout = 3 * time.Second
 
-// StartServer listens on addr (":0" picks a free port) and serves in a
-// background goroutine until Close. The tracer may be nil; /trace.jsonl
-// then returns 404.
-func StartServer(addr string, reg *Registry, tracer *Tracer) (*Server, error) {
+// StartServer listens on addr (":0" picks a free port) and serves the
+// registry's /metrics, /healthz and /debug/pprof/ in a background goroutine
+// until Close.
+func StartServer(addr string, reg *Registry) (*Server, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("telemetry: nil registry")
 	}
@@ -96,10 +86,10 @@ func StartServer(addr string, reg *Registry, tracer *Tracer) (*Server, error) {
 	}
 	s := &Server{ln: ln}
 	// ReadHeaderTimeout caps how long a client may dribble request headers
-	// (slowloris); no WriteTimeout because /debug/pprof/profile and
-	// /trace.jsonl legitimately stream for a long time.
+	// (slowloris); no WriteTimeout because /debug/pprof/profile
+	// legitimately streams for a long time.
 	s.srv = &http.Server{
-		Handler:           Handler(reg, tracer),
+		Handler:           HandlerWith(HandlerOpts{Registry: reg}),
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -135,17 +125,9 @@ func (e *exposition) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	type health struct {
 		Status   string  `json:"status"`
 		UptimeS  float64 `json:"uptime_s"`
-		Spans    int     `json:"spans"`
-		Open     int     `json:"open_spans"`
-		Points   int     `json:"points"`
 		Families int     `json:"metric_families"`
 	}
 	h := health{Status: "ok", UptimeS: time.Since(e.start).Seconds()}
-	if e.tracer != nil {
-		h.Spans = len(e.tracer.Spans())
-		h.Open = len(e.tracer.OpenSpans())
-		h.Points = len(e.tracer.Points())
-	}
 	e.reg.mu.RLock()
 	h.Families = len(e.reg.families)
 	e.reg.mu.RUnlock()
@@ -217,17 +199,6 @@ func (e *exposition) handleOps(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
 	if err := e.ops.WriteLastJSONL(w, n); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (e *exposition) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	if e.tracer == nil {
-		http.NotFound(w, nil)
-		return
-	}
-	w.Header().Set("Content-Type", "application/jsonl")
-	if err := e.tracer.WriteJSONL(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

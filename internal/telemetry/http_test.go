@@ -6,14 +6,13 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
-func startTestServer(t *testing.T, tracer *Tracer) (*Server, *Registry) {
+func startTestServer(t *testing.T) (*Server, *Registry) {
 	t.Helper()
 	r := NewRegistry()
 	r.Counter("dcsprint_test_hits_total", "hits").Add(7)
-	s, err := StartServer("127.0.0.1:0", r, tracer)
+	s, err := StartServer("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestServerMetricsEndpoint(t *testing.T) {
-	s, _ := startTestServer(t, nil)
+	s, _ := startTestServer(t)
 	code, body := get(t, "http://"+s.Addr()+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d", code)
@@ -57,53 +56,34 @@ func TestServerMetricsEndpoint(t *testing.T) {
 }
 
 func TestServerHealthz(t *testing.T) {
-	tr := NewTracer()
-	tr.StartSpan("burst", time.Second, "")
-	tr.EndSpan("burst", 2*time.Second)
-	tr.StartSpan("open", 3*time.Second, "")
-	tr.Point("p", time.Second, "")
-	s, _ := startTestServer(t, tr)
+	s, _ := startTestServer(t)
 	code, body := get(t, "http://"+s.Addr()+"/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d", code)
 	}
-	var h struct {
-		Status string `json:"status"`
-		Spans  int    `json:"spans"`
-		Open   int    `json:"open_spans"`
-		Points int    `json:"points"`
-	}
+	var h map[string]any
 	if err := json.Unmarshal([]byte(body), &h); err != nil {
 		t.Fatalf("healthz not JSON: %v\n%s", err, body)
 	}
-	if h.Status != "ok" || h.Spans != 1 || h.Open != 1 || h.Points != 1 {
-		t.Fatalf("healthz = %+v", h)
+	if h["status"] != "ok" || h["metric_families"] != 1.0 {
+		t.Fatalf("healthz = %v", h)
+	}
+	if _, ok := h["uptime_s"]; !ok || len(h) != 3 {
+		t.Fatalf("healthz fields = %v, want status, uptime_s and metric_families", h)
 	}
 }
 
+// TestServerTraceEndpoint checks the lifecycle trace is not served: it is
+// an export of a finished run (sim.Result.WriteTraceJSONL), not live state.
 func TestServerTraceEndpoint(t *testing.T) {
-	tr := NewTracer()
-	tr.Point("brownout", 9*time.Second, "")
-	s, _ := startTestServer(t, tr)
-	code, body := get(t, "http://"+s.Addr()+"/trace.jsonl")
-	if code != http.StatusOK {
-		t.Fatalf("GET /trace.jsonl = %d", code)
-	}
-	recs, err := ReadJSONL(strings.NewReader(body))
-	if err != nil || len(recs) != 1 || recs[0].Name != "brownout" {
-		t.Fatalf("trace endpoint = %v, %v", recs, err)
-	}
-
-	// Without a tracer the endpoint 404s.
-	s2, _ := startTestServer(t, nil)
-	code, _ = get(t, "http://"+s2.Addr()+"/trace.jsonl")
-	if code != http.StatusNotFound {
-		t.Fatalf("GET /trace.jsonl without tracer = %d, want 404", code)
+	s, _ := startTestServer(t)
+	if code, _ := get(t, "http://"+s.Addr()+"/trace.jsonl"); code != http.StatusNotFound {
+		t.Fatalf("GET /trace.jsonl = %d, want 404", code)
 	}
 }
 
 func TestServerPprofIndex(t *testing.T) {
-	s, _ := startTestServer(t, nil)
+	s, _ := startTestServer(t)
 	code, _ := get(t, "http://"+s.Addr()+"/debug/pprof/")
 	if code != http.StatusOK {
 		t.Fatalf("GET /debug/pprof/ = %d", code)
@@ -111,7 +91,7 @@ func TestServerPprofIndex(t *testing.T) {
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
-	s, _ := startTestServer(t, nil)
+	s, _ := startTestServer(t)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +101,10 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestStartServerErrors(t *testing.T) {
-	if _, err := StartServer("127.0.0.1:0", nil, nil); err == nil {
+	if _, err := StartServer("127.0.0.1:0", nil); err == nil {
 		t.Fatal("accepted nil registry")
 	}
-	if _, err := StartServer("definitely:not:an:addr", NewRegistry(), nil); err == nil {
+	if _, err := StartServer("definitely:not:an:addr", NewRegistry()); err == nil {
 		t.Fatal("accepted bad address")
 	}
 }

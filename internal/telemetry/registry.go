@@ -1,8 +1,8 @@
 // Package telemetry is the unified instrumentation layer of dcsprint: a
 // zero-dependency metrics registry (counters, gauges, fixed-bucket
-// histograms), a span-style tracer bracketing the sprint lifecycle, and the
-// sinks that get the data out — Prometheus text exposition, JSONL structured
-// traces, per-tick CSV tables and a live HTTP endpoint.
+// histograms) and the sinks that get the data out — Prometheus text
+// exposition, the JSONL sprint-lifecycle trace record, wall-clock op spans,
+// per-tick CSV tables and a live HTTP endpoint.
 //
 // Everything is safe for concurrent use: experiment campaigns fan runs out
 // with campaign.Sweep, and many goroutines may observe into one registry while

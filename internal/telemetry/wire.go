@@ -12,13 +12,14 @@ import (
 	"time"
 )
 
-// This file is the distributed half of the tracer: wall-clock operation
+// This file is the distributed trace: wall-clock operation
 // spans stamped with a wire-propagated trace/request ID, recorded
 // independently on the client and server side of the control plane, and
 // merged afterwards into one Chrome trace_event timeline (loadable in
 // chrome://tracing and Perfetto).
 //
-// The simulation-time Tracer brackets what happened *inside* a run; OpSpans
+// The simulation-time lifecycle trace (core.TraceRecords over a Result's
+// event log) brackets what happened *inside* a run; OpSpans
 // bracket what happened *to* the run as it crossed the wire — admission,
 // queue wait, engine step, snapshot, eviction, drain — keyed so a client
 // round trip and the server work it caused line up in one timeline.

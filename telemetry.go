@@ -1,7 +1,8 @@
 package dcsprint
 
-// This file is the observability facade: the unified metrics registry,
-// lifecycle tracer, the run instrument and the live exposition server. The
+// This file is the observability facade: the unified metrics registry, the
+// run instrument, the lifecycle trace's record type and the live
+// exposition server. The
 // implementation lives in internal/telemetry; see DESIGN.md's "Telemetry"
 // section.
 
@@ -18,14 +19,13 @@ type (
 	MetricRegistry = telemetry.Registry
 	// MetricLabels is an optional label set on a metric child.
 	MetricLabels = telemetry.Labels
-	// Tracer records sprint-lifecycle spans and points.
-	Tracer = telemetry.Tracer
-	// TraceRecord is the JSONL wire form of one span or point.
+	// TraceRecord is the JSONL wire form of one lifecycle span or point,
+	// as (*Result).WriteTraceJSONL writes it.
 	TraceRecord = telemetry.TraceRecord
-	// Instrument feeds a finished run's Result into a registry and tracer;
-	// see sim.Instrument.
+	// Instrument feeds a finished run's Result into a registry; see
+	// sim.Instrument.
 	Instrument = sim.Instrument
-	// TelemetryServer exposes /metrics, /healthz, /trace.jsonl and pprof.
+	// TelemetryServer exposes /metrics, /healthz and pprof.
 	TelemetryServer = telemetry.Server
 )
 
@@ -36,22 +36,16 @@ func NewMetricRegistry() *MetricRegistry { return telemetry.NewRegistry() }
 // probes (per-run counters) feed.
 func DefaultMetricRegistry() *MetricRegistry { return telemetry.Default() }
 
-// NewTracer returns an empty lifecycle tracer.
-func NewTracer() *Tracer { return telemetry.NewTracer() }
-
-// NewInstrument returns a run instrument over a registry and an optional
-// tracer.
-func NewInstrument(reg *MetricRegistry, tr *Tracer) *Instrument {
-	return sim.NewInstrument(reg, tr)
-}
+// NewInstrument returns a run instrument over a registry.
+func NewInstrument(reg *MetricRegistry) *Instrument { return sim.NewInstrument(reg) }
 
 // WriteRunCSV writes a run's canonical per-second telemetry table; one
 // schema shared by every CSV consumer. It is a thin wrapper around
 // (*Result).WriteCSV.
 func WriteRunCSV(w io.Writer, res *Result) error { return res.WriteCSV(w) }
 
-// StartTelemetryServer serves the registry (and optional tracer) over HTTP
-// for live scrapes; addr ":0" picks a free port.
-func StartTelemetryServer(addr string, reg *MetricRegistry, tr *Tracer) (*TelemetryServer, error) {
-	return telemetry.StartServer(addr, reg, tr)
+// StartTelemetryServer serves the registry over HTTP for live scrapes;
+// addr ":0" picks a free port.
+func StartTelemetryServer(addr string, reg *MetricRegistry) (*TelemetryServer, error) {
+	return telemetry.StartServer(addr, reg)
 }
