@@ -14,8 +14,8 @@ import (
 )
 
 type (
-	// CampaignOptions configures a sweep: worker count, shard size and
-	// progress metrics; see campaign.Options.
+	// CampaignOptions configures a sweep: its only field is the worker
+	// count; see campaign.Options.
 	CampaignOptions = campaign.Options
 	// CampaignResult summarizes a completed sweep; see campaign.Report.
 	CampaignResult = campaign.Report
@@ -29,7 +29,7 @@ type (
 
 // Sweep runs fn over every item on the campaign engine and returns the
 // results in item order; see campaign.Sweep for the full contract
-// (order-preserving, cancel-on-first-error, bounded queue memory).
+// (order-preserving, cancel-on-first-error, one goroutine per worker).
 func Sweep[T, R any](ctx context.Context, opts CampaignOptions, items []T, fn func(context.Context, T) (R, error)) ([]R, *CampaignResult, error) {
 	return campaign.Sweep(ctx, opts, items, fn)
 }

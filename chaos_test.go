@@ -2,21 +2,30 @@ package dcsprint
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
-// TestChaosInvariants replays a reduced chaos sweep (E15) and asserts the
-// graceful-degradation contract: no random fault campaign may trip a breaker,
-// overheat the room, or leave the facility down — faults may only reduce the
-// excess work served below the supervised healthy baseline.
+// TestChaosInvariants replays a reduced chaos sweep (E15) serially and on
+// four workers, requires identical rows, and asserts the graceful-degradation
+// contract: no random fault campaign may trip a breaker, overheat the room,
+// or leave the facility down — faults may only reduce the excess work served
+// below the supervised healthy baseline.
 func TestChaosInvariants(t *testing.T) {
 	campaigns := 12
 	if testing.Short() {
 		campaigns = 4
 	}
-	rows, err := Chaos(context.Background(), CampaignOptions{}, 1, campaigns)
+	rows, err := Chaos(context.Background(), CampaignOptions{Workers: 1}, 1, campaigns)
 	if err != nil {
 		t.Fatal(err)
+	}
+	parallel, err := Chaos(context.Background(), CampaignOptions{Workers: 4}, 1, campaigns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, parallel) {
+		t.Fatalf("Chaos rows depend on the worker count:\nWorkers 1: %+v\nWorkers 4: %+v", rows, parallel)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("Chaos covered %d strategies, want 5", len(rows))

@@ -154,6 +154,14 @@ func run(args []string) error {
 	if host != nil {
 		host.AttachManager(mgr)
 	}
+	// stop ends the manager's and the host's background loops; every
+	// return from here on calls it exactly once.
+	stop := func() {
+		mgr.Close()
+		if host != nil {
+			host.Close()
+		}
+	}
 
 	// Recover journaled sessions before the listener opens so a resuming
 	// client never races the replay: by the time a connection is accepted,
@@ -200,6 +208,7 @@ func run(args []string) error {
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
+		stop()
 		return err
 	}
 	fmt.Printf("dcsprintd listening on http://%s (sessions<=%d, idle-ttl %v)\n",
@@ -218,6 +227,12 @@ func run(args []string) error {
 	if flight != nil {
 		quit := make(chan os.Signal, 1)
 		signal.Notify(quit, syscall.SIGQUIT)
+		defer func() {
+			// Stop guarantees no further sends on quit, so closing it
+			// is safe and ends the dump goroutine.
+			signal.Stop(quit)
+			close(quit)
+		}()
 		go func() {
 			for range quit {
 				flight.WriteText(os.Stderr) //nolint:errcheck
@@ -232,10 +247,7 @@ func run(args []string) error {
 	case s := <-sig:
 		fmt.Printf("dcsprintd: %v, draining\n", s)
 	case err := <-errc:
-		mgr.Close()
-		if host != nil {
-			host.Close()
-		}
+		stop()
 		return err
 	}
 
@@ -244,10 +256,7 @@ func run(args []string) error {
 	if err := srv.Shutdown(ctx); err != nil {
 		srv.Close()
 	}
-	mgr.Close()
-	if host != nil {
-		host.Close()
-	}
+	stop()
 	if ops != nil {
 		if err := writeSpans(*spanOut, ops); err != nil {
 			return fmt.Errorf("writing %s: %w", *spanOut, err)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"testing"
@@ -32,6 +34,52 @@ func TestRunRejectsBadSpecsBeforeListening(t *testing.T) {
 	if err := run([]string{"-listen", "bad:addr:port"}); err == nil || !strings.Contains(err.Error(), "listen") {
 		t.Fatalf("run with an unusable address = %v, want a listen error", err)
 	}
+}
+
+// TestRunLeavesNoGoroutines checks run stops every goroutine it started,
+// both when the listen fails after the manager and fleet host are built and
+// after a drained run with the SIGQUIT flight-recorder dump installed.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	// The first run starts os/signal's process-wide dispatch goroutine,
+	// which lives as long as the process; take the baseline after it.
+	if err := run([]string{"-listen", "bad:addr:port"}); err == nil {
+		t.Fatal("run with an unusable address succeeded")
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		if err := run([]string{"-listen", "bad:addr:port", "-fleet", "dcs=4"}); err == nil || !strings.Contains(err.Error(), "listen") {
+			t.Fatalf("run with an unusable address = %v, want a listen error", err)
+		}
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("failed-listen runs left %d goroutines, baseline %d:\n%s", n, base, goroutineDump())
+	}
+	_, drain := daemon(t, "-fleet", "dcs=4")
+	if out, err := drain(); err != nil {
+		t.Fatalf("run after SIGTERM = %v\n%s", err, out)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("drained run left %d goroutines, baseline %d:\n%s", n, base, goroutineDump())
+	}
+}
+
+// settledGoroutines waits up to five seconds for the goroutine count to
+// fall to want, giving exiting goroutines time to finish, and returns the
+// last count.
+func settledGoroutines(want int) int {
+	http.DefaultClient.CloseIdleConnections()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+func goroutineDump() string {
+	var b strings.Builder
+	pprof.Lookup("goroutine").WriteTo(&b, 1) //nolint:errcheck
+	return b.String()
 }
 
 // daemon runs the command with args on a loopback port until drain is

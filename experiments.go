@@ -14,7 +14,6 @@ import (
 	"dcsprint/internal/faults"
 	"dcsprint/internal/fleet"
 	"dcsprint/internal/sim"
-	"dcsprint/internal/telemetry"
 	"dcsprint/internal/testbed"
 	"dcsprint/internal/units"
 	"dcsprint/internal/ups"
@@ -969,13 +968,8 @@ func MonteCarlo(ctx context.Context, opts CampaignOptions, seeds int) (*MonteCar
 	for i := range ids {
 		ids[i] = int64(i + 1)
 	}
-	// Campaign statistics accumulate through a telemetry registry — the
-	// same concurrency-safe primitives the live /metrics endpoint exposes —
-	// exercised here under the campaign fan-out.
-	reg := telemetry.NewRegistry()
-	trips := reg.Counter("dcsprint_mc_trips_total", "Monte Carlo runs with a breaker trip.")
-	imps := reg.Histogram("dcsprint_mc_improvement_ratio",
-		"Improvement distribution across seeds.", telemetry.LinearBuckets(1, 0.25, 12))
+	// A tripped run reports NaN; the tallies fold from vals, which sweepCtx
+	// returns in seed order, so they are bit-identical at any worker count.
 	vals, err := sweepCtx(ctx, opts, ids, func(seed int64) (float64, error) {
 		tr, err := YahooTrace(seed, 3.2, 15*time.Minute)
 		if err != nil {
@@ -986,23 +980,18 @@ func MonteCarlo(ctx context.Context, opts CampaignOptions, seeds int) (*MonteCar
 			return 0, err
 		}
 		if r.TrippedAt >= 0 {
-			trips.Inc()
 			return math.NaN(), nil
 		}
-		imps.Observe(r.Improvement())
 		return r.Improvement(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	st := &MonteCarloStats{Seeds: seeds, Trips: int(trips.Value()), Min: math.Inf(1), Max: math.Inf(-1)}
-	// Accumulate the moments from vals, which sweepCtx returns in seed
-	// order, not from the histogram: concurrent Observe calls sum floats
-	// in scheduler order, which breaks the bit-identical-at-any-worker-
-	// count contract in the last mantissa bits.
+	st := &MonteCarloStats{Seeds: seeds, Min: math.Inf(1), Max: math.Inf(-1)}
 	var n, sum, sumSq float64
 	for _, v := range vals {
 		if math.IsNaN(v) {
+			st.Trips++
 			continue
 		}
 		n++
@@ -1191,13 +1180,6 @@ func Chaos(ctx context.Context, opts CampaignOptions, seed int64, campaigns int)
 		{"heuristic", Heuristic(2.5, 0.10)},
 		{"adaptive", Adaptive(tbl)},
 	}
-	// Per-strategy campaign tallies live in a telemetry registry and are
-	// incremented from inside the sweep workers — the counters must hold
-	// up under the fan-out (the race job covers this path).
-	reg := telemetry.NewRegistry()
-	count := func(name, help, strategy string) *telemetry.Counter {
-		return reg.CounterWith(name, help, telemetry.Labels{"strategy": strategy})
-	}
 	rows := make([]ChaosRow, 0, len(strategies))
 	for _, s := range strategies {
 		healthy, err := Run(Scenario{
@@ -1209,37 +1191,17 @@ func Chaos(ctx context.Context, opts CampaignOptions, seed int64, campaigns int)
 		if err != nil {
 			return nil, err
 		}
-		trips := count("dcsprint_chaos_trips_total", "Chaos campaigns ending in a breaker trip.", s.name)
-		overheats := count("dcsprint_chaos_overheats_total", "Chaos campaigns reaching 40 C.", s.name)
-		deaths := count("dcsprint_chaos_deaths_total", "Chaos campaigns ending facility-down.", s.name)
-		aborts := count("dcsprint_chaos_aborts_total", "Supervision-forced sprint aborts.", s.name)
-		excess := count("dcsprint_chaos_excess_served_seconds_total", "Excess degree-seconds served.", s.name)
 		idx := make([]int, campaigns)
 		for i := range idx {
 			idx[i] = i
 		}
 		results, err := sweepCtx(ctx, opts, idx, func(i int) (*Result, error) {
-			r, err := Run(Scenario{
+			return Run(Scenario{
 				Name:     fmt.Sprintf("chaos-%s-%d", s.name, i),
 				Trace:    tr,
 				Strategy: s.st,
 				Faults:   faults.Random(seed*1000+int64(i), tr.Duration(), groups),
 			})
-			if err != nil {
-				return nil, err
-			}
-			if r.TrippedAt >= 0 {
-				trips.Inc()
-			}
-			if r.Telemetry.RoomTemp.Max() >= 40 {
-				overheats.Inc()
-			}
-			if r.Dead {
-				deaths.Inc()
-			}
-			aborts.Add(float64(r.Aborts))
-			excess.Add(r.ExcessServed)
-			return r, nil
 		})
 		if err != nil {
 			return nil, err
@@ -1247,17 +1209,25 @@ func Chaos(ctx context.Context, opts CampaignOptions, seed int64, campaigns int)
 		row := ChaosRow{
 			Strategy:            s.name,
 			Campaigns:           campaigns,
-			Trips:               int(trips.Value()),
-			Overheats:           int(overheats.Value()),
-			Deaths:              int(deaths.Value()),
-			Aborts:              int(aborts.Value()),
 			HealthyExcess:       healthy.ExcessServed,
-			MeanDegradedExcess:  excess.Value() / float64(campaigns),
 			WorstDegradedExcess: math.Inf(1),
 			MinTripMargin:       1 - healthy.MaxBreakerStress,
 		}
-		// Extremes are not accumulators; they still come from the results.
+		// Fold the tallies from the campaign-ordered results, so the excess
+		// sum adds in the same order at any worker count.
+		var excess float64
 		for _, r := range results {
+			if r.TrippedAt >= 0 {
+				row.Trips++
+			}
+			if r.Telemetry.RoomTemp.Max() >= 40 {
+				row.Overheats++
+			}
+			if r.Dead {
+				row.Deaths++
+			}
+			row.Aborts += r.Aborts
+			excess += r.ExcessServed
 			if r.ExcessServed < row.WorstDegradedExcess {
 				row.WorstDegradedExcess = r.ExcessServed
 			}
@@ -1265,6 +1235,7 @@ func Chaos(ctx context.Context, opts CampaignOptions, seed int64, campaigns int)
 				row.MinTripMargin = m
 			}
 		}
+		row.MeanDegradedExcess = excess / float64(campaigns)
 		rows = append(rows, row)
 	}
 	return rows, nil

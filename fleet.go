@@ -31,7 +31,7 @@ type (
 	// provenance and transfer charges; see fleet.Placement.
 	FleetPlacement = fleet.Placement
 	// FleetRunOptions selects coordinated routing vs independent
-	// sprinting and the stepping fan-out; see fleet.RunOptions.
+	// sprinting; see fleet.RunOptions.
 	FleetRunOptions = fleet.RunOptions
 	// FleetResult is one fleet run's outcome; see fleet.Result.
 	FleetResult = fleet.Result

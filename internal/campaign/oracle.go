@@ -41,8 +41,7 @@ func OracleSearch(ctx context.Context, opts Options, sc sim.Scenario) (*OracleRe
 	for n := srv.NormalCores; n <= srv.TotalCores; n++ {
 		bounds = append(bounds, srv.Degree(n))
 	}
-	scanOpts := Options{Workers: opts.Workers, Registry: opts.Registry}
-	results, _, err := Sweep(ctx, scanOpts, bounds, func(_ context.Context, b float64) (*sim.Result, error) {
+	results, _, err := Sweep(ctx, opts, bounds, func(_ context.Context, b float64) (*sim.Result, error) {
 		c := nsc
 		c.Strategy = core.FixedBound{Bound: b}
 		return sim.Run(c)
@@ -63,7 +62,7 @@ func OracleSearch(ctx context.Context, opts Options, sc sim.Scenario) (*OracleRe
 }
 
 // BuildBoundTable populates the Prediction strategy's lookup table by
-// oracle-searching every (duration, degree) grid cell, with the cells sharded
+// oracle-searching every (duration, degree) grid cell, with the cells spread
 // across the campaign worker pool.
 func BuildBoundTable(ctx context.Context, opts Options, base sim.Scenario, mk TraceMaker, durations []time.Duration, degrees []float64) (*core.BoundTable, error) {
 	type cell struct{ i, j int }

@@ -9,7 +9,6 @@ import (
 
 	"dcsprint/internal/core"
 	"dcsprint/internal/sim"
-	"dcsprint/internal/telemetry"
 	"dcsprint/internal/trace"
 	"dcsprint/internal/workload"
 )
@@ -114,7 +113,7 @@ func TestBuildBoundTableMatchesSim(t *testing.T) {
 	tm := func(degree float64, d time.Duration) (*trace.Series, error) {
 		return workload.SyntheticYahoo(3, degree, d)
 	}
-	got, err := BuildBoundTable(context.Background(), Options{Registry: telemetry.NewRegistry()}, base, tm, durations, degrees)
+	got, err := BuildBoundTable(context.Background(), Options{}, base, tm, durations, degrees)
 	if err != nil {
 		t.Fatalf("BuildBoundTable: %v", err)
 	}

@@ -30,9 +30,9 @@ var hostSeries = []string{
 // latest plant probe — the daemon-side ledger feed. The host's refresh loop
 // pulls Manager.Probes, each session's Engine.Plant read under its session
 // lock, and writes the results here on the FoldEvery cadence, so the step
-// hot path pays nothing for the fleet control plane.
+// hot path pays nothing for the fleet control plane. Every field is
+// guarded by Host.mu.
 type binding struct {
-	mu   sync.Mutex
 	dc   int // serving DC index; -1 until bound (or never, for non-fleet sessions)
 	last sim.PlantSample
 	have bool
@@ -72,7 +72,7 @@ type Host struct {
 	cfg      HostConfig
 	profiles []Profile
 
-	mu       sync.Mutex // guards router, bindings, dcs bookkeeping, rr
+	mu       sync.Mutex // guards router, bindings and their fields, dcs bookkeeping, rr
 	router   *Router
 	mgr      *service.Manager
 	bindings map[string]*binding
@@ -173,11 +173,8 @@ func (h *Host) Drop(id string) {
 	h.mu.Lock()
 	if b := h.bindings[id]; b != nil {
 		delete(h.bindings, id)
-		b.mu.Lock()
-		dc := b.dc
-		b.mu.Unlock()
-		if dc >= 0 {
-			h.dcs[dc].sessions--
+		if b.dc >= 0 {
+			h.dcs[b.dc].sessions--
 		}
 	}
 	h.mu.Unlock()
@@ -190,17 +187,14 @@ func (h *Host) ledgersLocked() []Ledger {
 		out[i] = FreshLedger(d.profile.ID, d.sessions, d.profile.AdmitCap)
 	}
 	for _, b := range h.bindings {
-		b.mu.Lock()
-		dc, s, have, dead := b.dc, b.last, b.have, b.dead
-		b.mu.Unlock()
-		if dc < 0 || !have {
+		if b.dc < 0 || !b.have {
 			continue
 		}
-		m := LedgerOf(h.dcs[dc].profile.ID, s)
+		m := LedgerOf(h.dcs[b.dc].profile.ID, b.last)
 		// A member riding its breaker accumulator to the trip point has
 		// taken the facility down: the DC admits nothing until it clears.
-		m.Dead = dead || s.BreakerStress >= 1
-		out[dc].Fold(m)
+		m.Dead = b.dead || b.last.BreakerStress >= 1
+		out[b.dc].Fold(m)
 	}
 	return out
 }
@@ -222,9 +216,7 @@ func (h *Host) refreshProbes() {
 		if b == nil {
 			continue
 		}
-		b.mu.Lock()
 		b.last, b.have, b.dead = p.Sample, true, p.Dead
-		b.mu.Unlock()
 	}
 	h.mu.Unlock()
 }
@@ -294,9 +286,7 @@ func (h *Host) CreateSession(spec service.ScenarioSpec) (*RoutedSession, error) 
 	}
 	h.mu.Lock()
 	if b := h.bindings[sess.ID]; b != nil {
-		b.mu.Lock()
 		b.dc = serving
-		b.mu.Unlock()
 	}
 	h.mu.Unlock()
 	if h.mRouted != nil {

@@ -114,35 +114,29 @@ func TestRouterDecisionLogDeterminism(t *testing.T) {
 	}
 }
 
-// TestFleetRunDeterminism is the serial-vs-parallel bit-identity guarantee:
-// the same spec must produce byte-identical Results (placement log included)
-// whether DCs step serially, on a worker pool, or on a rerun.
+// TestFleetRunDeterminism is the rerun bit-identity guarantee: the same spec
+// must produce byte-identical Results (placement log included) on a rerun.
 func TestFleetRunDeterminism(t *testing.T) {
 	spec := Spec{
 		DCs: 8, Seed: 1234, Replicas: 1, HotDC: 0, AdmitCap: 1,
 		Ticks: 400, Bursts: 8, BurstDegree: 1.8, BurstTicks: 120,
 	}
-	run := func(workers int) *Result {
+	run := func() *Result {
 		f, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Run(context.Background(), RunOptions{Coordinated: true, Workers: workers})
+		res, err := f.Run(context.Background(), RunOptions{Coordinated: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	serial := run(1)
-	parallel := run(8)
-	rerun := run(1)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("serial != parallel:\n%+v\n%+v", serial, parallel)
+	first, rerun := run(), run()
+	if !reflect.DeepEqual(first, rerun) {
+		t.Fatalf("rerun diverged:\n%+v\n%+v", first, rerun)
 	}
-	if !reflect.DeepEqual(serial, rerun) {
-		t.Fatalf("rerun diverged:\n%+v\n%+v", serial, rerun)
-	}
-	if serial.Spilled == 0 {
+	if first.Spilled == 0 {
 		t.Fatal("hot-DC scenario produced no spills; determinism test lost its teeth")
 	}
 }
@@ -160,7 +154,7 @@ func TestFleetCoordinationDominates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.Run(context.Background(), RunOptions{Coordinated: coord, Workers: 4})
+		res, err := f.Run(context.Background(), RunOptions{Coordinated: coord})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dcsprint/internal/sim"
@@ -15,7 +14,7 @@ type simDC struct {
 	profile Profile
 	eng     *sim.Engine
 	// plant is the engine's probe after its last step, read once per tick
-	// between barriers; it is meaningful once eng.Tick() > 0.
+	// after every DC has stepped; it is meaningful once eng.Tick() > 0.
 	plant sim.PlantSample
 
 	admitted  int // active load units placed here
@@ -92,9 +91,6 @@ type RunOptions struct {
 	// control, replica placement. False is the paper-baseline ablation —
 	// every burst sprints on its home DC no matter what.
 	Coordinated bool
-	// Workers bounds the per-tick DC stepping fan-out; <= 1 is serial.
-	// Results are bit-identical at any worker count.
-	Workers int
 }
 
 // servedFloor is the mean delivered/required ratio above which a burst
@@ -156,8 +152,8 @@ type burstState struct {
 
 // Run executes the schedule over the fleet and seals every engine.
 // Deterministic: for a fixed spec the Result and the placement log are
-// bit-identical across reruns and at any Workers count — placement is
-// serialized between tick barriers, and the engines are independent.
+// bit-identical across reruns. The DCs step serially in DC order; callers
+// that want parallelism fan out over whole runs (E16 sweeps its seeds).
 func (f *Fleet) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	schedule, err := f.spec.Schedule()
 	if err != nil {
@@ -191,7 +187,7 @@ func (f *Fleet) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 			return nil, err
 		}
 		// Admission: route the bursts arriving this tick, in schedule
-		// order, against the ledgers as of the last barrier.
+		// order, against the ledgers as of the last tick.
 		for i, st := range bursts {
 			if st.b.At != tick {
 				continue
@@ -238,9 +234,11 @@ func (f *Fleet) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 				demands[st.serving] += st.b.Degree - 1
 			}
 		}
-		// Step every DC — the only fanned-out phase, with a barrier.
-		if err := f.step(demands, opts.Workers); err != nil {
-			return nil, err
+		// Step every DC one tick.
+		for i, d := range f.dcs {
+			if _, err := d.eng.Step(demands[i]); err != nil {
+				return nil, fmt.Errorf("fleet: stepping %s: %w", d.profile.ID, err)
+			}
 		}
 		// Fold the tick's probes into per-DC and burst accounting.
 		for _, d := range f.dcs {
@@ -329,48 +327,6 @@ func (f *Fleet) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 		res.MeanServedRatio = ratioSum / float64(ratioN)
 	}
 	return res, nil
-}
-
-// step advances every DC one tick, serially or on a bounded worker pool
-// with a barrier. Engines are independent, so the fan-out cannot change
-// any engine's arithmetic — only wall-clock time.
-func (f *Fleet) step(demands []float64, workers int) error {
-	if workers <= 1 || len(f.dcs) == 1 {
-		for i, d := range f.dcs {
-			if _, err := d.eng.Step(demands[i]); err != nil {
-				return fmt.Errorf("fleet: stepping %s: %w", d.profile.ID, err)
-			}
-		}
-		return nil
-	}
-	if workers > len(f.dcs) {
-		workers = len(f.dcs)
-	}
-	errs := make([]error, len(f.dcs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if _, err := f.dcs[i].eng.Step(demands[i]); err != nil {
-					errs[i] = err
-				}
-			}
-		}()
-	}
-	for i := range f.dcs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("fleet: stepping %s: %w", f.dcs[i].profile.ID, err)
-		}
-	}
-	return nil
 }
 
 // dcIndex maps a DC id back to its index.

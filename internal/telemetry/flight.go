@@ -33,7 +33,7 @@ type FlightEvent struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Flight-event kinds recorded by the control plane and campaign engine.
+// Flight-event kinds recorded by the control plane and the fleet host.
 const (
 	EventBackpressure = "429"          // full session mailbox
 	EventCapReject    = "cap-reject"   // session cap reached
@@ -42,8 +42,6 @@ const (
 	EventRestoreFail  = "restore-fail" // snapshot restore failed
 	EventJournalFail  = "journal-fail" // journal write failed; session degraded to in-memory
 	EventSlowStep     = "slow-step"    // step over the slow threshold
-	EventShardDone    = "shard-done"   // campaign shard completed
-	EventItemError    = "item-error"   // campaign item returned an error
 	EventSLOBreach    = "slo-breach"   // SLO watchdog rule started firing
 	EventSLOClear     = "slo-clear"    // SLO watchdog rule stopped firing
 	EventFleetSpill   = "fleet-spill"  // fleet router spilled a session off its home DC

@@ -26,17 +26,17 @@ import (
 
 // OpSpan is one wall-clock operation span in a distributed trace.
 type OpSpan struct {
-	// Trace identifies the whole client interaction (one per session drive,
-	// one per campaign sweep). Propagated over the wire and echoed back.
+	// Trace identifies the whole client interaction (one per session
+	// drive). Propagated over the wire and echoed back.
 	Trace string `json:"trace,omitempty"`
 	// Req identifies one request within the trace (one NDJSON step line,
 	// one create call). Client-stamped, server-echoed; the join key when
 	// merging the two sides.
 	Req string `json:"req,omitempty"`
 	// Name is the operation: "create", "step", "queue-wait", "admission",
-	// "snapshot", "evict", "drain", "shard", ...
+	// "snapshot", "evict", "drain", ...
 	Name string `json:"name"`
-	// Side records who observed the span: "client", "server" or "campaign".
+	// Side records who observed the span: "client" or "server".
 	Side string `json:"side"`
 	// Session is the session id the span belongs to, when known.
 	Session string `json:"session,omitempty"`
@@ -50,9 +50,8 @@ type OpSpan struct {
 
 // Span sides.
 const (
-	SideClient   = "client"
-	SideServer   = "server"
-	SideCampaign = "campaign"
+	SideClient = "client"
+	SideServer = "server"
 )
 
 // NewTraceID returns a fresh 16-hex-char trace id.
