@@ -211,6 +211,9 @@ type scratch struct {
 	capHint int
 	// plans counts plan calls; only tests read it.
 	plans int
+	// descentSteps counts the operating points descend evaluates; only
+	// tests read it.
+	descentSteps int
 	// onSearch, set only by tests, observes each cap search's answer
 	// before the winning plan is returned.
 	onSearch func(capCores int, in Input, dt time.Duration, best int)
@@ -435,9 +438,14 @@ func (c *Controller) state(demand float64) State {
 
 // degreePower is the extra facility power of one unit of sprinting degree.
 func (c *Controller) degreePower() units.Watts {
-	s := c.cfg.Server
-	return s.CorePower * units.Watts(s.NormalCores*c.tree.Config().Servers)
+	s := &c.cfg.Server
+	servers := len(c.tree.PDUs) * c.tree.PDUs[0].Servers
+	return s.CorePower * units.Watts(s.NormalCores*servers)
 }
+
+// groupSize is the number of servers in each PDU group, read without
+// copying the tree's Config.
+func (c *Controller) groupSize() units.Watts { return units.Watts(c.tree.PDUs[0].Servers) }
 
 // Tick advances the controller by dt under the given normalized demand with
 // an unconstrained utility supply.
@@ -607,7 +615,6 @@ func (c *Controller) searchCap(capCores int, in Input, dt time.Duration) *plan {
 // supervision, so the battery limits follow the sensed state of charge
 // when a sensor plane is attached.
 func (c *Controller) prepare(in Input, dt time.Duration) {
-	srv := c.srv
 	ctx := &c.buf.ctx
 	ctx.supply = 0
 	ctx.dcAllow = c.tree.DCBreaker.MaxLoadFor(c.cfg.Reserve)
@@ -627,9 +634,12 @@ func (c *Controller) prepare(in Input, dt time.Duration) {
 		} else {
 			ctx.pduMax[g] = pdu.Breaker.MaxLoadFor(c.cfg.Reserve)
 		}
-		if c.sensors != nil {
+		switch {
+		case c.sensors != nil:
 			ctx.upsMax[g] = pdu.UPS.MaxOutputAtSoC(c.view.soc[g], dt)
-		} else {
+		case g > 0 && pdu.UPS.SameMaxOutput(c.tree.PDUs[g-1].UPS):
+			ctx.upsMax[g] = ctx.upsMax[g-1] // identical batteries share a bound
+		default:
 			ctx.upsMax[g] = pdu.UPS.MaxOutput(dt)
 		}
 		d := in.Demand * c.weights[g]
@@ -638,16 +648,21 @@ func (c *Controller) prepare(in Input, dt time.Duration) {
 			r++
 		}
 		if r == len(ctx.rows) {
-			row := demandRow{demand: d, pow: srv.DemandPow(d)}
-			row.want = srv.CoresForThroughputPow(d, row.pow)
-			if row.want < srv.NormalCores {
-				row.want = srv.NormalCores
-			}
-			row.perServer, row.delivered = srv.PowerAtDemandPow(row.want, d, row.pow)
-			ctx.rows = append(ctx.rows, row)
+			ctx.rows = append(ctx.rows, newDemandRow(c.srv, d))
 		}
 		ctx.rowOf[g] = r
 	}
+}
+
+// newDemandRow computes a group demand's tick-invariant terms.
+func newDemandRow(srv *server.Model, d float64) demandRow {
+	row := demandRow{demand: d, pow: srv.DemandPow(d)}
+	row.want = srv.CoresForThroughputPow(d, row.pow)
+	if row.want < srv.NormalCores {
+		row.want = srv.NormalCores
+	}
+	row.perServer, row.delivered = srv.PowerAtDemandPow(row.want, d, row.pow)
+	return row
 }
 
 // operatingPoint returns PowerAtDemand(n, rows[r].demand) for n at most
@@ -660,6 +675,31 @@ func (ctx *planContext) operatingPoint(srv *server.Model, r, n int) (units.Watts
 	return srv.PowerAtDemandPow(n, row.demand, row.pow)
 }
 
+// descend cuts gp to the most cores below gp.cores whose group power fits
+// afford, or to NormalCores when none does: where dropping one core at a
+// time would stop. Below the row's want every count is saturated, so the
+// group power reads server.Model's saturated-power table, which rises
+// strictly with the count; bisecting it finds that stop exactly
+// (TestDescentMatchesLinearScan). descend returns the number of operating
+// points it evaluated.
+func (ctx *planContext) descend(srv *server.Model, gp *groupPlan, afford, groupSize units.Watts) int {
+	evals := 0
+	lo, hi := srv.NormalCores, gp.cores-1 // the stop lies in [lo, hi]
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		p, _ := ctx.operatingPoint(srv, gp.row, mid)
+		evals++
+		if p*groupSize > afford+1e-9 {
+			hi = mid - 1
+		} else {
+			lo = mid
+		}
+	}
+	gp.cores = lo
+	gp.perServer, gp.delivered = ctx.operatingPoint(srv, gp.row, lo)
+	return evals + 1
+}
+
 // plan builds a tick plan with every group's core count capped at capCores
 // into the scratch plan and returns it. When force is false the plan is
 // rejected (ok = false) if any constraint cannot be met; when force is true
@@ -669,27 +709,33 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 	c.buf.plans++
 	srv := c.srv
 	ctx := &c.buf.ctx
-	groupSize := units.Watts(c.tree.Config().ServersPerPDU)
+	groupSize := c.groupSize()
 	nPDU := len(c.tree.PDUs)
 
-	// Per-group demand and desired operating point.
+	// Per-group demand and desired operating point, and the heat they
+	// dissipate.
 	groups := c.buf.groups
 	sprinting := false
+	var gen units.Watts
 	for g := range groups {
 		r := ctx.rowOf[g]
-		cores := ctx.rows[r].want
-		if cores > capCores {
-			cores = capCores
+		if g > 0 && r == ctx.rowOf[g-1] {
+			groups[g] = groups[g-1] // one demand row, one operating point
+		} else {
+			cores := ctx.rows[r].want
+			if cores > capCores {
+				cores = capCores
+			}
+			perServer, delivered := ctx.operatingPoint(srv, r, cores)
+			groups[g] = groupPlan{row: r, cores: cores, perServer: perServer, delivered: delivered}
+			if cores > srv.NormalCores {
+				sprinting = true
+			}
 		}
-		perServer, delivered := ctx.operatingPoint(srv, r, cores)
-		groups[g] = groupPlan{row: r, cores: cores, perServer: perServer, delivered: delivered}
-		if cores > srv.NormalCores {
-			sprinting = true
-		}
+		gen += groups[g].perServer * groupSize
 	}
 
 	coolNormal := c.cfg.Cooling.NormalCoolingPower()
-	gen := groupHeat(groups, groupSize)
 
 	// A supply emergency: the curtailed grid plus the generator cannot
 	// carry the facility. The TES then rides the emergency regardless of
@@ -815,14 +861,28 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 		PDUUPS:    c.buf.flowUPS,
 		Cooling:   chillerElec,
 	}
+	// A cut depends only on the group's operating point and its budget, so
+	// a group that starts where the last cut group started, with the same
+	// budget, takes that cut: alike groups are cut once. The same pass
+	// totals the groups' final operating points.
+	var cutFrom, cut groupPlan
+	cutAfford := units.Watts(math.NaN()) // equal to no budget: no cut yet
+	var deliveredSum, degreeSum float64
+	var heatGen units.Watts
+	maxCores := 0
 	for g := range groups {
 		gp := &groups[g]
 		upsMax := ctx.upsMax[g]
 		afford := cbAlloc[g] + upsMax
 		need := gp.perServer * groupSize
-		for need > afford+1e-9 && gp.cores > srv.NormalCores {
-			gp.cores--
-			gp.perServer, gp.delivered = ctx.operatingPoint(srv, gp.row, gp.cores)
+		if need > afford+1e-9 && gp.cores > srv.NormalCores {
+			if *gp == cutFrom && afford == cutAfford {
+				*gp = cut
+			} else {
+				cutFrom, cutAfford = *gp, afford
+				c.buf.descentSteps += ctx.descend(srv, gp, afford, groupSize)
+				cut = *gp
+			}
 			need = gp.perServer * groupSize
 		}
 		if need > afford+1e-9 {
@@ -851,6 +911,10 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 		}
 		flow.PDUServer[g] = need
 		flow.PDUUPS[g] = ups
+		deliveredSum += gp.delivered
+		degreeSum += srv.Degree(gp.cores)
+		maxCores = max(maxCores, gp.cores)
+		heatGen += need // gp.perServer * groupSize
 	}
 
 	// Assemble the result from the (possibly reduced) groups.
@@ -863,19 +927,12 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 		tesOn:         tesOn,
 		heatAbsorbed:  heatAbsorbed,
 		thermalShed:   thermalShed,
+		delivered:     deliveredSum / float64(nPDU),
+		maxCores:      maxCores,
+		meanDegree:    degreeSum / float64(nPDU),
+		heatGen:       heatGen,
+		sprinting:     maxCores > srv.NormalCores,
 	}
-	var deliveredSum, degreeSum float64
-	for g := range groups {
-		deliveredSum += groups[g].delivered
-		degreeSum += srv.Degree(groups[g].cores)
-		if groups[g].cores > p.maxCores {
-			p.maxCores = groups[g].cores
-		}
-	}
-	p.delivered = deliveredSum / float64(nPDU)
-	p.meanDegree = degreeSum / float64(nPDU)
-	p.heatGen = groupHeat(groups, groupSize)
-	p.sprinting = p.maxCores > srv.NormalCores
 	// Recompute the absorption for the possibly reduced heat: the chiller
 	// only removes what exists, and the tank must not drain faster than
 	// the servers actually dissipate.
@@ -921,6 +978,10 @@ func (c *Controller) planRecharge(p *plan, dcAllow units.Watts, dt time.Duration
 		if dcSpare <= 0 {
 			break
 		}
+		room := pdu.UPS.TotalEnergy() - pdu.UPS.Stored()
+		if room == 0 {
+			continue // a full battery takes nothing, whatever its PDU's spare
+		}
 		spare := pdu.Breaker.Rated - p.flow.PDULoad(i)
 		if spare <= 0 {
 			continue
@@ -928,7 +989,6 @@ func (c *Controller) planRecharge(p *plan, dcAllow units.Watts, dt time.Duration
 		if spare > dcSpare {
 			spare = dcSpare
 		}
-		room := pdu.UPS.TotalEnergy() - pdu.UPS.Stored()
 		if need := room.Over(dt); spare > need {
 			spare = need
 		}
@@ -959,9 +1019,36 @@ func (c *Controller) commit(p *plan, in Input, dt time.Duration) TickResult {
 		coolingPower += units.Watts(float64(accepted) * perHeat)
 	}
 	flow.Cooling = coolingPower
-	for i := range p.upsRecharge {
-		accepted := c.tree.PDUs[i].UPS.Recharge(p.upsRecharge[i], dt)
-		flow.PDUServer[i] += accepted // recharge draw rides the PDU feed
+	for i, req := range p.upsRecharge {
+		if req != 0 { // a battery planned no recharge accepts none
+			flow.PDUServer[i] += c.tree.PDUs[i].UPS.Recharge(req, dt) // recharge draw rides the PDU feed
+		}
+	}
+
+	// Energy-split accounting. The same pass sums the DC load, in
+	// Flow.DCLoad's order, for every reader below.
+	var dcLoad, upsTotal, maxPDULoad units.Watts
+	for i := range flow.PDUUPS {
+		upsTotal += flow.PDUUPS[i]
+		load := flow.PDULoad(i)
+		dcLoad += load
+		if load > maxPDULoad {
+			maxPDULoad = load
+		}
+		if over := load - c.tree.PDUs[i].Breaker.Rated; over > 0 {
+			c.split.CBOverload += units.ForDuration(over, dt)
+		}
+	}
+	dcLoad += flow.Cooling
+	if over := dcLoad - c.tree.DCBreaker.Rated; over > 0 {
+		c.split.CBOverload += units.ForDuration(over, dt)
+	}
+	c.split.UPS += units.ForDuration(upsTotal, dt)
+	if p.tesOn {
+		saved := c.cfg.Cooling.NormalCoolingPower() - p.chillerElec
+		if saved > 0 {
+			c.split.TES += units.ForDuration(saved, dt)
+		}
 	}
 
 	// The generator carries the share of the load the curtailed grid
@@ -970,7 +1057,7 @@ func (c *Controller) commit(p *plan, in Input, dt time.Duration) TickResult {
 	if c.gen != nil {
 		var want units.Watts
 		if in.SupplyLimit > 0 {
-			if short := flow.DCLoad() - in.SupplyLimit; short > 0 {
+			if short := dcLoad - in.SupplyLimit; short > 0 {
 				want = short
 			}
 		}
@@ -1009,7 +1096,7 @@ func (c *Controller) commit(p *plan, in Input, dt time.Duration) TickResult {
 		// Track the hottest chip: the largest per-server chip power of
 		// the tick (server power minus the constant non-CPU share).
 		var hottest units.Watts
-		group := units.Watts(c.tree.Config().ServersPerPDU)
+		group := c.groupSize()
 		for i := range flow.PDUServer {
 			perServer := flow.PDUServer[i] / group
 			if chipPower := perServer - c.cfg.Server.NonCPUPower; chipPower > hottest {
@@ -1022,32 +1109,9 @@ func (c *Controller) commit(p *plan, in Input, dt time.Duration) TickResult {
 
 	// Physical supply enforcement: a forced plan that draws more than the
 	// grid and generator can deliver browns the facility out.
-	if err == nil && in.SupplyLimit > 0 && flow.DCLoad() > in.SupplyLimit+genUsed+1 {
+	if err == nil && in.SupplyLimit > 0 && dcLoad > in.SupplyLimit+genUsed+1 {
 		err = fmt.Errorf("core: brownout: load %v exceeds supply %v + generator %v",
-			flow.DCLoad(), in.SupplyLimit, genUsed)
-	}
-
-	// Energy-split accounting.
-	var upsTotal, maxPDULoad units.Watts
-	for i := range flow.PDUUPS {
-		upsTotal += flow.PDUUPS[i]
-		load := flow.PDULoad(i)
-		if load > maxPDULoad {
-			maxPDULoad = load
-		}
-		if over := load - c.tree.PDUs[i].Breaker.Rated; over > 0 {
-			c.split.CBOverload += units.ForDuration(over, dt)
-		}
-	}
-	if over := flow.DCLoad() - c.tree.DCBreaker.Rated; over > 0 {
-		c.split.CBOverload += units.ForDuration(over, dt)
-	}
-	c.split.UPS += units.ForDuration(upsTotal, dt)
-	if p.tesOn {
-		saved := c.cfg.Cooling.NormalCoolingPower() - p.chillerElec
-		if saved > 0 {
-			c.split.TES += units.ForDuration(saved, dt)
-		}
+			dcLoad, in.SupplyLimit, genUsed)
 	}
 
 	// Burst bookkeeping: sprint time and average degree accumulate over
@@ -1076,7 +1140,7 @@ func (c *Controller) commit(p *plan, in Input, dt time.Duration) TickResult {
 		Phase:        phase,
 		ITPower:      p.heatGen,
 		CoolingPower: coolingPower,
-		DCLoad:       flow.DCLoad(),
+		DCLoad:       dcLoad,
 		PDULoad:      maxPDULoad,
 		UPSPower:     upsTotal,
 		GenPower:     genUsed,
@@ -1136,7 +1200,7 @@ func (c *Controller) commit(p *plan, in Input, dt time.Duration) TickResult {
 		switch {
 		case err == nil:
 			c.emit(EventOverheated, fmt.Sprintf("room at %v", c.room.Temperature()))
-		case in.SupplyLimit > 0 && flow.DCLoad() > in.SupplyLimit+genUsed:
+		case in.SupplyLimit > 0 && dcLoad > in.SupplyLimit+genUsed:
 			c.emit(EventBrownout, err.Error())
 		default:
 			c.emit(EventBreakerTripped, err.Error())
@@ -1151,7 +1215,7 @@ func (c *Controller) commit(p *plan, in Input, dt time.Duration) TickResult {
 // shuts the facility down.
 func (c *Controller) tickUncontrolled(demand float64, dt time.Duration) TickResult {
 	srv := c.srv
-	groupSize := units.Watts(c.tree.Config().ServersPerPDU)
+	groupSize := c.groupSize()
 	coolNormal := c.cfg.Cooling.NormalCoolingPower()
 
 	nPDU := len(c.tree.PDUs)

@@ -1,0 +1,165 @@
+package core
+
+// plan cuts a group that its budget cannot carry by bisecting the saturated
+// power table instead of dropping one core at a time. The bisection stops
+// exactly where the linear descent did only because the table rises
+// strictly with the core count. These tests pin both, and hold the number of
+// operating points the reference run evaluates.
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"dcsprint/internal/server"
+	"dcsprint/internal/units"
+	"dcsprint/internal/workload"
+)
+
+// linearDescent is the one-core-at-a-time descent descend replaces.
+func linearDescent(srv *server.Model, ctx *planContext, gp groupPlan, afford, groupSize units.Watts) groupPlan {
+	need := gp.perServer * groupSize
+	for need > afford+1e-9 && gp.cores > srv.NormalCores {
+		gp.cores--
+		gp.perServer, gp.delivered = ctx.operatingPoint(srv, gp.row, gp.cores)
+		need = gp.perServer * groupSize
+	}
+	return gp
+}
+
+// jumpDescent is plan's cut: descend, entered under the linear loop's
+// condition.
+func jumpDescent(srv *server.Model, ctx *planContext, gp groupPlan, afford, groupSize units.Watts) groupPlan {
+	if gp.perServer*groupSize > afford+1e-9 && gp.cores > srv.NormalCores {
+		ctx.descend(srv, &gp, afford, groupSize)
+	}
+	return gp
+}
+
+func sameGroupPlan(a, b groupPlan) bool {
+	return a.row == b.row && a.cores == b.cores &&
+		math.Float64bits(float64(a.perServer)) == math.Float64bits(float64(b.perServer)) &&
+		math.Float64bits(a.delivered) == math.Float64bits(b.delivered)
+}
+
+// checkSaturatedTableIncreasing fails unless the power of n saturated cores
+// rises strictly with n, the property the bisection rests on.
+func checkSaturatedTableIncreasing(t *testing.T, m *server.Model) {
+	t.Helper()
+	top := m.Throughput(m.TotalCores) // saturates every count
+	prev, _ := m.PowerAtDemand(1, top)
+	for n := 2; n <= m.TotalCores; n++ {
+		p, _ := m.PowerAtDemand(n, top)
+		if !(p > prev) {
+			t.Fatalf("%+v: saturated power %v at %d cores, %v at %d: not strictly increasing",
+				m.Config, p, n, prev, n-1)
+		}
+		prev = p
+	}
+}
+
+// randomServer returns a valid server configuration.
+func randomServer(rng *rand.Rand) server.Config {
+	total := 1 + rng.Intn(96)
+	return server.Config{
+		TotalCores:    total,
+		NormalCores:   1 + rng.Intn(total),
+		CorePower:     units.Watts(0.2 + 8*rng.Float64()),
+		ChipIdlePower: units.Watts(20 * rng.Float64()),
+		NonCPUPower:   units.Watts(60 * rng.Float64()),
+		PerfExponent:  0.05 + 0.95*rng.Float64(),
+	}
+}
+
+func TestDescentMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	// The experiments run every scenario on server.Default(): sim fills
+	// it in, and no experiment sets Scenario.Server.
+	configs := []server.Config{
+		server.Default(),
+		{TotalCores: 64, NormalCores: 16, CorePower: 3, ChipIdlePower: 6, NonCPUPower: 25, PerfExponent: 0.6},
+		{TotalCores: 8, NormalCores: 2, CorePower: 1.5, ChipIdlePower: 1, NonCPUPower: 4, PerfExponent: 1},
+	}
+	for i := 0; i < 12; i++ {
+		configs = append(configs, randomServer(rng))
+	}
+	cases, cut := 0, 0
+	for _, cfg := range configs {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("bad test config %+v: %v", cfg, err)
+		}
+		srv := server.NewModel(cfg)
+		checkSaturatedTableIncreasing(t, srv)
+		demands := []float64{0.5, 1, cfg.MaxThroughput() * 1.5}
+		for n := cfg.NormalCores; n <= cfg.TotalCores; n++ {
+			demands = append(demands, cfg.Throughput(n))
+		}
+		for i := 0; i < 8; i++ {
+			demands = append(demands, 1+rng.Float64()*cfg.MaxThroughput())
+		}
+		for _, d := range demands {
+			ctx := &planContext{rows: []demandRow{newDemandRow(srv, d)}}
+			want := ctx.rows[0].want
+			groupSize := units.Watts(200)
+			if rng.Intn(2) == 0 {
+				groupSize = units.Watts(1 + rng.Intn(500))
+			}
+			// Every table entry the descent can land on, the 1e-9 slack
+			// around it, and random budgets from nothing to beyond the
+			// starting point.
+			var affords []units.Watts
+			for n := cfg.NormalCores; n <= want; n++ {
+				p, _ := ctx.operatingPoint(srv, 0, n)
+				need := p * groupSize
+				affords = append(affords, need, need-1e-9, need+1e-9,
+					units.Watts(math.Nextafter(float64(need-1e-9), math.Inf(-1))),
+					units.Watts(math.Nextafter(float64(need-1e-9), math.Inf(1))))
+			}
+			top, _ := ctx.operatingPoint(srv, 0, want)
+			for i := 0; i < 16; i++ {
+				affords = append(affords, units.Watts(rng.Float64()*1.2)*top*groupSize)
+			}
+			affords = append(affords, 0, -1)
+			for start := cfg.NormalCores; start <= want; start++ {
+				gp := groupPlan{cores: start}
+				gp.perServer, gp.delivered = ctx.operatingPoint(srv, 0, start)
+				for _, afford := range affords {
+					lin := linearDescent(srv, ctx, gp, afford, groupSize)
+					jump := jumpDescent(srv, ctx, gp, afford, groupSize)
+					if !sameGroupPlan(lin, jump) {
+						t.Fatalf("%+v demand %v from %d cores, afford %v: bisection %+v, linear %+v",
+							cfg, d, start, afford, jump, lin)
+					}
+					cases++
+					if start-lin.cores > 1 {
+						cut++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases, %d cut by more than one core", cases, cut)
+	if cut < 10000 {
+		t.Fatalf("only %d cases cut by more than one core; the bisection is barely exercised", cut)
+	}
+}
+
+// TestReferenceRunDescentSteps holds the operating points the reference run
+// evaluates inside cuts. Cutting one core at a time took 20,430; bisecting,
+// once for each run of alike groups, takes 765.
+func TestReferenceRunDescentSteps(t *testing.T) {
+	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFacility(t, facilityOpts{servers: 2000})
+	for _, d := range tr.Samples {
+		f.ctl.TickInput(Input{Demand: d}, tr.Step)
+	}
+	const maxSteps = 765 * 11 / 10
+	t.Logf("%d descent steps over %d plan calls", f.ctl.buf.descentSteps, f.ctl.buf.plans)
+	if f.ctl.buf.descentSteps > maxSteps {
+		t.Fatalf("%d descent steps, want at most %d", f.ctl.buf.descentSteps, maxSteps)
+	}
+}

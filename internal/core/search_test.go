@@ -256,3 +256,77 @@ func TestPrepareBoundsFollowEachBreaker(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareBoundsFollowEachBattery checks that sharing output bounds
+// across identical batteries never hands a battery another's bound: a
+// faded, a failed and a half-drained battery, each between identical full
+// ones, plan on their own MaxOutput.
+func TestPrepareBoundsFollowEachBattery(t *testing.T) {
+	f := newFacility(t, facilityOpts{servers: 2000})
+	pdus := f.tree.PDUs
+	pdus[2].UPS.Fade(0.5)
+	pdus[5].UPS.Fail()
+	half := pdus[8].UPS.State()
+	half.Stored /= 2
+	if err := pdus[8].UPS.SetState(half); err != nil {
+		t.Fatal(err)
+	}
+	// Over ten minutes the stored energy, not the power limit, bounds a
+	// full battery's output, so a half-drained one bounds lower.
+	dt := 10 * time.Minute
+	f.ctl.prepare(Input{Demand: 1.5}, dt)
+	for g, pdu := range pdus {
+		if got, want := f.ctl.buf.ctx.upsMax[g], pdu.UPS.MaxOutput(dt); got != want {
+			t.Errorf("PDU %d: planning bound %v, battery's own %v", g, got, want)
+		}
+	}
+	for _, g := range []int{2, 5, 8} {
+		if pdus[g].UPS.MaxOutput(dt) == pdus[g-1].UPS.MaxOutput(dt) {
+			t.Fatalf("battery %d bounds like its neighbour; the case shows nothing", g)
+		}
+	}
+}
+
+// TestPlanCopiesOnlyIdenticalNeighbours checks that a group copies its
+// neighbour's outcome only when its starting point and its budget match:
+// under skewed weights, group 2 shares group 1's demand but its derated
+// breaker gets a smaller share of the DC budget, so it must be cut on its
+// own. Every group's outcome must equal a descent from its own budget.
+func TestPlanCopiesOnlyIdenticalNeighbours(t *testing.T) {
+	weights := []float64{0.5, 1.5, 1.5, 1.5, 0.5, 0.5, 1.5, 1.5, 1, 1}
+	f := newFacility(t, facilityOpts{servers: 2000, weights: weights})
+	pdus := f.tree.PDUs
+	pdus[2].Breaker.Derate(0.8)
+	for _, pdu := range pdus {
+		low := pdu.UPS.State()
+		low.Stored = 2000 // about 1.9 kW for one second
+		if err := pdu.UPS.SetState(low); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := f.ctl
+	in := Input{Demand: 2.5}
+	c.prepare(in, time.Second)
+	p, _ := c.plan(c.cfg.Server.TotalCores, in, time.Second, true)
+	ctx := &c.buf.ctx
+	groupSize := units.Watts(f.tree.Config().ServersPerPDU)
+	for g := range pdus {
+		r := ctx.rowOf[g]
+		start := groupPlan{row: r, cores: ctx.rows[r].want}
+		start.perServer, start.delivered = ctx.operatingPoint(c.srv, r, start.cores)
+		afford := c.buf.alloc[g] + ctx.upsMax[g]
+		want := linearDescent(c.srv, ctx, start, afford, groupSize)
+		if !sameGroupPlan(c.buf.groups[g], want) {
+			t.Errorf("group %d: planned %+v, its own budget %v gives %+v", g, c.buf.groups[g], afford, want)
+		}
+		need := want.perServer * groupSize
+		ups := min(max(need-c.buf.alloc[g], 0), ctx.upsMax[g])
+		if p.flow.PDUServer[g] != need || p.flow.PDUUPS[g] != ups {
+			t.Errorf("group %d: flow %v/%v, want %v/%v", g, p.flow.PDUServer[g], p.flow.PDUUPS[g], need, ups)
+		}
+	}
+	if ctx.rowOf[2] != ctx.rowOf[1] || c.buf.alloc[2] == c.buf.alloc[1] || c.buf.groups[2].cores == c.buf.groups[1].cores {
+		t.Fatalf("groups 1 and 2: rows %d/%d, breaker shares %v/%v, cores %d/%d; want one row, two shares, two outcomes",
+			ctx.rowOf[1], ctx.rowOf[2], c.buf.alloc[1], c.buf.alloc[2], c.buf.groups[1].cores, c.buf.groups[2].cores)
+	}
+}

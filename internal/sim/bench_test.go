@@ -55,7 +55,9 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 // BenchmarkRunReference measures one whole reference run: sim.Run of
 // SyntheticYahoo(1, 3.2, 15m) on the default plant, 1800 one-second ticks
 // of idle, burst and recovery. ticks/s is the steady-state planning and
-// physics throughput; allocs/op pins the run's setup and history cost.
+// physics throughput; allocs/op is the run's setup and history cost, which
+// TestRunReferenceAllocs holds at 89: Finish hands the engine's series to
+// the Result without copying them.
 func BenchmarkRunReference(b *testing.B) {
 	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
 	if err != nil {

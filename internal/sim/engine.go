@@ -504,18 +504,13 @@ func (e *Engine) Finish() (*Result, error) {
 		}
 	}
 
-	var mkErr error
+	// The engine is sealed, so the Result takes its series without a copy;
+	// full slice expressions keep an append to one from writing into the
+	// spare capacity behind it.
 	mk := func(samples []float64) *trace.Series {
-		s, err := trace.New(step, samples)
-		if err != nil {
-			if mkErr == nil {
-				mkErr = fmt.Errorf("sim: internal series error: %w", err)
-			}
-			return nil
-		}
-		return s
+		return &trace.Series{Step: step, Samples: samples[:len(samples):len(samples)]}
 	}
-	tele := Telemetry{Phase: e.phase}
+	tele := Telemetry{Phase: e.phase[:len(e.phase):len(e.phase)]}
 	tele.Required = mk(e.required)
 	tele.Achieved = mk(e.achieved)
 	tele.Degree = mk(e.degree)
@@ -527,9 +522,6 @@ func (e *Engine) Finish() (*Result, error) {
 	tele.CoolingPower = mk(e.coolPower)
 	tele.TESRate = mk(e.tesRate)
 	tele.RoomTemp = mk(e.roomTemp)
-	if mkErr != nil {
-		return nil, mkErr
-	}
 	res.Telemetry = tele
 	defaultRunCounters(res)
 	return res, nil

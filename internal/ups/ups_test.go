@@ -2,6 +2,7 @@ package ups
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -309,5 +310,36 @@ func TestFadeIgnoresNaN(t *testing.T) {
 				t.Fatalf("Fade(%v) left NaN state", tt.frac)
 			}
 		})
+	}
+}
+
+// TestSameMaxOutputCoversMaxOutput halves each configuration field in turn,
+// and the stored energy, and requires SameMaxOutput to tell the batteries
+// apart whenever MaxOutput does: a field MaxOutput starts to read must join
+// the comparison.
+func TestSameMaxOutputCoversMaxOutput(t *testing.T) {
+	cfg := DefaultServerBattery()
+	cfg.MinSoC = 0.1
+	base := &Battery{cfg: cfg.scale(200)}
+	base.stored = base.TotalEnergy() * 0.6
+	if !base.SameMaxOutput(&Battery{cfg: base.cfg, stored: base.stored}) {
+		t.Fatal("a battery's copy does not bound like it")
+	}
+	dts := []time.Duration{time.Second, 10 * time.Minute}
+	check := func(what string, o *Battery) {
+		t.Helper()
+		for _, dt := range dts {
+			if base.MaxOutput(dt) != o.MaxOutput(dt) && base.SameMaxOutput(o) {
+				t.Errorf("halving %s changes MaxOutput(%v) but SameMaxOutput still reports true", what, dt)
+			}
+		}
+	}
+	check("the stored energy", &Battery{cfg: base.cfg, stored: base.stored / 2})
+	fields := reflect.TypeOf(base.cfg)
+	for i := 0; i < fields.NumField(); i++ {
+		o := &Battery{cfg: base.cfg, stored: base.stored}
+		f := reflect.ValueOf(&o.cfg).Elem().Field(i)
+		f.SetFloat(f.Float() / 2)
+		check(fields.Field(i).Name, o)
 	}
 }
