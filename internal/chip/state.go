@@ -20,7 +20,7 @@ func (t *Thermal) State() State { return State{Melted: t.melted} }
 // SetState restores a previously captured state. The melted amount must be
 // finite, non-negative and within the PCM capacity.
 func (t *Thermal) SetState(s State) error {
-	if s.Melted < 0 || s.Melted > t.cfg.PCMCapacity+1 || math.IsNaN(float64(s.Melted)) {
+	if s.Melted < 0 || s.Melted > t.cfg.PCMCapacity || math.IsNaN(float64(s.Melted)) {
 		return fmt.Errorf("chip: restore with melted %v outside [0, %v]", s.Melted, t.cfg.PCMCapacity)
 	}
 	t.melted = s.Melted

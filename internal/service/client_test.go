@@ -311,35 +311,3 @@ func TestChurnReusesOneConnection(t *testing.T) {
 		t.Fatalf("50 churn rounds dialed %d connections, want 1", n)
 	}
 }
-
-// BenchmarkStreamStep is one lockstep step round trip through the real
-// client and server over loopback: StepContext on one warmed stream.
-func BenchmarkStreamStep(b *testing.B) {
-	m := NewManager(Config{Registry: telemetry.NewRegistry()})
-	defer m.Close()
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
-	c := &Client{Base: srv.URL, Registry: telemetry.NewRegistry()}
-	ctx := context.Background()
-	s, err := c.Create(ctx, ScenarioSpec{})
-	if err != nil {
-		b.Fatalf("Create: %v", err)
-	}
-	st, err := c.Stream(ctx, s.ID)
-	if err != nil {
-		b.Fatalf("Stream: %v", err)
-	}
-	defer st.Close()
-	for i := 0; i < 100; i++ {
-		if _, err := st.StepContext(ctx, 1.5); err != nil {
-			b.Fatalf("warm-up step: %v", err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.StepContext(ctx, 1.5); err != nil {
-			b.Fatalf("StepContext: %v", err)
-		}
-	}
-}

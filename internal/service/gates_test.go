@@ -1,0 +1,149 @@
+//go:build !race
+
+// The race detector's instrumentation allocates, so the allocation bounds
+// below hold only in a build without it. Each bound is a test beside the
+// benchmark it reads, sharing its setup.
+
+package service
+
+import (
+	"context"
+	"net/http/httptest"
+	"testing"
+
+	"dcsprint/internal/telemetry"
+)
+
+// stepWireRoundTrip is one lockstep round trip's codec work with reused
+// buffers: encode and decode a request line, then a decision line.
+func stepWireRoundTrip(tb testing.TB) func() {
+	seq := int64(901)
+	req := StepRequest{Demand: 3.2000000000000006, Seq: &seq, RID: "t4a1b2c3d4e5f60718.902"}
+	line := StepLine{RID: req.RID, Decision: &Decision{
+		Tick: 901, Demand: 3.2000000000000006, Delivered: 2.2870318612157416, Degree: 1.6285714285714286,
+		Bound: 2.0514285714285713, Phase: 2, ActiveCores: 3257, ITPowerW: 488413.2857142857,
+		CoolingPowerW: 138245.37142857144, DCLoadW: 626658.6571428571, PDULoadW: 48841.32857142857,
+		UPSPowerW: 43275.87, GenPowerW: 0, TESHeatRateW: 12345.678, RoomTempC: 24.99999999,
+	}}
+	var (
+		buf     []byte
+		gotReq  StepRequest
+		gotLine StepLine
+		err     error
+	)
+	return func() {
+		if buf, err = appendStepRequest(buf[:0], &req); err != nil {
+			tb.Fatal(err)
+		}
+		if err = decodeStepRequest(buf[:len(buf)-1], &gotReq); err != nil {
+			tb.Fatal(err)
+		}
+		if buf, err = appendStepLine(buf[:0], &line); err != nil {
+			tb.Fatal(err)
+		}
+		if err = decodeStepLine(buf[:len(buf)-1], &gotLine); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStepWire times stepWireRoundTrip.
+func BenchmarkStepWire(b *testing.B) {
+	roundTrip := stepWireRoundTrip(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}
+
+// TestStepWireAllocs: the only allocations are the decoded values, the
+// request's seq and rid, the decision and its rid.
+func TestStepWireAllocs(t *testing.T) {
+	const maxAllocs = 4
+	if allocs := testing.AllocsPerRun(100, stepWireRoundTrip(t)); allocs > maxAllocs {
+		t.Fatalf("a step-wire round trip allocates %.0f times, want at most %d", allocs, maxAllocs)
+	}
+}
+
+// sessionStep is Manager.Step on one streaming session: lookup, admission,
+// session lock and engine step, the path the daemon's throughput rests on.
+func sessionStep(tb testing.TB) func() {
+	m := NewManager(Config{})
+	tb.Cleanup(m.Close)
+	s, err := m.Create(ScenarioSpec{})
+	if err != nil {
+		tb.Fatalf("Create: %v", err)
+	}
+	return func() {
+		if _, err := m.Step(s.ID, 1.5); err != nil {
+			tb.Fatalf("Step: %v", err)
+		}
+	}
+}
+
+// BenchmarkServiceSession times sessionStep.
+func BenchmarkServiceSession(b *testing.B) {
+	step := sessionStep(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestServiceSessionAllocs: a session step on the caller's goroutine does
+// not allocate.
+func TestServiceSessionAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(1000, sessionStep(t)); allocs != 0 {
+		t.Fatalf("Manager.Step allocates %.0f times, want 0", allocs)
+	}
+}
+
+// streamStep is one lockstep StepContext round trip through the real
+// client and server over loopback, on a stream warmed by 100 steps.
+func streamStep(tb testing.TB) func() {
+	m := NewManager(Config{Registry: telemetry.NewRegistry()})
+	tb.Cleanup(m.Close)
+	srv := httptest.NewServer(m.Handler())
+	tb.Cleanup(srv.Close)
+	c := &Client{Base: srv.URL, Registry: telemetry.NewRegistry()}
+	ctx := context.Background()
+	s, err := c.Create(ctx, ScenarioSpec{})
+	if err != nil {
+		tb.Fatalf("Create: %v", err)
+	}
+	st, err := c.Stream(ctx, s.ID)
+	if err != nil {
+		tb.Fatalf("Stream: %v", err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	step := func() {
+		if _, err := st.StepContext(ctx, 1.5); err != nil {
+			tb.Fatalf("StepContext: %v", err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	return step
+}
+
+// BenchmarkStreamStep times streamStep.
+func BenchmarkStreamStep(b *testing.B) {
+	step := streamStep(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestStreamStepAllocs: a loopback step allocates the request id, the two
+// decoded rids, the decision, the decoded seq, the step-latency exemplar
+// and once in net/http's chunked response writer.
+func TestStreamStepAllocs(t *testing.T) {
+	const maxAllocs = 7
+	if allocs := testing.AllocsPerRun(1000, streamStep(t)); allocs > maxAllocs {
+		t.Fatalf("a loopback StepContext allocates %.0f times, want at most %d", allocs, maxAllocs)
+	}
+}

@@ -767,21 +767,17 @@ func (m *Manager) lookup(id string) (*session, error) {
 
 // Step advances a session one tick.
 func (m *Manager) Step(id string, demand float64) (Decision, error) {
-	return m.StepTraced(id, demand, TraceContext{})
+	return m.StepSeqTraced(id, -1, demand, TraceContext{})
 }
 
-// StepTraced is Step carrying wire trace context: the queue wait and engine
-// step are recorded as server spans, the step latency gains the request id
-// as an exemplar, and backpressure/slow steps land in the flight recorder.
-func (m *Manager) StepTraced(id string, demand float64, tc TraceContext) (Decision, error) {
-	return m.StepSeqTraced(id, -1, demand, tc)
-}
-
-// StepSeqTraced is StepTraced with an idempotency sequence number: seq must
-// equal the session's next tick to apply, seq of the just-applied tick
-// returns its cached decision without re-stepping (the reconnect-after-lost-
-// ack case), and anything else is ErrStepSeq. seq < 0 skips the check — the
-// legacy unsequenced protocol.
+// StepSeqTraced is Step carrying wire trace context and an idempotency
+// sequence number. The queue wait and engine step are recorded as server
+// spans, the step latency gains the request id as an exemplar, and
+// backpressure/slow steps land in the flight recorder. seq must equal the
+// session's next tick to apply, seq of the just-applied tick returns its
+// cached decision without re-stepping (the reconnect-after-lost-ack case),
+// and anything else is ErrStepSeq. seq < 0 skips the check — the legacy
+// unsequenced protocol.
 func (m *Manager) StepSeqTraced(id string, seq int64, demand float64, tc TraceContext) (Decision, error) {
 	s, err := m.lookup(id)
 	if err != nil {

@@ -481,25 +481,6 @@ func TestStrategySpecsRun(t *testing.T) {
 	}
 }
 
-// BenchmarkServiceSession measures the full session-manager step path
-// (lookup, admission, session lock, engine step), the number the daemon's
-// throughput rests on.
-func BenchmarkServiceSession(b *testing.B) {
-	m := NewManager(Config{})
-	defer m.Close()
-	s, err := m.Create(ScenarioSpec{})
-	if err != nil {
-		b.Fatalf("Create: %v", err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Step(s.ID, 1.5); err != nil {
-			b.Fatalf("Step: %v", err)
-		}
-	}
-}
-
 // TestStreamStepContext checks the cancellable step form: it matches Step on
 // a live stream, and a canceled context aborts a step and reports the
 // context's error while the session itself survives.

@@ -417,40 +417,6 @@ func TestStepsStreamRejectsBadLines(t *testing.T) {
 	}
 }
 
-// BenchmarkStepWire is one lockstep round trip's codec work with reused
-// buffers: encode and decode a request line, then a decision line.
-func BenchmarkStepWire(b *testing.B) {
-	seq := int64(901)
-	req := StepRequest{Demand: 3.2000000000000006, Seq: &seq, RID: "t4a1b2c3d4e5f60718.902"}
-	line := StepLine{RID: req.RID, Decision: &Decision{
-		Tick: 901, Demand: 3.2000000000000006, Delivered: 2.2870318612157416, Degree: 1.6285714285714286,
-		Bound: 2.0514285714285713, Phase: 2, ActiveCores: 3257, ITPowerW: 488413.2857142857,
-		CoolingPowerW: 138245.37142857144, DCLoadW: 626658.6571428571, PDULoadW: 48841.32857142857,
-		UPSPowerW: 43275.87, GenPowerW: 0, TESHeatRateW: 12345.678, RoomTempC: 24.99999999,
-	}}
-	var (
-		buf     []byte
-		gotReq  StepRequest
-		gotLine StepLine
-		err     error
-	)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if buf, err = appendStepRequest(buf[:0], &req); err != nil {
-			b.Fatal(err)
-		}
-		if err = decodeStepRequest(buf[:len(buf)-1], &gotReq); err != nil {
-			b.Fatal(err)
-		}
-		if buf, err = appendStepLine(buf[:0], &line); err != nil {
-			b.Fatal(err)
-		}
-		if err = decodeStepLine(buf[:len(buf)-1], &gotLine); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // refResultViews are finish replies of seeded reference runs: a controlled
 // one, an uncontrolled one that trips and dies, a faulted one, and a
 // streaming session finished before its first tick.

@@ -7,8 +7,9 @@ import "fmt"
 // live session one tick in a single loop. A reader that wants a session's
 // plant state asks its slot's engine for Engine.Plant between sweeps.
 //
-// A Batch is not safe for concurrent use; a serving layer confines each
-// batch to one worker goroutine (internal/service runs one batch per shard).
+// A Batch is not safe for concurrent use; its caller confines it to one
+// goroutine. internal/service steps each session on its caller's goroutine
+// and does not use it; the benchmark module's ladder measures it as a rung.
 // StepAll funnels into the same step path as Engine.Step, so a batched
 // session is bit-identical to an independently stepped engine.
 

@@ -137,8 +137,8 @@ func TestPlantProbeOptionalModels(t *testing.T) {
 }
 
 // TestPlantProbeDetachedAllocs locks in the nil-gated contract: with no
-// recorder attached a steady-state step performs zero allocations, the
-// same bar BenchmarkEngineStep gates in CI.
+// recorder attached a steady-state step performs zero allocations. It is
+// BenchmarkEngineStep's allocation gate.
 func TestPlantProbeDetachedAllocs(t *testing.T) {
 	eng, err := New(Scenario{Name: "alloc"})
 	if err != nil {

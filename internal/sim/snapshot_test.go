@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"dcsprint/internal/chip"
 	"dcsprint/internal/core"
 	"dcsprint/internal/faults"
+	"dcsprint/internal/tes"
+	"dcsprint/internal/units"
+	"dcsprint/internal/ups"
 	"dcsprint/internal/workload"
 )
 
@@ -334,4 +338,50 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("restored engine rejected a step: %v", err)
 		}
 	})
+}
+
+// TestSetStateRejectsOverCapacity: a restored UPS, TES tank or chip PCM
+// store holds at most its capacity. Every live component clamps to it, so
+// only a corrupt or hand-made snapshot can exceed it, and a battery restored
+// over capacity would plan a negative recharge that frees supply for the
+// groups after it.
+func TestSetStateRejectsOverCapacity(t *testing.T) {
+	bat, err := ups.New(ups.DefaultServerBattery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tankCfg := tes.DefaultTank(1e6)
+	tank, err := tes.New(tankCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chipCfg := chip.Default()
+	pcm, err := chip.New(chipCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		capacity units.Joules
+		set      func(units.Joules) error
+	}{
+		{"ups stored", bat.TotalEnergy(), func(j units.Joules) error {
+			s := bat.State()
+			s.Stored = j
+			return bat.SetState(s)
+		}},
+		{"tes cold", tankCfg.HeatCapacity, func(j units.Joules) error {
+			return tank.SetState(tes.State{Cold: j})
+		}},
+		{"chip melted", chipCfg.PCMCapacity, func(j units.Joules) error {
+			return pcm.SetState(chip.State{Melted: j})
+		}},
+	} {
+		if err := c.set(c.capacity); err != nil {
+			t.Errorf("%s at capacity %v: %v", c.name, c.capacity, err)
+		}
+		if err := c.set(c.capacity + 0.5); err == nil {
+			t.Errorf("%s 0.5 J over capacity %v accepted", c.name, c.capacity)
+		}
+	}
 }

@@ -24,7 +24,7 @@ func (t *Tank) State() State {
 // SetState restores a previously captured state. The cold level must be
 // finite, non-negative and within the tank's capacity.
 func (t *Tank) SetState(s State) error {
-	if s.Cold < 0 || s.Cold > t.cfg.HeatCapacity+1 || math.IsNaN(float64(s.Cold)) {
+	if s.Cold < 0 || s.Cold > t.cfg.HeatCapacity || math.IsNaN(float64(s.Cold)) {
 		return fmt.Errorf("tes: restore with cold %v outside [0, %v]", s.Cold, t.cfg.HeatCapacity)
 	}
 	t.cold = s.Cold

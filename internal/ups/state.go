@@ -45,7 +45,7 @@ func (b *Battery) SetState(s State) error {
 		return fmt.Errorf("ups: restore with negative power limit")
 	}
 	total := s.Capacity.Energy(b.cfg.BusVoltage)
-	if s.Stored < 0 || s.Stored > total+1 || math.IsNaN(float64(s.Stored)) {
+	if s.Stored < 0 || s.Stored > total || math.IsNaN(float64(s.Stored)) {
 		return fmt.Errorf("ups: restore with stored %v outside [0, %v]", s.Stored, total)
 	}
 	if s.Discharged < 0 || math.IsNaN(float64(s.Discharged)) {

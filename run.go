@@ -72,21 +72,6 @@ func RestoreEngine(sc Scenario, snap []byte) (*Engine, error) {
 	return sim.Restore(sc, snap)
 }
 
-// Batch owns N engines in a slot table and advances every live session one
-// tick per StepAll sweep — the control plane's lockstep stepping core; see
-// sim.Batch.
-type Batch = sim.Batch
-
-// BatchOptions sizes a Batch; see sim.BatchOptions.
-type BatchOptions = sim.BatchOptions
-
-// Sample is one slot's StepAll input: the tick's demand, or Skip for slots
-// that sit this quantum out; see sim.Sample.
-type Sample = sim.Sample
-
-// NewBatch builds an empty batch; add engines with Batch.AddEngine.
-func NewBatch(opts BatchOptions) *Batch { return sim.NewBatch(opts) }
-
 // DeltaVersion is the delta snapshot codec version (DCSPDELT frames).
 const DeltaVersion = sim.DeltaVersion
 
