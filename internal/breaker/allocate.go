@@ -17,14 +17,22 @@ import (
 // The returned slice is the per-child allocation, parallel to demands.
 // Negative demands are treated as zero.
 func Allocate(budget units.Watts, demands []units.Watts) []units.Watts {
-	return AllocateInto(make([]units.Watts, len(demands)), make([]int, 0, len(demands)), budget, demands)
+	return AllocateInto(make([]units.Watts, len(demands)), make([]int, 0, len(demands)), nil, budget, demands)
 }
 
 // AllocateInto is Allocate with caller-provided buffers, for tick loops that
 // must not allocate: out receives the per-child allocation (len(out) must
 // equal len(demands)) and idx is scratch for the unmet-child worklist (pass
 // capacity >= len(demands) to stay allocation-free). Returns out.
-func AllocateInto(out []units.Watts, idx []int, budget units.Watts, demands []units.Watts) []units.Watts {
+//
+// runs, when not nil, partitions the children into runs of equal demand:
+// runs[i] is one past the last child of the run that starts at child i,
+// and only a run's first demand is read. Equal demands always receive
+// equal shares, so each run is allocated once, as one child counted once
+// per member, and its share copied to the other members. The budget still gives up each member's share in child order,
+// so the result is bit for bit what a walk over every child computes. A
+// nil runs makes every child its own run.
+func AllocateInto(out []units.Watts, idx []int, runs []int, budget units.Watts, demands []units.Watts) []units.Watts {
 	for i := range out {
 		out[i] = 0
 	}
@@ -32,10 +40,11 @@ func AllocateInto(out []units.Watts, idx []int, budget units.Watts, demands []un
 		return out
 	}
 	remaining := budget
-	unmet := idx[:0]
-	for i, d := range demands {
-		if d > 0 {
+	unmet, members := idx[:0], 0
+	for i := 0; i < len(demands); i = runEnd(runs, i) {
+		if demands[i] > 0 {
 			unmet = append(unmet, i)
+			members += runEnd(runs, i) - i
 		}
 	}
 	// Iterate: grant each unmet child an equal share, capped by its demand.
@@ -43,7 +52,7 @@ func AllocateInto(out []units.Watts, idx []int, budget units.Watts, demands []un
 	// redistributed next round. Terminates because each round either
 	// satisfies at least one child or splits the remainder exactly.
 	for len(unmet) > 0 && remaining > 0 {
-		share := remaining / units.Watts(len(unmet))
+		share := remaining / units.Watts(members)
 		if share <= 0 {
 			break
 		}
@@ -53,7 +62,10 @@ func AllocateInto(out []units.Watts, idx []int, budget units.Watts, demands []un
 			need := demands[i] - out[i]
 			if need <= share {
 				out[i] += need
-				remaining -= need
+				for m := runEnd(runs, i) - i; m > 0; m-- {
+					remaining -= need
+				}
+				members -= runEnd(runs, i) - i
 				progressed = true
 			} else {
 				next = append(next, i)
@@ -63,13 +75,30 @@ func AllocateInto(out []units.Watts, idx []int, budget units.Watts, demands []un
 			// Nobody was capped: split the remainder evenly and stop.
 			for _, i := range next {
 				out[i] += share
-				remaining -= share
+				for m := runEnd(runs, i) - i; m > 0; m-- {
+					remaining -= share
+				}
 			}
 			break
 		}
 		unmet = next
 	}
+	if runs != nil {
+		for i := 0; i < len(out); i = runs[i] {
+			for m := i + 1; m < runs[i]; m++ {
+				out[m] = out[i]
+			}
+		}
+	}
 	return out
+}
+
+// runEnd returns one past the last child of the run starting at child i.
+func runEnd(runs []int, i int) int {
+	if runs == nil {
+		return i + 1
+	}
+	return runs[i]
 }
 
 // Sum returns the total of a power slice.

@@ -2,6 +2,7 @@ package breaker
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -113,5 +114,37 @@ func TestAllocateInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAllocateRunsMatchesEveryChild allocates random budgets over random
+// runs of equal demands, once a run at a time and once child by child,
+// and requires the two to agree bit for bit.
+func TestAllocateRunsMatchesEveryChild(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(12)
+		demands, runs := make([]units.Watts, n), make([]int, n)
+		for g := 0; g < n; {
+			end := g + 1 + rng.Intn(n-g)
+			d := units.Watts(rng.Float64() * 1000)
+			if rng.Intn(5) == 0 {
+				d = 0
+			}
+			for m := g; m < end; m++ {
+				demands[m] = d
+			}
+			runs[g] = end
+			g = end
+		}
+		budget := units.Watts(rng.Float64() * 1000 * float64(n))
+		got := AllocateInto(make([]units.Watts, n), make([]int, 0, n), runs, budget, demands)
+		want := Allocate(budget, demands)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: budget %v demands %v runs %v: child %d gets %v by runs, %v child by child",
+					trial, budget, demands, runs, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -163,3 +163,88 @@ func TestReferenceRunDescentSteps(t *testing.T) {
 		t.Fatalf("%d descent steps, want at most %d", f.ctl.buf.descentSteps, maxSteps)
 	}
 }
+
+// workCounts are the deterministic work counters of one controller: demand
+// rows built (one DemandPow each), operating points plan computes, and PDU
+// groups the tree steps itself (one Breaker.Step and one Battery.Discharge
+// each) rather than copies from a lockstep neighbour.
+type workCounts struct{ pows, points, steps int }
+
+func (f *facility) work() workCounts {
+	return workCounts{f.ctl.buf.demandPows, f.ctl.buf.ctx.points, f.tree.GroupSteps()}
+}
+
+func (w workCounts) minus(o workCounts) workCounts {
+	return workCounts{w.pows - o.pows, w.points - o.points, w.steps - o.steps}
+}
+
+// TestReferenceRunWorkCounts holds the reference run's per-group work. A
+// row is rebuilt only when the demand moves (733 of the 1,800 ticks repeat
+// the last one), and each lockstep run of identical groups computes and
+// steps once: 10 groups, but 2 physics steps per tick on average.
+func TestReferenceRunWorkCounts(t *testing.T) {
+	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFacility(t, facilityOpts{servers: 2000})
+	for _, d := range tr.Samples {
+		f.ctl.TickInput(Input{Demand: d}, tr.Step)
+	}
+	want := workCounts{pows: 1067, points: 3396, steps: 3706}
+	got := f.work()
+	t.Logf("%d DemandPow calls, %d operating points, %d group steps over %d ticks", got.pows, got.points, got.steps, tr.Len())
+	if got.pows > want.pows || got.points > want.points || got.steps > want.steps {
+		t.Fatalf("work %+v over the reference run, want at most %+v", got, want)
+	}
+}
+
+// TestPaperScaleWorkPerTick runs the reference trace on the paper's
+// 900-group facility beside sim's 10-group default. Both must build the
+// same demand rows and compute the same operating points on every tick,
+// and step the same number of groups on every tick until a recharge
+// leaves the batteries unequal: with uniform weights the groups stay in
+// one lockstep run, so the PDU count does not enter a tick's cost.
+//
+// Recharge then splits the runs where the DC spare runs out, and that
+// seam moves with the load from tick to tick. On 10 groups it stays among
+// the three groups next to it; on 900 it leaves a trail of batteries each
+// charged a little differently, up to 162 runs until they fill. The
+// paper-scale run still steps 62,648 groups where a walk over every group
+// steps 1,620,000.
+func TestPaperScaleWorkPerTick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 900-group reference run")
+	}
+	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := newFacility(t, facilityOpts{servers: 2000})
+	paper := newFacility(t, facilityOpts{servers: 180000})
+	if n := len(paper.tree.PDUs); n != 900 {
+		t.Fatalf("%d PDU groups, want 900", n)
+	}
+	split := -1 // the first tick that leaves the small facility's groups unequal
+	for i, d := range tr.Samples {
+		s0, p0 := small.work(), paper.work()
+		small.ctl.TickInput(Input{Demand: d}, tr.Step)
+		paper.ctl.TickInput(Input{Demand: d}, tr.Step)
+		s, p := small.work().minus(s0), paper.work().minus(p0)
+		if s.pows != p.pows || s.points != p.points || (split < 0 && s.steps != p.steps) {
+			t.Fatalf("tick %d: 10 groups did %+v, 900 groups %+v", i, s, p)
+		}
+		if runs := small.ctl.Runs(); split < 0 && runs[0] != len(runs) {
+			split = i
+		}
+	}
+	const maxSteps = 62648
+	got := paper.work()
+	t.Logf("900 groups: %+v; runs split at tick %d", got, split)
+	if split < 0 {
+		t.Fatal("no tick split the groups; the recharge seam is not exercised")
+	}
+	if got.steps > maxSteps {
+		t.Fatalf("900 groups stepped %d times, want at most %d", got.steps, maxSteps)
+	}
+}

@@ -2,6 +2,7 @@ package power
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -268,7 +269,7 @@ func TestReset(t *testing.T) {
 
 func TestUPSSoC(t *testing.T) {
 	tree := newTree(t, testConfig())
-	if got := tree.UPSSoC(); got != 1 {
+	if got := tree.UPSSoC(nil); got != 1 {
 		t.Fatalf("fresh SoC = %v, want 1", got)
 	}
 	// Drain every group to half charge (respecting the power limit).
@@ -279,7 +280,105 @@ func TestUPSSoC(t *testing.T) {
 			}
 		}
 	}
-	if got := tree.UPSSoC(); math.Abs(got-0.5) > 0.02 {
+	if got := tree.UPSSoC(nil); math.Abs(got-0.5) > 0.02 {
 		t.Fatalf("half SoC = %v, want ~0.5", got)
 	}
+}
+
+func runsOf(runs []int) [][2]int {
+	var out [][2]int
+	for g := 0; g < len(runs); g = runs[g] {
+		out = append(out, [2]int{g, runs[g]})
+	}
+	return out
+}
+
+// TestPartitionSplitsWhereGroupsDiffer derates a breaker, fades a battery
+// and gives one group another key, and requires Partition to split the
+// runs exactly around each.
+func TestPartitionSplitsWhereGroupsDiffer(t *testing.T) {
+	cfg := testConfig()
+	cfg.Servers = 2000
+	tree := newTree(t, cfg)
+	runs, key := make([]int, 10), make([]int, 10)
+	tree.Partition(runs, key)
+	if got := runsOf(runs); len(got) != 1 || got[0] != [2]int{0, 10} {
+		t.Fatalf("a fresh tree partitions into %v, want one run", got)
+	}
+	tree.PDUs[2].Breaker.Derate(0.9)
+	tree.PDUs[5].UPS.Fade(0.5)
+	key[8], key[9] = 1, 1
+	tree.Partition(runs, key)
+	want := [][2]int{{0, 2}, {2, 3}, {3, 5}, {5, 6}, {6, 8}, {8, 10}}
+	if got := runsOf(runs); !equalRuns(got, want) {
+		t.Fatalf("runs %v, want %v", got, want)
+	}
+}
+
+func equalRuns(a, b [][2]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestStepRunsMatchesEveryGroup steps one tree a run at a time and a twin
+// group by group under the same flows, through overload, battery drain and
+// trips, and requires every breaker, battery and error to match bit for
+// bit.
+func TestStepRunsMatchesEveryGroup(t *testing.T) {
+	cfg := testConfig()
+	cfg.Servers = 2000
+	byRun, byGroup := newTree(t, cfg), newTree(t, cfg)
+	for _, tr := range []*Tree{byRun, byGroup} {
+		tr.PDUs[3].Breaker.Derate(0.8)
+		tr.PDUs[6].UPS.Fade(0.3)
+	}
+	rated := byRun.PDUs[0].Breaker.Rated
+	runs, key := make([]int, 10), make([]int, 10)
+	for tick := 0; tick < 400; tick++ {
+		byRun.Partition(runs, key)
+		f := Flow{PDUServer: make([]units.Watts, 10), PDUUPS: make([]units.Watts, 10), Cooling: 1000, Runs: runs}
+		for g := 0; g < 10; g = runs[g] {
+			server := rated * units.Watts(1+0.004*float64(tick))
+			ups := server * units.Watts(0.2*float64(g%3))
+			for m := g; m < runs[g]; m++ {
+				f.PDUServer[m], f.PDUUPS[m] = server, ups
+			}
+		}
+		errRun := byRun.Step(f, time.Second)
+		f.Runs = nil
+		errGroup := byGroup.Step(f, time.Second)
+		if fmt.Sprint(errRun) != fmt.Sprint(errGroup) {
+			t.Fatalf("tick %d: errors %v and %v", tick, errRun, errGroup)
+		}
+		for g := range byRun.PDUs {
+			a, b := byRun.PDUs[g], byGroup.PDUs[g]
+			if a.Breaker.State() != b.Breaker.State() || a.UPS.State() != b.UPS.State() {
+				t.Fatalf("tick %d group %d: %+v %+v, want %+v %+v", tick, g,
+					a.Breaker.State(), a.UPS.State(), b.Breaker.State(), b.UPS.State())
+			}
+		}
+		if byRun.DCBreaker.State() != byGroup.DCBreaker.State() {
+			t.Fatalf("tick %d: DC breakers %+v and %+v", tick, byRun.DCBreaker.State(), byGroup.DCBreaker.State())
+		}
+		if a, b := byRun.UPSSoC(runs), byGroup.UPSSoC(nil); a != b {
+			t.Fatalf("tick %d: state of charge %v over runs, %v over groups", tick, a, b)
+		}
+		if a, b := byRun.MaxStress(runs), byGroup.MaxStress(nil); a != b {
+			t.Fatalf("tick %d: stress %v over runs, %v over groups", tick, a, b)
+		}
+		if errRun != nil {
+			if byRun.GroupSteps() >= byGroup.GroupSteps() {
+				t.Fatalf("stepping by runs took %d group steps, by groups %d", byRun.GroupSteps(), byGroup.GroupSteps())
+			}
+			return
+		}
+	}
+	t.Fatal("no breaker tripped; the overload is not exercised")
 }

@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -153,6 +154,28 @@ func BenchmarkRunReference(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*tr.Len())/b.Elapsed().Seconds(), "ticks/s")
+}
+
+// BenchmarkRunGroups runs the reference trace on facilities of 1, 10 and
+// 100 PDU groups of 200 servers. ns/tick is ungated: across the
+// sub-benchmarks it reads the per-group slope of a tick, which lockstep
+// runs of identical groups keep small.
+func BenchmarkRunGroups(b *testing.B) {
+	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, groups := range []int{1, 10, 100} {
+		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
+			sc := Scenario{Trace: tr, Servers: 200 * groups}
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(sc); err != nil {
+					b.Fatalf("Run: %v", err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/tick")
+		})
+	}
 }
 
 // TestRunReferenceAllocs pins BenchmarkRunReference's allocations per run.

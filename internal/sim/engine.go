@@ -346,7 +346,7 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) error {
 	e.pduLoad = append(e.pduLoad, float64(tick.PDULoad))
 	e.upsPower = append(e.upsPower, float64(tick.UPSPower))
 	e.genPower = append(e.genPower, float64(tick.GenPower))
-	e.upsSoC = append(e.upsSoC, e.p.tree.UPSSoC())
+	e.upsSoC = append(e.upsSoC, e.p.tree.UPSSoC(e.p.ctl.Runs()))
 	e.coolPower = append(e.coolPower, float64(tick.CoolingPower))
 	e.tesRate = append(e.tesRate, float64(tick.TESHeatRate))
 	e.roomTemp = append(e.roomTemp, float64(tick.RoomTemp))
@@ -376,16 +376,8 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) error {
 }
 
 // breakerStress returns the worst thermal accumulator across the DC and PDU
-// breakers (1.0 trips).
-func (e *Engine) breakerStress() float64 {
-	stress := e.p.tree.DCBreaker.Accumulator()
-	for _, pdu := range e.p.tree.PDUs {
-		if acc := pdu.Breaker.Accumulator(); acc > stress {
-			stress = acc
-		}
-	}
-	return stress
-}
+// breakers (1.0 trips), reading each lockstep run the last tick left once.
+func (e *Engine) breakerStress() float64 { return e.p.tree.MaxStress(e.p.ctl.Runs()) }
 
 // growSeries doubles the telemetry accumulators' capacity once a streaming
 // session outlives its current buffers, and gives a new streaming engine
@@ -439,7 +431,7 @@ func (e *Engine) plantSample(stress float64) PlantSample {
 	}
 	if e.i == 0 {
 		s.RoomTempC = float64(e.p.room.State().Temp)
-		s.UPSSoC = e.p.tree.UPSSoC()
+		s.UPSSoC = e.p.tree.UPSSoC(e.p.ctl.Runs())
 		return s
 	}
 	i := e.i - 1

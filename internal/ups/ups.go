@@ -155,6 +155,22 @@ func (b *Battery) SameMaxOutput(o *Battery) bool {
 		x.MaxDischarge == y.MaxDischarge && x.DischargeEfficiency == y.DischargeEfficiency && x.MinSoC == y.MinSoC
 }
 
+// Lockstep reports whether b and o are in identical state: the same
+// requests change them identically, and every reading answers the same on
+// both. It adds to SameMaxOutput the recharge limit, the wear ledger and
+// the failed flag.
+func (b *Battery) Lockstep(o *Battery) bool {
+	return b.SameMaxOutput(o) && b.cfg.MaxRecharge == o.cfg.MaxRecharge &&
+		b.discharged == o.discharged && b.failed == o.failed
+}
+
+// Follow copies o's stored energy and wear ledger onto b: the state
+// Discharge or Recharge leaves on b when b was in lockstep with o and got
+// the same request.
+func (b *Battery) Follow(o *Battery) {
+	b.stored, b.discharged = o.stored, o.discharged
+}
+
 // Discharge drains the battery to deliver the requested power for dt and
 // returns the power actually delivered, which may be lower when the battery
 // is empty or power-limited. Requests that are not positive deliver zero.

@@ -343,3 +343,61 @@ func TestSameMaxOutputCoversMaxOutput(t *testing.T) {
 		check(fields.Field(i).Name, o)
 	}
 }
+
+// TestLockstepCoversState changes the stored energy, the wear ledger, the
+// failed flag and each configuration field in turn, and requires Lockstep
+// to tell the batteries apart. Batteries it reports alike stay alike under
+// one request, and Follow makes a battery match the one it follows.
+func TestLockstepCoversState(t *testing.T) {
+	cfg := DefaultServerBattery()
+	cfg.MinSoC = 0.1
+	base := func() *Battery {
+		b := &Battery{cfg: cfg.scale(200)}
+		b.stored, b.discharged = b.TotalEnergy()*0.6, 1000
+		return b
+	}
+	a := base()
+	if b := base(); !a.Lockstep(b) || !b.Lockstep(a) {
+		t.Fatal("a battery's copy is not in lockstep with it")
+	}
+	differ := map[string]*Battery{}
+	b := base()
+	b.stored /= 2
+	differ["the stored energy"] = b
+	b = base()
+	b.discharged *= 2
+	differ["the wear ledger"] = b
+	b = base()
+	b.failed = true
+	differ["the failed flag"] = b
+	fields := reflect.TypeOf(a.cfg)
+	for i := 0; i < fields.NumField(); i++ {
+		b := base()
+		f := reflect.ValueOf(&b.cfg).Elem().Field(i)
+		f.SetFloat(f.Float() / 2)
+		differ[fields.Field(i).Name] = b
+	}
+	for what, b := range differ {
+		if a.Lockstep(b) || b.Lockstep(a) {
+			t.Errorf("halving %s leaves the batteries in lockstep", what)
+		}
+	}
+
+	x, y := base(), base()
+	for _, dt := range []time.Duration{time.Second, time.Minute} {
+		for _, req := range []units.Watts{0, 500, 40000} {
+			if p, q := x.Discharge(req, dt), y.Discharge(req, dt); p != q || x.State() != y.State() || !x.Lockstep(y) {
+				t.Fatalf("Discharge(%v, %v): alike batteries delivered %v/%v, now %+v and %+v", req, dt, p, q, x.State(), y.State())
+			}
+			if p, q := x.Recharge(req/3, dt), y.Recharge(req/3, dt); p != q || x.State() != y.State() || !x.Lockstep(y) {
+				t.Fatalf("Recharge(%v, %v): alike batteries accepted %v/%v", req/3, dt, p, q)
+			}
+		}
+	}
+	z := base()
+	z.stored = 0
+	z.Follow(x)
+	if z.State() != x.State() || !z.Lockstep(x) {
+		t.Fatalf("Follow left %+v, want %+v", z.State(), x.State())
+	}
+}
