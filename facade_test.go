@@ -138,9 +138,8 @@ var internalOnly = map[string]map[string]bool{
 		"SnapshotVersion":   true, // snapshot codec detail
 	},
 	"internal/workload": {
-		"MSBurstDuration":   true, // trace-generator calibration constant
-		"Step":              true, // trace-generator resolution
-		"TotalOverCapacity": true, // convenience over Episodes, trivial inline
+		"MSBurstDuration": true, // trace-generator calibration constant
+		"Step":            true, // trace-generator resolution
 	},
 	"internal/testbed":  {},
 	"internal/campaign": {},

@@ -4,34 +4,29 @@ import (
 	"dcsprint/internal/units"
 )
 
-// Allocate divides a parent budget among children with the given demands
-// using water-filling: no child receives more than its demand, and surplus
-// left by under-demanding children is redistributed to the others until
-// either every demand is met or the budget is exhausted.
+// AllocateInto divides a parent budget among children with the given
+// demands using water-filling: no child receives more than its demand, and
+// surplus left by under-demanding children is redistributed to the others
+// until either every demand is met or the budget is exhausted.
 //
 // This implements the paper's PDU-coordination rule (§V-B): the sum of the
 // child allocations never exceeds the parent budget, so overloading
 // PDU-level breakers can never trip the substation-level breaker beyond its
 // managed bound.
 //
-// The returned slice is the per-child allocation, parallel to demands.
+// The buffers are the caller's, for tick loops that must not allocate: out
+// receives the per-child allocation, parallel to demands (len(out) must
+// equal len(demands)), and idx is scratch for the unmet-child worklist
+// (pass capacity >= len(demands) to stay allocation-free). Returns out.
 // Negative demands are treated as zero.
-func Allocate(budget units.Watts, demands []units.Watts) []units.Watts {
-	return AllocateInto(make([]units.Watts, len(demands)), make([]int, 0, len(demands)), nil, budget, demands)
-}
-
-// AllocateInto is Allocate with caller-provided buffers, for tick loops that
-// must not allocate: out receives the per-child allocation (len(out) must
-// equal len(demands)) and idx is scratch for the unmet-child worklist (pass
-// capacity >= len(demands) to stay allocation-free). Returns out.
 //
-// runs, when not nil, partitions the children into runs of equal demand:
-// runs[i] is one past the last child of the run that starts at child i,
-// and only a run's first demand is read. Equal demands always receive
-// equal shares, so each run is allocated once, as one child counted once
-// per member, and its share copied to the other members. The budget still gives up each member's share in child order,
-// so the result is bit for bit what a walk over every child computes. A
-// nil runs makes every child its own run.
+// runs partitions the children into runs of equal demand: runs[i] is one
+// past the last child of the run that starts at child i, and only a run's
+// first demand is read. Equal demands always receive equal shares, so each
+// run is allocated once, as one child counted once per member, and its
+// share copied to the other members. The budget still gives up each
+// member's share in child order, so the result is bit for bit what a walk
+// over every child, each its own run, computes.
 func AllocateInto(out []units.Watts, idx []int, runs []int, budget units.Watts, demands []units.Watts) []units.Watts {
 	for i := range out {
 		out[i] = 0
@@ -41,10 +36,10 @@ func AllocateInto(out []units.Watts, idx []int, runs []int, budget units.Watts, 
 	}
 	remaining := budget
 	unmet, members := idx[:0], 0
-	for i := 0; i < len(demands); i = runEnd(runs, i) {
+	for i := 0; i < len(demands); i = runs[i] {
 		if demands[i] > 0 {
 			unmet = append(unmet, i)
-			members += runEnd(runs, i) - i
+			members += runs[i] - i
 		}
 	}
 	// Iterate: grant each unmet child an equal share, capped by its demand.
@@ -62,10 +57,10 @@ func AllocateInto(out []units.Watts, idx []int, runs []int, budget units.Watts, 
 			need := demands[i] - out[i]
 			if need <= share {
 				out[i] += need
-				for m := runEnd(runs, i) - i; m > 0; m-- {
+				for m := runs[i] - i; m > 0; m-- {
 					remaining -= need
 				}
-				members -= runEnd(runs, i) - i
+				members -= runs[i] - i
 				progressed = true
 			} else {
 				next = append(next, i)
@@ -75,7 +70,7 @@ func AllocateInto(out []units.Watts, idx []int, runs []int, budget units.Watts, 
 			// Nobody was capped: split the remainder evenly and stop.
 			for _, i := range next {
 				out[i] += share
-				for m := runEnd(runs, i) - i; m > 0; m-- {
+				for m := runs[i] - i; m > 0; m-- {
 					remaining -= share
 				}
 			}
@@ -83,22 +78,12 @@ func AllocateInto(out []units.Watts, idx []int, runs []int, budget units.Watts, 
 		}
 		unmet = next
 	}
-	if runs != nil {
-		for i := 0; i < len(out); i = runs[i] {
-			for m := i + 1; m < runs[i]; m++ {
-				out[m] = out[i]
-			}
+	for i := 0; i < len(out); i = runs[i] {
+		for m := i + 1; m < runs[i]; m++ {
+			out[m] = out[i]
 		}
 	}
 	return out
-}
-
-// runEnd returns one past the last child of the run starting at child i.
-func runEnd(runs []int, i int) int {
-	if runs == nil {
-		return i + 1
-	}
-	return runs[i]
 }
 
 // Sum returns the total of a power slice.

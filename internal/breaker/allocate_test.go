@@ -9,18 +9,27 @@ import (
 	"dcsprint/internal/units"
 )
 
+// allocate runs AllocateInto on fresh buffers with every child its own run.
+func allocate(budget units.Watts, demands []units.Watts) []units.Watts {
+	runs := make([]int, len(demands))
+	for i := range runs {
+		runs[i] = i + 1
+	}
+	return AllocateInto(make([]units.Watts, len(demands)), make([]int, 0, len(demands)), runs, budget, demands)
+}
+
 func TestAllocateMeetsDemandWhenBudgetSuffices(t *testing.T) {
-	got := Allocate(100, []units.Watts{20, 30, 10})
+	got := allocate(100, []units.Watts{20, 30, 10})
 	want := []units.Watts{20, 30, 10}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Allocate = %v, want %v", got, want)
+			t.Fatalf("allocate = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestAllocateEvenSplitWhenScarce(t *testing.T) {
-	got := Allocate(90, []units.Watts{100, 100, 100})
+	got := allocate(90, []units.Watts{100, 100, 100})
 	for i, g := range got {
 		if math.Abs(float64(g-30)) > 1e-9 {
 			t.Fatalf("child %d got %v, want 30", i, g)
@@ -31,11 +40,11 @@ func TestAllocateEvenSplitWhenScarce(t *testing.T) {
 func TestAllocateWaterFilling(t *testing.T) {
 	// Budget 100 over demands (10, 80, 80): the small demand is satisfied,
 	// and the surplus splits evenly between the large ones: 10, 45, 45.
-	got := Allocate(100, []units.Watts{10, 80, 80})
+	got := allocate(100, []units.Watts{10, 80, 80})
 	want := []units.Watts{10, 45, 45}
 	for i := range want {
 		if math.Abs(float64(got[i]-want[i])) > 1e-9 {
-			t.Fatalf("Allocate = %v, want %v", got, want)
+			t.Fatalf("allocate = %v, want %v", got, want)
 		}
 	}
 }
@@ -43,26 +52,26 @@ func TestAllocateWaterFilling(t *testing.T) {
 func TestAllocateCascadedSurplus(t *testing.T) {
 	// Budget 100 over (10, 20, 100): first round share 33.3 satisfies the
 	// first two; the third absorbs the remaining 70.
-	got := Allocate(100, []units.Watts{10, 20, 100})
+	got := allocate(100, []units.Watts{10, 20, 100})
 	want := []units.Watts{10, 20, 70}
 	for i := range want {
 		if math.Abs(float64(got[i]-want[i])) > 1e-9 {
-			t.Fatalf("Allocate = %v, want %v", got, want)
+			t.Fatalf("allocate = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestAllocateEdgeCases(t *testing.T) {
-	if got := Allocate(0, []units.Watts{5}); got[0] != 0 {
+	if got := allocate(0, []units.Watts{5}); got[0] != 0 {
 		t.Error("zero budget must allocate nothing")
 	}
-	if got := Allocate(-10, []units.Watts{5}); got[0] != 0 {
+	if got := allocate(-10, []units.Watts{5}); got[0] != 0 {
 		t.Error("negative budget must allocate nothing")
 	}
-	if got := Allocate(10, nil); len(got) != 0 {
+	if got := allocate(10, nil); len(got) != 0 {
 		t.Error("nil demands must return empty")
 	}
-	got := Allocate(10, []units.Watts{-5, 8})
+	got := allocate(10, []units.Watts{-5, 8})
 	if got[0] != 0 || got[1] != 8 {
 		t.Fatalf("negative demand handling: got %v", got)
 	}
@@ -89,7 +98,7 @@ func TestAllocateInvariantsProperty(t *testing.T) {
 			demands[i] = units.Watts(d)
 			total += units.Watts(d)
 		}
-		got := Allocate(budget, demands)
+		got := allocate(budget, demands)
 		if len(got) != len(demands) {
 			return false
 		}
@@ -139,7 +148,7 @@ func TestAllocateRunsMatchesEveryChild(t *testing.T) {
 		}
 		budget := units.Watts(rng.Float64() * 1000 * float64(n))
 		got := AllocateInto(make([]units.Watts, n), make([]int, 0, n), runs, budget, demands)
-		want := Allocate(budget, demands)
+		want := allocate(budget, demands)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: budget %v demands %v runs %v: child %d gets %v by runs, %v child by child",

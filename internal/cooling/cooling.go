@@ -146,18 +146,12 @@ func (r *Room) Step(heatGen, heatAbsorbed units.Watts, dt time.Duration) {
 	}
 }
 
-// TimeToThreshold returns how long the room can sustain the given constant
-// heat gap before overheating. The second result is false when the gap never
-// overheats the room (gap <= 0 or already-cooling).
-func (r *Room) TimeToThreshold(gap units.Watts) (time.Duration, bool) {
-	return r.cfg.TimeToThresholdFrom(r.temp, gap)
-}
-
 // TimeToThresholdFrom returns how long a room currently at temp can sustain
-// the given constant heat gap before overheating — the same computation as
-// Room.TimeToThreshold but from an arbitrary starting temperature, so a
-// controller can evaluate the guard against a supervised planning
-// temperature instead of the physical model's internal state.
+// the given constant heat gap before overheating. The second result is
+// false when the gap never overheats the room (gap <= 0). It takes the
+// starting temperature as an argument, so a controller can evaluate the
+// guard against a supervised planning temperature instead of the physical
+// model's internal state.
 func (c Config) TimeToThresholdFrom(temp units.Celsius, gap units.Watts) (time.Duration, bool) {
 	if gap <= 0 {
 		return 0, false

@@ -116,31 +116,32 @@ func TestStepIgnoresBadDt(t *testing.T) {
 }
 
 func TestTimeToThreshold(t *testing.T) {
+	cfg := Default(peakIT)
 	r := newRoom(t)
-	d, finite := r.TimeToThreshold(peakIT)
+	d, finite := cfg.TimeToThresholdFrom(r.Temperature(), peakIT)
 	if !finite {
 		t.Fatal("full gap reported as never overheating")
 	}
 	if math.Abs(d.Seconds()-300) > 1 {
-		t.Fatalf("TimeToThreshold(full gap) = %v, want 5 min", d)
+		t.Fatalf("TimeToThresholdFrom(full gap) = %v, want 5 min", d)
 	}
 	// Half the gap -> double the time.
-	d, _ = r.TimeToThreshold(peakIT / 2)
+	d, _ = cfg.TimeToThresholdFrom(r.Temperature(), peakIT/2)
 	if math.Abs(d.Seconds()-600) > 1 {
-		t.Fatalf("TimeToThreshold(half gap) = %v, want 10 min", d)
+		t.Fatalf("TimeToThresholdFrom(half gap) = %v, want 10 min", d)
 	}
-	if _, finite := r.TimeToThreshold(0); finite {
+	if _, finite := cfg.TimeToThresholdFrom(r.Temperature(), 0); finite {
 		t.Fatal("zero gap must never overheat")
 	}
-	if _, finite := r.TimeToThreshold(-peakIT); finite {
+	if _, finite := cfg.TimeToThresholdFrom(r.Temperature(), -peakIT); finite {
 		t.Fatal("negative gap must never overheat")
 	}
 	// Already at threshold.
 	for s := 0; s < 301; s++ {
 		r.Step(peakIT, 0, time.Second)
 	}
-	if d, finite := r.TimeToThreshold(1); !finite || d != 0 {
-		t.Fatalf("overheated room: TimeToThreshold = (%v, %v), want (0, true)", d, finite)
+	if d, finite := cfg.TimeToThresholdFrom(r.Temperature(), 1); !finite || d != 0 {
+		t.Fatalf("overheated room: TimeToThresholdFrom = (%v, %v), want (0, true)", d, finite)
 	}
 }
 
@@ -191,8 +192,8 @@ func TestTemperatureBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: TimeToThreshold is consistent with Step — simulating the gap
-// for the returned duration lands within one tick of the threshold.
+// Property: TimeToThresholdFrom is consistent with Step — simulating the
+// gap for the returned duration lands within one tick of the threshold.
 func TestTimeToThresholdConsistencyProperty(t *testing.T) {
 	f := func(gapRaw uint32) bool {
 		gap := units.Watts(gapRaw%uint32(peakIT) + 1e5)
@@ -200,7 +201,7 @@ func TestTimeToThresholdConsistencyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, finite := r.TimeToThreshold(gap)
+		d, finite := Default(peakIT).TimeToThresholdFrom(r.Temperature(), gap)
 		if !finite {
 			return false
 		}

@@ -44,12 +44,6 @@ type Config struct {
 	// Reserve is the breaker reserve time-to-trip. Zero means
 	// DefaultReserve.
 	Reserve time.Duration
-	// ThermalGuard is the minimum time-to-overheat kept in hand. Zero
-	// means DefaultThermalGuard.
-	ThermalGuard time.Duration
-	// BurstCooloff ends a burst event after this much continuous
-	// within-capacity demand. Zero means DefaultBurstCooloff.
-	BurstCooloff time.Duration
 	// Weights skews the demand across PDU groups: group g sees
 	// demand x Weights[g]. Nil means uniform. Values must be positive;
 	// they are normalized to mean 1 so the facility-level demand is
@@ -140,6 +134,11 @@ type Controller struct {
 	// needBudget caches ReadsBudget(cfg.Strategy): whether the per-tick
 	// strategy State must include the remaining-budget estimate.
 	needBudget bool
+	// maxDegree is cfg.Server.MaxDegree() and degreePower the extra
+	// facility power of one unit of sprinting degree; both depend only on
+	// the server model and the tree's shape.
+	maxDegree   float64
+	degreePower units.Watts
 
 	burstActive bool
 	sprintTime  time.Duration // cumulative over-capacity time this event
@@ -202,8 +201,10 @@ type scratch struct {
 	// flowRuns holds the tick's lockstep runs split where planRecharge
 	// gives members of one run different recharges.
 	flowRuns []int
+	// singles makes every group its own run.
+	singles []int
 	// committed is the lockstep runs of the flow the last tick committed,
-	// nil when it committed none; see Controller.Runs.
+	// singles when it committed none; see Controller.Runs.
 	committed []int
 
 	ctx planContext
@@ -286,11 +287,15 @@ func newScratch(nPDU int) scratch {
 		watts = watts[nPDU:]
 		return s
 	}
-	ints := make([]int, 4*nPDU)
+	ints := make([]int, 5*nPDU)
 	nextInts := func() []int {
 		s := ints[:nPDU:nPDU]
 		ints = ints[nPDU:]
 		return s
+	}
+	singles := nextInts()
+	for g := range singles {
+		singles[g] = g + 1
 	}
 	return scratch{
 		groups:      make([]groupPlan, nPDU),
@@ -301,6 +306,8 @@ func newScratch(nPDU int) scratch {
 		allocIdx:    nextInts()[:0],
 		upsRecharge: next(),
 		flowRuns:    nextInts(),
+		singles:     singles,
+		committed:   singles,
 		ctx: planContext{
 			pduMax: next(),
 			upsMax: next(),
@@ -347,20 +354,17 @@ func New(cfg Config, tree *power.Tree, room *cooling.Room, tank *tes.Tank) (*Con
 	if cfg.Reserve <= 0 {
 		cfg.Reserve = DefaultReserve
 	}
-	if cfg.ThermalGuard <= 0 {
-		cfg.ThermalGuard = DefaultThermalGuard
-	}
-	if cfg.BurstCooloff <= 0 {
-		cfg.BurstCooloff = DefaultBurstCooloff
-	}
 	weights, err := normalizeWeights(cfg.Weights, len(tree.PDUs))
 	if err != nil {
 		return nil, err
 	}
+	servers := len(tree.PDUs) * tree.PDUs[0].Servers
 	return &Controller{
 		cfg:           cfg,
 		srv:           server.NewModel(cfg.Server),
 		needBudget:    ReadsBudget(cfg.Strategy),
+		maxDegree:     cfg.Server.MaxDegree(),
+		degreePower:   cfg.Server.CorePower * units.Watts(cfg.Server.NormalCores*servers),
 		tree:          tree,
 		room:          room,
 		tank:          tank,
@@ -417,7 +421,7 @@ func (c *Controller) chipCoreCap() int {
 	if c.chip == nil {
 		return c.cfg.Server.TotalCores
 	}
-	maxChip := c.chip.SustainablePower() + c.chip.Headroom().Over(c.cfg.Reserve)
+	maxChip := c.chip.MaxPower(c.cfg.Reserve)
 	srv := c.cfg.Server
 	n := int(float64(maxChip-srv.ChipIdlePower) / float64(srv.CorePower))
 	if n < srv.NormalCores {
@@ -432,8 +436,9 @@ func (c *Controller) chipCoreCap() int {
 // Runs returns the lockstep runs of the PDU groups as the last tick left
 // them (see power.Tree.Partition), for scans over the tree right after the
 // tick: runs[g] is one past the last group of the run starting at group g.
-// It is nil when the last tick stepped no flow, and holds only until a
-// breaker or battery is next changed outside the controller.
+// Before the first tick, and after a tick that stepped no flow, every group
+// is its own run. The runs hold only until a breaker or battery is next
+// changed outside the controller.
 func (c *Controller) Runs() []int { return c.buf.committed }
 
 // Split returns the additional-energy provenance accumulated so far.
@@ -460,21 +465,14 @@ func (c *Controller) state(demand float64) State {
 		Demand:      demand,
 		PeakDemand:  c.peakDemand,
 		AvgDegree:   avg,
-		MaxDegree:   c.cfg.Server.MaxDegree(),
+		MaxDegree:   c.maxDegree,
 		BudgetTotal: c.budgetTotal,
-		DegreePower: c.degreePower(),
+		DegreePower: c.degreePower,
 	}
 	if c.needBudget {
 		st.BudgetLeft = EstimateBudget(c.tree, c.tank, c.cfg.Cooling, c.cfg.Reserve)
 	}
 	return st
-}
-
-// degreePower is the extra facility power of one unit of sprinting degree.
-func (c *Controller) degreePower() units.Watts {
-	s := &c.cfg.Server
-	servers := len(c.tree.PDUs) * c.tree.PDUs[0].Servers
-	return s.CorePower * units.Watts(s.NormalCores*servers)
 }
 
 // groupSize is the number of servers in each PDU group, read without
@@ -507,7 +505,7 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 		in.SupplyLimit = 0
 	}
 	demand := in.Demand
-	c.buf.committed = nil
+	c.buf.committed = c.buf.singles
 	if dt <= 0 {
 		return TickResult{Demand: demand, Dead: c.dead}
 	}
@@ -533,7 +531,7 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 		c.cooloff = 0
 	} else if c.burstActive {
 		c.cooloff += dt
-		if c.cooloff >= c.cfg.BurstCooloff {
+		if c.cooloff >= DefaultBurstCooloff {
 			c.burstActive = false
 			c.budgetTotal = 0
 			c.tesActive = false
@@ -577,7 +575,7 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 		c.supervise(dt)
 	}
 
-	bound := units.Clamp(c.cfg.Strategy.UpperBound(c.state(demand)), 1, c.cfg.Server.MaxDegree())
+	bound := units.Clamp(c.cfg.Strategy.UpperBound(c.state(demand)), 1, c.maxDegree)
 	if c.sensors != nil && bound > c.degradeCap {
 		bound = c.degradeCap
 	}
@@ -692,9 +690,7 @@ func (c *Controller) partition(demand float64) {
 	if c.sensors != nil {
 		// Planning reads each group's sensed state of charge, which no
 		// comparison of the physical state covers.
-		for g := range ctx.runs {
-			ctx.runs[g] = g + 1
-		}
+		copy(ctx.runs, c.buf.singles)
 		return
 	}
 	c.tree.Partition(ctx.runs, ctx.rowOf)
@@ -875,7 +871,7 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 	}
 	thermalShed := false
 	if gap := gen - heatAbsorbed; gap > 0 && !force {
-		if t, finite := c.cfg.Cooling.TimeToThresholdFrom(planTemp, gap); finite && t < c.cfg.ThermalGuard {
+		if t, finite := c.cfg.Cooling.TimeToThresholdFrom(planTemp, gap); finite && t < DefaultThermalGuard {
 			if sprinting {
 				// Let the core-cap descent shrink the gap first.
 				return nil, false
@@ -889,7 +885,7 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 			if margin < 0 {
 				margin = 0
 			}
-			allowed := units.Watts(margin * c.cfg.Cooling.ThermalCapacity / c.cfg.ThermalGuard.Seconds())
+			allowed := units.Watts(margin * c.cfg.Cooling.ThermalCapacity / DefaultThermalGuard.Seconds())
 			if budget := heatAbsorbed + allowed; budget < gen {
 				scale := float64(budget) / float64(gen)
 				for g := 0; g < nPDU; g = runs[g] {
@@ -1398,7 +1394,7 @@ func (c *Controller) tickUncontrolled(demand float64, dt time.Duration) TickResu
 		Delivered:    deliveredSum / float64(nPDU),
 		ActiveCores:  maxCores,
 		Degree:       degreeSum / float64(nPDU),
-		Bound:        srv.MaxDegree(),
+		Bound:        c.maxDegree,
 		ITPower:      heatGen,
 		CoolingPower: coolNormal,
 		DCLoad:       flow.DCLoad(),

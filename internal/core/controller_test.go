@@ -419,7 +419,7 @@ func TestEnergySplitSharesRoughlyMatchPaper(t *testing.T) {
 func TestDegreePower(t *testing.T) {
 	f := newFacility(t, facilityOpts{})
 	// 1000 servers x 12 cores x 2.5 W = 30 kW per unit of degree.
-	if got := f.ctl.degreePower(); got != 30000 {
+	if got := f.ctl.degreePower; got != 30000 {
 		t.Fatalf("degreePower = %v, want 30 kW", got)
 	}
 }

@@ -187,8 +187,8 @@ func TestBoundTableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tbl.Durations()); got != 2 {
-		t.Errorf("Durations len = %d", got)
+	if got := len(tbl.durations); got != 2 {
+		t.Errorf("duration axis len = %d", got)
 	}
 	if got := len(tbl.Degrees()); got != 2 {
 		t.Errorf("Degrees len = %d", got)

@@ -53,7 +53,6 @@ type sensorView struct {
 	roomTemp units.Celsius
 	soc      []float64
 	tesLevel float64
-	degraded bool
 }
 
 // supervisor cross-checks the sensor bus and owns the trust state.
@@ -114,9 +113,6 @@ func (c *Controller) chillerCap() units.Watts {
 	}
 	return cap
 }
-
-// Degraded reports whether any sensor is currently distrusted.
-func (c *Controller) Degraded() bool { return c.view.degraded }
 
 // check classifies one reading. It returns the distrust reason, or "" for a
 // clean reading, and maintains the channel's freeze bookkeeping. lo and hi
@@ -255,7 +251,6 @@ func (c *Controller) supervise(dt time.Duration) {
 	for g := range s.soc {
 		degraded = degraded || s.soc[g].distrusted
 	}
-	c.view.degraded = degraded
 
 	// Degraded-mode degree ramp: step the cap down toward an abort while
 	// distrusted, back up once every channel is trusted again.
@@ -271,8 +266,8 @@ func (c *Controller) supervise(dt time.Duration) {
 		}
 	} else {
 		c.degradeCap += step
-		if max := c.cfg.Server.MaxDegree(); c.degradeCap > max {
-			c.degradeCap = max
+		if c.degradeCap > c.maxDegree {
+			c.degradeCap = c.maxDegree
 		}
 	}
 }

@@ -66,11 +66,6 @@ func (t *BoundTable) Lookup(d time.Duration, degree float64) float64 {
 	return t.bounds[i][j]
 }
 
-// Durations returns the duration axis (copy).
-func (t *BoundTable) Durations() []time.Duration {
-	return append([]time.Duration(nil), t.durations...)
-}
-
 // Degrees returns the degree axis (copy).
 func (t *BoundTable) Degrees() []float64 {
 	return append([]float64(nil), t.degrees...)

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -449,40 +448,6 @@ func QuarantineDeltas(dir, id string) error {
 	p := deltaPath(dir, id)
 	if err := os.Rename(p, p+corruptSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
-	}
-	return nil
-}
-
-// CopyTo clones one session's durable files into another directory — a test
-// helper for freezing the exact on-disk state at a simulated crash point.
-func CopyTo(srcDir, id, dstDir string) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dstDir, 0o755); err != nil {
-		return err
-	}
-	for _, suffix := range []string{snapSuffix, logSuffix, deltaSuffix} {
-		src, err := os.Open(filepath.Join(srcDir, id+suffix))
-		if errors.Is(err, os.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		dst, err := os.Create(filepath.Join(dstDir, id+suffix))
-		if err != nil {
-			src.Close()
-			return err
-		}
-		_, err = io.Copy(dst, src)
-		src.Close()
-		if cerr := dst.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -148,15 +148,6 @@ func (t *Tree) Partition(runs, key []int) {
 	runs[head] = len(t.PDUs)
 }
 
-// runEnd returns one past the last group of the run starting at group g; a
-// nil runs makes every group its own run.
-func runEnd(runs []int, g int) int {
-	if runs == nil {
-		return g + 1
-	}
-	return runs[g]
-}
-
 // PeakNormalIT returns the facility's peak IT power without sprinting.
 func (t *Tree) PeakNormalIT() units.Watts {
 	return t.cfg.ServerPeakNormal * units.Watts(t.cfg.Servers)
@@ -171,10 +162,10 @@ type Flow struct {
 	PDUUPS []units.Watts
 	// Cooling is the cooling-plant power, fed at the DC level.
 	Cooling units.Watts
-	// Runs, when not nil, partitions the groups into lockstep runs (see
-	// Tree.Partition) whose members draw identical power: Step then steps
-	// each run's first group and copies the outcome to the others. Nil
-	// steps every group on its own.
+	// Runs partitions the groups into lockstep runs (see Tree.Partition)
+	// whose members draw identical power: Step steps each run's first
+	// group and copies the outcome to the others. A run of one group steps
+	// that group on its own.
 	Runs []int
 }
 
@@ -195,7 +186,7 @@ func (f *Flow) DCLoad() units.Watts {
 	var total units.Watts
 	for g := 0; g < len(f.PDUServer); {
 		load := f.PDULoad(g)
-		for end := runEnd(f.Runs, g); g < end; g++ {
+		for end := f.Runs[g]; g < end; g++ {
 			total += load
 		}
 	}
@@ -212,10 +203,13 @@ func (t *Tree) Step(f Flow, dt time.Duration) error {
 	if len(f.PDUServer) != len(t.PDUs) || len(f.PDUUPS) != len(t.PDUs) {
 		return fmt.Errorf("power: flow width %d/%d, want %d", len(f.PDUServer), len(f.PDUUPS), len(t.PDUs))
 	}
+	if len(f.Runs) != len(t.PDUs) {
+		return fmt.Errorf("power: flow runs width %d, want %d", len(f.Runs), len(t.PDUs))
+	}
 	var firstErr error
 	var dcLoad units.Watts
 	for g := 0; g < len(t.PDUs); {
-		end := runEnd(f.Runs, g)
+		end := f.Runs[g]
 		p := t.PDUs[g]
 		delivered := p.UPS.Discharge(f.PDUUPS[g], dt)
 		// Any shortfall the battery could not deliver falls back on the
@@ -281,13 +275,12 @@ func (t *Tree) StoredUPSEnergy() units.Joules {
 }
 
 // UPSSoC returns the fleet-aggregate battery state of charge in [0, 1].
-// runs, when not nil, are lockstep runs that still hold (see Partition):
-// each run's first battery is read once and counted for every member, in
-// group order.
+// runs are lockstep runs that still hold (see Partition): each run's first
+// battery is read once and counted for every member, in group order.
 func (t *Tree) UPSSoC(runs []int) float64 {
 	var stored, total units.Joules
 	for g := 0; g < len(t.PDUs); {
-		end := runEnd(runs, g)
+		end := runs[g]
 		u := t.PDUs[g].UPS
 		s, capacity := u.Stored(), u.TotalEnergy()
 		for ; g < end; g++ {
@@ -302,11 +295,11 @@ func (t *Tree) UPSSoC(runs []int) float64 {
 }
 
 // MaxStress returns the worst thermal accumulator across the DC and PDU
-// breakers (1.0 trips). runs, when not nil, are lockstep runs that still
-// hold: each run's first breaker speaks for the run.
+// breakers (1.0 trips). runs are lockstep runs that still hold: each run's
+// first breaker speaks for the run.
 func (t *Tree) MaxStress(runs []int) float64 {
 	stress := t.DCBreaker.Accumulator()
-	for g := 0; g < len(t.PDUs); g = runEnd(runs, g) {
+	for g := 0; g < len(t.PDUs); g = runs[g] {
 		if acc := t.PDUs[g].Breaker.Accumulator(); acc > stress {
 			stress = acc
 		}

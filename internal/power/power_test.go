@@ -83,12 +83,22 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// singles returns n runs of one group each.
+func singles(n int) []int {
+	runs := make([]int, n)
+	for g := range runs {
+		runs[g] = g + 1
+	}
+	return runs
+}
+
 func uniformFlow(tree *Tree, perPDU, upsPerPDU, cooling units.Watts) Flow {
 	n := len(tree.PDUs)
 	f := Flow{
 		PDUServer: make([]units.Watts, n),
 		PDUUPS:    make([]units.Watts, n),
 		Cooling:   cooling,
+		Runs:      singles(n),
 	}
 	for i := range f.PDUServer {
 		f.PDUServer[i] = perPDU
@@ -223,9 +233,14 @@ func TestDCBreakerCarriesUPSShortfall(t *testing.T) {
 
 func TestStepFlowWidthMismatch(t *testing.T) {
 	tree := newTree(t, testConfig())
-	f := Flow{PDUServer: make([]units.Watts, 2), PDUUPS: make([]units.Watts, 2)}
+	f := Flow{PDUServer: make([]units.Watts, 2), PDUUPS: make([]units.Watts, 2), Runs: singles(2)}
 	if err := tree.Step(f, time.Second); err == nil {
 		t.Fatal("width mismatch accepted")
+	}
+	f = uniformFlow(tree, 0, 0, 0)
+	f.Runs = f.Runs[:2]
+	if err := tree.Step(f, time.Second); err == nil {
+		t.Fatal("runs width mismatch accepted")
 	}
 }
 
@@ -269,7 +284,7 @@ func TestReset(t *testing.T) {
 
 func TestUPSSoC(t *testing.T) {
 	tree := newTree(t, testConfig())
-	if got := tree.UPSSoC(nil); got != 1 {
+	if got := tree.UPSSoC(singles(len(tree.PDUs))); got != 1 {
 		t.Fatalf("fresh SoC = %v, want 1", got)
 	}
 	// Drain every group to half charge (respecting the power limit).
@@ -280,7 +295,7 @@ func TestUPSSoC(t *testing.T) {
 			}
 		}
 	}
-	if got := tree.UPSSoC(nil); math.Abs(got-0.5) > 0.02 {
+	if got := tree.UPSSoC(singles(len(tree.PDUs))); math.Abs(got-0.5) > 0.02 {
 		t.Fatalf("half SoC = %v, want ~0.5", got)
 	}
 }
@@ -352,7 +367,7 @@ func TestStepRunsMatchesEveryGroup(t *testing.T) {
 			}
 		}
 		errRun := byRun.Step(f, time.Second)
-		f.Runs = nil
+		f.Runs = singles(10)
 		errGroup := byGroup.Step(f, time.Second)
 		if fmt.Sprint(errRun) != fmt.Sprint(errGroup) {
 			t.Fatalf("tick %d: errors %v and %v", tick, errRun, errGroup)
@@ -367,10 +382,10 @@ func TestStepRunsMatchesEveryGroup(t *testing.T) {
 		if byRun.DCBreaker.State() != byGroup.DCBreaker.State() {
 			t.Fatalf("tick %d: DC breakers %+v and %+v", tick, byRun.DCBreaker.State(), byGroup.DCBreaker.State())
 		}
-		if a, b := byRun.UPSSoC(runs), byGroup.UPSSoC(nil); a != b {
+		if a, b := byRun.UPSSoC(runs), byGroup.UPSSoC(singles(10)); a != b {
 			t.Fatalf("tick %d: state of charge %v over runs, %v over groups", tick, a, b)
 		}
-		if a, b := byRun.MaxStress(runs), byGroup.MaxStress(nil); a != b {
+		if a, b := byRun.MaxStress(runs), byGroup.MaxStress(singles(10)); a != b {
 			t.Fatalf("tick %d: stress %v over runs, %v over groups", tick, a, b)
 		}
 		if errRun != nil {

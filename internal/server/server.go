@@ -128,15 +128,6 @@ func (c Config) CoresForThroughput(demand float64) int {
 	return n
 }
 
-// PerCoreThroughput returns the throughput contributed per active core.
-// It is strictly decreasing in n for PerfExponent < 1.
-func (c Config) PerCoreThroughput(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return c.Throughput(n) / float64(n)
-}
-
 // Power returns the server power with n active cores at the given
 // utilization in [0, 1] (fraction of the active cores' capacity in use).
 func (c Config) Power(n int, utilization float64) units.Watts {

@@ -89,14 +89,11 @@ func TestPerCoreThroughputDecreases(t *testing.T) {
 	c := Default()
 	prev := math.Inf(1)
 	for n := 1; n <= 48; n++ {
-		pc := c.PerCoreThroughput(n)
+		pc := c.Throughput(n) / float64(n)
 		if pc >= prev {
 			t.Fatalf("per-core throughput not strictly decreasing at n=%d: %v >= %v", n, pc, prev)
 		}
 		prev = pc
-	}
-	if got := c.PerCoreThroughput(0); got != 0 {
-		t.Fatalf("PerCoreThroughput(0) = %v", got)
 	}
 }
 

@@ -416,10 +416,10 @@ func (c *Client) List(ctx context.Context) ([]SessionInfo, error) {
 	return infos, nil
 }
 
-// Stream is an open steps stream: Step writes one demand line and reads one
-// decision line, in lockstep with the server's per-line flushes. Every line
-// carries a fresh request id, so the server can tag its spans, exemplars and
-// flight events with it.
+// Stream is an open steps stream: StepContext writes one demand line and
+// reads one decision line, in lockstep with the server's per-line flushes.
+// Every line carries a fresh request id, so the server can tag its spans,
+// exemplars and flight events with it.
 type Stream struct {
 	body    *stepBody
 	resp    *http.Response
@@ -443,7 +443,7 @@ var errStepBodyRead = errors.New("service: the steps stream body is written thro
 // stepBody is a steps stream's request body. The HTTP/1.1 Transport copies a
 // request body with io.Copy, which hands its chunked connection writer to
 // WriteTo on the Transport's write goroutine. WriteTo parks that writer here
-// and blocks until the stream ends, so each Step writes its line straight
+// and blocks until the stream ends, so each step writes its line straight
 // into the connection from the caller's goroutine, one flushed chunk per
 // line, instead of waking the write goroutine for every line.
 //
@@ -604,7 +604,7 @@ func (s *Stream) abort(err error) {
 	s.body.end(err)
 }
 
-// Tick returns the tick the next Step will apply to.
+// Tick returns the tick the next StepContext will apply to.
 func (s *Stream) Tick() int64 { return s.seq }
 
 // LastAcked returns the tick of the last decision this stream has read, or
@@ -670,13 +670,9 @@ func (c *Client) Resume(ctx context.Context, id string, lastAcked int64) (*Strea
 // the merged timeline and the daemon's flight recorder.
 func (s *Stream) LastReq() string { return s.lastRID }
 
-// Step sends one demand sample and waits for the tick's decision. A server
+// step sends one demand sample and waits for the tick's decision. A server
 // error line is returned as an *APIError with the line's code.
-//
-// Deprecated: use StepContext, which can abandon a stuck stream when its
-// context is canceled and retries 429 backpressure once. This form remains
-// for compatibility.
-func (s *Stream) Step(demand float64) (Decision, error) {
+func (s *Stream) step(demand float64) (Decision, error) {
 	rid, start := s.c.nextReq(), time.Now()
 	s.lastRID = rid
 	d, err := s.stepRaw(demand, rid)
@@ -731,14 +727,14 @@ func (s *Stream) stepOnce(ctx context.Context, demand float64) (Decision, error)
 		stop := context.AfterFunc(ctx, func() { s.abort(ctx.Err()) })
 		defer stop()
 	}
-	d, err := s.Step(demand)
+	d, err := s.step(demand)
 	if cerr := ctx.Err(); cerr != nil {
 		return Decision{}, cerr
 	}
 	return d, err
 }
 
-// StepContext is Step with cancellation and budgeted backpressure retry
+// StepContext is step with cancellation and budgeted backpressure retry
 // under the client's RetryPolicy: a 429 reply (full session queue) is
 // retried with exponential jittered backoff, honoring the server's
 // Retry-After hint, each retry counted in dcsprint_client_retries_total.

@@ -200,8 +200,8 @@ func TestStreamCloseBeforeStep(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close before any step: %v", err)
 	}
-	if _, err := st.Step(1.5); err == nil {
-		t.Fatal("Step after Close succeeded")
+	if _, err := st.StepContext(ctx, 1.5); err == nil {
+		t.Fatal("StepContext after Close succeeded")
 	}
 	st, err = c.Stream(ctx, s.ID)
 	if err != nil {

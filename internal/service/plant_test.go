@@ -129,8 +129,8 @@ func TestShardWorkerLabels(t *testing.T) {
 		t.Fatalf("Stream: %v", err)
 	}
 	defer st.Close()
-	if _, err := st.Step(1.0); err != nil {
-		t.Fatalf("Step: %v", err)
+	if _, err := st.StepContext(ctx, 1.0); err != nil {
+		t.Fatalf("StepContext: %v", err)
 	}
 	// The handler is now parked reading the next line, inside its labeled
 	// region.

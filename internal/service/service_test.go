@@ -99,7 +99,7 @@ func TestHTTPStreamEqualsBatch(t *testing.T) {
 		t.Fatalf("Stream: %v", err)
 	}
 	for i, demand := range sc.Trace.Samples {
-		dec, err := st.Step(demand)
+		dec, err := st.StepContext(ctx, demand)
 		if err != nil {
 			t.Fatalf("stream step %d: %v", i, err)
 		}
@@ -148,7 +148,7 @@ func TestHTTPSnapshotRestoreMidPhase2(t *testing.T) {
 	cut := -1
 	inPhase2 := 0
 	for i, demand := range sc.Trace.Samples {
-		dec, err := st.Step(demand)
+		dec, err := st.StepContext(ctx, demand)
 		if err != nil {
 			t.Fatalf("stream step %d: %v", i, err)
 		}
@@ -183,7 +183,7 @@ func TestHTTPSnapshotRestoreMidPhase2(t *testing.T) {
 		t.Fatalf("Stream restored: %v", err)
 	}
 	for i := cut; i < sc.Trace.Len(); i++ {
-		if _, err := rst.Step(sc.Trace.Samples[i]); err != nil {
+		if _, err := rst.StepContext(ctx, sc.Trace.Samples[i]); err != nil {
 			t.Fatalf("restored step %d: %v", i, err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestHTTPSnapshotRestoreMidPhase2(t *testing.T) {
 		t.Fatalf("Stream original: %v", err)
 	}
 	for i := cut; i < sc.Trace.Len(); i++ {
-		if _, err := orig.Step(sc.Trace.Samples[i]); err != nil {
+		if _, err := orig.StepContext(ctx, sc.Trace.Samples[i]); err != nil {
 			t.Fatalf("original step %d: %v", i, err)
 		}
 	}

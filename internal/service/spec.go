@@ -80,7 +80,9 @@ const (
 // ScenarioSpec is the wire form of sim.Scenario: plain JSON, no interfaces,
 // no unbounded fields. Fault-injection campaigns are deliberately absent —
 // they are a batch-experiment feature and their random state would make
-// sessions non-checkpointable.
+// sessions non-checkpointable. A duration field (the *_seconds fields) left
+// zero keeps its default; a non-zero one must be at least a nanosecond and
+// fit a time.Duration, or Build rejects the spec.
 type ScenarioSpec struct {
 	Name string `json:"name,omitempty"`
 	// Trace generates the demand trace; nil opens an unbounded streaming
@@ -153,17 +155,29 @@ func seconds(field string, v float64) (time.Duration, error) {
 	return time.Duration(ns), nil
 }
 
+// optSeconds is seconds for a field whose zero value keeps the default.
+func optSeconds(field string, v float64) (time.Duration, error) {
+	if v == 0 {
+		return 0, nil
+	}
+	return seconds(field, v)
+}
+
 func (t *TraceSpec) build() (*trace.Series, error) {
-	step := time.Second
-	if t.StepSeconds > 0 {
-		var err error
-		if step, err = seconds("step_seconds", t.StepSeconds); err != nil {
-			return nil, err
-		}
+	step, err := optSeconds("step_seconds", t.StepSeconds)
+	if err != nil {
+		return nil, err
+	}
+	if step == 0 {
+		step = time.Second
 	}
 	switch t.Kind {
 	case "yahoo":
-		s, err := workload.SyntheticYahoo(t.Seed, t.Degree, time.Duration(t.DurationSeconds*float64(time.Second)))
+		d, err := optSeconds("duration_seconds", t.DurationSeconds)
+		if err != nil {
+			return nil, err
+		}
+		s, err := workload.SyntheticYahoo(t.Seed, t.Degree, d)
 		if err != nil {
 			return nil, err
 		}
@@ -217,20 +231,22 @@ func (s *StrategySpec) build() (core.Strategy, error) {
 		}
 		return core.FixedBound{Bound: s.Bound}, nil
 	case "prediction":
-		return core.Prediction{
-			PredictedDuration: time.Duration(s.PredictedSeconds * float64(time.Second)),
-			Table:             s.Table,
-		}, nil
+		d, err := optSeconds("predicted_seconds", s.PredictedSeconds)
+		if err != nil {
+			return nil, err
+		}
+		return core.Prediction{PredictedDuration: d, Table: s.Table}, nil
 	case "heuristic":
 		return core.Heuristic{
 			EstimatedAvgDegree: s.EstimatedAvgDegree,
 			Flexibility:        s.Flexibility,
 		}, nil
 	case "adaptive":
-		return core.Adaptive{
-			Table:       s.Table,
-			MinDuration: time.Duration(s.MinDurationSeconds * float64(time.Second)),
-		}, nil
+		d, err := optSeconds("min_duration_seconds", s.MinDurationSeconds)
+		if err != nil {
+			return nil, err
+		}
+		return core.Adaptive{Table: s.Table, MinDuration: d}, nil
 	default:
 		return nil, fmt.Errorf("service: unknown strategy kind %q", s.Kind)
 	}
@@ -245,6 +261,10 @@ func (s ScenarioSpec) Build() (sim.Scenario, error) {
 	if s.ServersPerPDU < 0 {
 		return sim.Scenario{}, fmt.Errorf("service: negative servers_per_pdu")
 	}
+	reserve, err := optSeconds("reserve_seconds", s.ReserveSeconds)
+	if err != nil {
+		return sim.Scenario{}, err
+	}
 	sc := sim.Scenario{
 		Name:                 s.Name,
 		Uncontrolled:         s.Uncontrolled,
@@ -254,7 +274,7 @@ func (s ScenarioSpec) Build() (sim.Scenario, error) {
 		DCHeadroom:           s.DCHeadroom,
 		ExplicitZeroHeadroom: s.ExplicitZeroHeadroom,
 		PUE:                  s.PUE,
-		Reserve:              time.Duration(s.ReserveSeconds * float64(time.Second)),
+		Reserve:              reserve,
 		Generator:            s.Generator,
 		ChipPCMMinutes:       s.ChipPCMMinutes,
 		BatteryAh:            s.BatteryAh,

@@ -9,21 +9,28 @@ import (
 
 // TestTraceSpecRejectsBeforeAllocating feeds create bodies whose traces
 // would be too long, or whose durations do not fit, and checks each is
-// rejected before the trace is allocated.
+// rejected, naming the field, before the trace is allocated. A duration
+// that does not fit is rejected, not replaced by its default.
 func TestTraceSpecRejectsBeforeAllocating(t *testing.T) {
 	cases := []struct {
 		name, body, err string
 	}{
-		{"80 MB constant", `{"kind":"constant","duration_seconds":1e7,"value":1}`, "exceeds"},
-		{"nanosecond step", `{"kind":"constant","duration_seconds":1e6,"step_seconds":1e-9,"value":1}`, "exceeds"},
-		{"sub-nanosecond step", `{"kind":"constant","duration_seconds":10,"step_seconds":1e-12}`, "step_seconds"},
-		{"duration past int64", `{"kind":"constant","duration_seconds":1e12,"value":1}`, "duration_seconds"},
-		{"step past int64", `{"kind":"samples","samples":[1,2],"step_seconds":1e300}`, "step_seconds"},
+		{"80 MB constant", `{"trace":{"kind":"constant","duration_seconds":1e7,"value":1}}`, "exceeds"},
+		{"nanosecond step", `{"trace":{"kind":"constant","duration_seconds":1e6,"step_seconds":1e-9,"value":1}}`, "exceeds"},
+		{"sub-nanosecond step", `{"trace":{"kind":"constant","duration_seconds":10,"step_seconds":1e-12}}`, "step_seconds"},
+		{"duration past int64", `{"trace":{"kind":"constant","duration_seconds":1e12,"value":1}}`, "duration_seconds"},
+		{"step past int64", `{"trace":{"kind":"samples","samples":[1,2],"step_seconds":1e300}}`, "step_seconds"},
+		{"negative step", `{"trace":{"kind":"samples","samples":[1,2],"step_seconds":-1}}`, "step_seconds"},
+		{"yahoo duration past int64", `{"trace":{"kind":"yahoo","seed":1,"degree":3,"duration_seconds":1e300}}`, "duration_seconds"},
+		{"reserve past int64", `{"reserve_seconds":1e300}`, "reserve_seconds"},
+		{"negative reserve", `{"reserve_seconds":-60}`, "reserve_seconds"},
+		{"predicted past int64", `{"strategy":{"kind":"prediction","predicted_seconds":1e300}}`, "predicted_seconds"},
+		{"min duration past int64", `{"strategy":{"kind":"adaptive","min_duration_seconds":1e300}}`, "min_duration_seconds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var spec ScenarioSpec
-			if err := json.Unmarshal([]byte(`{"trace":`+tc.body+`}`), &spec); err != nil {
+			if err := json.Unmarshal([]byte(tc.body), &spec); err != nil {
 				t.Fatalf("Unmarshal: %v", err)
 			}
 			var before, after runtime.MemStats
@@ -56,6 +63,10 @@ func FuzzScenarioSpec(f *testing.F) {
 		`{"strategy":{"kind":"heuristic","estimated_avg_degree":2.4,"flexibility":0.1}}`,
 		`{"strategy":{"kind":"adaptive","min_duration_seconds":60},"weights":[1,2]}`,
 		`{"servers":-1}`,
+		`{"reserve_seconds":1e300}`,
+		`{"reserve_seconds":90,"strategy":{"kind":"prediction","predicted_seconds":1e300}}`,
+		`{"strategy":{"kind":"adaptive","min_duration_seconds":-1e300}}`,
+		`{"trace":{"kind":"yahoo","seed":1,"degree":3,"duration_seconds":1e300}}`,
 	} {
 		f.Add([]byte(seed))
 	}

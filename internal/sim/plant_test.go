@@ -188,3 +188,50 @@ func TestPlantProbeIdenticalResults(t *testing.T) {
 		t.Fatal("probed Result differs from bare Result")
 	}
 }
+
+// TestScansAfterDeadTickReadEveryGroup kills an uncontrolled facility whose
+// ten PDU groups step as one lockstep run, fades one battery in the middle
+// of that run and steps once more. The dead tick steps no flow, so the
+// lockstep runs it leaves must not stand for the faded group: the recorded
+// state of charge and Plant's must equal a scan of every group.
+func TestScansAfterDeadTickReadEveryGroup(t *testing.T) {
+	eng, err := New(Scenario{Name: "dead", Uncontrolled: true})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	tree := eng.p.tree
+	if len(tree.PDUs) != 10 {
+		t.Fatalf("%d PDU groups, want 10", len(tree.PDUs))
+	}
+	// Drain every battery alike, so the groups stay in lockstep and a fade
+	// below full charge moves the aggregate state of charge.
+	for _, p := range tree.PDUs {
+		p.UPS.Discharge(p.UPS.MaxOutput(time.Second), time.Second)
+	}
+	for !eng.Dead() {
+		if eng.Tick() == 3600 {
+			t.Fatal("the uncontrolled facility never died")
+		}
+		if _, err := eng.Step(3); err != nil {
+			t.Fatalf("Step %d: %v", eng.Tick(), err)
+		}
+	}
+	if runs := eng.p.ctl.Runs(); runs[0] != len(runs) {
+		t.Fatalf("the dying tick left runs %v, want one run of every group", runs)
+	}
+	tree.PDUs[4].UPS.Fade(0.5)
+	if _, err := eng.Step(3); err != nil {
+		t.Fatalf("Step after death: %v", err)
+	}
+	singles := make([]int, len(tree.PDUs))
+	for g := range singles {
+		singles[g] = g + 1
+	}
+	want := tree.UPSSoC(singles)
+	if got := eng.upsSoC[len(eng.upsSoC)-1]; got != want {
+		t.Fatalf("recorded state of charge %v, want %v from every group", got, want)
+	}
+	if got := eng.Plant().UPSSoC; got != want {
+		t.Fatalf("Plant state of charge %v, want %v from every group", got, want)
+	}
+}

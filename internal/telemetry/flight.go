@@ -103,9 +103,6 @@ func NewFlightRecorder(shards, perShard int) *FlightRecorder {
 	return f
 }
 
-// Shards returns the number of per-shard rings.
-func (f *FlightRecorder) Shards() int { return len(f.rings) }
-
 // Record stamps the event with a sequence number and wall-clock time and
 // stores it in its shard's ring. A negative shard is kept in the event but
 // recorded in ring 0.

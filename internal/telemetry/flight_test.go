@@ -9,8 +9,8 @@ import (
 
 func TestFlightRecorderDefaults(t *testing.T) {
 	f := NewFlightRecorder(0, 0)
-	if f.Shards() != 1 {
-		t.Fatalf("Shards = %d, want 1", f.Shards())
+	if len(f.rings) != 1 {
+		t.Fatalf("%d shard rings, want 1", len(f.rings))
 	}
 	f.Record(-3, FlightEvent{Kind: EventEvict, Session: "s"})
 	evs := f.Events()

@@ -9,7 +9,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 )
 
 // This file is the distributed trace: wall-clock operation
@@ -62,9 +61,6 @@ func NewTraceID() string {
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// NowUs returns the current wall clock in OpSpan microseconds.
-func NowUs() int64 { return time.Now().UnixMicro() }
 
 // defaultOpLogCap bounds an OpLog that was not given an explicit capacity:
 // ~96 bytes per span keeps the worst case around 100 MB, far above any

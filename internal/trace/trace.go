@@ -111,25 +111,6 @@ func (s *Series) Scale(k float64) *Series {
 	return s
 }
 
-// Normalize scales the series in place so that its maximum equals 1.
-// It is a no-op for an empty series or an all-zero series.
-func (s *Series) Normalize() *Series {
-	m := s.Max()
-	if m == 0 || math.IsInf(m, 0) || math.IsNaN(m) {
-		return s
-	}
-	return s.Scale(1 / m)
-}
-
-// NormalizeTo scales the series in place so the given reference value maps
-// to 1. A zero reference leaves the series unchanged.
-func (s *Series) NormalizeTo(ref float64) *Series {
-	if ref == 0 {
-		return s
-	}
-	return s.Scale(1 / ref)
-}
-
 // Resample returns a new series with the given step. Downsampling averages
 // the covered source samples; upsampling repeats them (step-function
 // semantics).
@@ -235,39 +216,12 @@ func (s *Series) Integral() float64 {
 	return sum * s.Step.Seconds()
 }
 
-// TimeAbove returns the total time during which the series strictly exceeds
-// the threshold.
-func (s *Series) TimeAbove(threshold float64) time.Duration {
-	n := 0
-	for _, v := range s.Samples {
-		if v > threshold {
-			n++
-		}
-	}
-	return time.Duration(n) * s.Step
-}
-
 // Map applies f to every sample in place and returns the series.
 func (s *Series) Map(f func(float64) float64) *Series {
 	for i, v := range s.Samples {
 		s.Samples[i] = f(v)
 	}
 	return s
-}
-
-// AddSeries adds other sample-wise into s. Both series must share the same
-// step and length.
-func (s *Series) AddSeries(other *Series) error {
-	if s.Step != other.Step {
-		return fmt.Errorf("trace: step mismatch %v vs %v", s.Step, other.Step)
-	}
-	if len(s.Samples) != len(other.Samples) {
-		return fmt.Errorf("trace: length mismatch %d vs %d", len(s.Samples), len(other.Samples))
-	}
-	for i := range s.Samples {
-		s.Samples[i] += other.Samples[i]
-	}
-	return nil
 }
 
 // Append extends the series with the samples of other, which must share the

@@ -128,23 +128,10 @@ func TestScaleNormalize(t *testing.T) {
 	if s.Samples[2] != 8 {
 		t.Fatalf("Scale: got %v, want 8", s.Samples[2])
 	}
-	s.Normalize()
+	// Scaling by the reciprocal of the peak normalizes the series to 1.
+	s.Scale(1 / s.Max())
 	if s.Samples[2] != 1 || s.Samples[0] != 0.25 {
-		t.Fatalf("Normalize: got %v", s.Samples)
-	}
-	z := mustNew(t, time.Second, []float64{0, 0})
-	z.Normalize() // must not divide by zero
-	if z.Samples[0] != 0 {
-		t.Fatal("Normalize of zero series changed samples")
-	}
-	n := mustNew(t, time.Second, []float64{5, 10})
-	n.NormalizeTo(5)
-	if n.Samples[1] != 2 {
-		t.Fatalf("NormalizeTo: got %v, want 2", n.Samples[1])
-	}
-	n.NormalizeTo(0) // no-op
-	if n.Samples[1] != 2 {
-		t.Fatal("NormalizeTo(0) must be a no-op")
+		t.Fatalf("Scale to unit peak: got %v", s.Samples)
 	}
 }
 
@@ -239,16 +226,10 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestIntegralAndTimeAbove(t *testing.T) {
+func TestIntegral(t *testing.T) {
 	s := mustNew(t, 2*time.Second, []float64{100, 200, 50})
 	if got := s.Integral(); got != 700 {
 		t.Fatalf("Integral = %v, want 700", got)
-	}
-	if got := s.TimeAbove(80); got != 4*time.Second {
-		t.Fatalf("TimeAbove(80) = %v, want 4s", got)
-	}
-	if got := s.TimeAbove(200); got != 0 {
-		t.Fatalf("TimeAbove(200) = %v, want 0 (strict)", got)
 	}
 }
 
@@ -257,25 +238,6 @@ func TestMap(t *testing.T) {
 	s.Map(func(v float64) float64 { return v * v })
 	if s.Samples[2] != 9 {
 		t.Fatalf("Map: got %v", s.Samples)
-	}
-}
-
-func TestAddSeries(t *testing.T) {
-	a := mustNew(t, time.Second, []float64{1, 2})
-	b := mustNew(t, time.Second, []float64{10, 20})
-	if err := a.AddSeries(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Samples[1] != 22 {
-		t.Fatalf("AddSeries: got %v", a.Samples)
-	}
-	c := mustNew(t, 2*time.Second, []float64{1, 2})
-	if err := a.AddSeries(c); err == nil {
-		t.Fatal("step mismatch accepted")
-	}
-	d := mustNew(t, time.Second, []float64{1})
-	if err := a.AddSeries(d); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }
 

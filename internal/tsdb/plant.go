@@ -195,7 +195,6 @@ func (k *PlantSink) SampleFleet(extra map[string]float64) int64 {
 		}
 	}
 	app := func(name string, v float64) { k.store.Series(name).Append(ts, v) }
-	app(SeriesFleetSessions, float64(n))
 	app(SeriesFleetSprinting, float64(sprinting))
 	app(SeriesFleetTotalDraw, draw)
 	app(SeriesFleetTotalGen, gen)
@@ -208,6 +207,9 @@ func (k *PlantSink) SampleFleet(extra map[string]float64) int64 {
 			app(SeriesFleetMinTESSoC, minTES)
 		}
 	}
+	// The session count goes last, so a reader that sees a fold's count
+	// also sees the rest of that fold.
+	app(SeriesFleetSessions, float64(n))
 	for name, v := range extra {
 		app(name, v)
 	}

@@ -93,8 +93,3 @@ func Clamp(v, lo, hi float64) float64 {
 	}
 	return v
 }
-
-// ClampW limits a power to the closed interval [lo, hi].
-func ClampW(v, lo, hi Watts) Watts {
-	return Watts(Clamp(float64(v), float64(lo), float64(hi)))
-}

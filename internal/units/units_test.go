@@ -117,9 +117,6 @@ func TestClamp(t *testing.T) {
 			t.Errorf("Clamp(%v,%v,%v) = %v, want %v", tt.v, tt.lo, tt.hi, got, tt.want)
 		}
 	}
-	if got := ClampW(12, 0, 10); got != 10 {
-		t.Fatalf("ClampW = %v, want 10", got)
-	}
 }
 
 func TestClampProperties(t *testing.T) {

@@ -95,7 +95,6 @@ type WearLedger struct {
 	open   bool
 	minSoC float64
 	damage float64
-	count  int
 }
 
 // NewWearLedger returns a ledger for the given chemistry.
@@ -117,7 +116,6 @@ func (l *WearLedger) Observe(soc float64) {
 	if soc >= fullThreshold {
 		if l.open {
 			l.damage += l.chem.DamagePerDischarge(1 - l.minSoC)
-			l.count++
 			l.open = false
 			l.minSoC = 1
 		}
@@ -133,7 +131,6 @@ func (l *WearLedger) Observe(soc float64) {
 func (l *WearLedger) Close() {
 	if l.open {
 		l.damage += l.chem.DamagePerDischarge(1 - l.minSoC)
-		l.count++
 		l.open = false
 		l.minSoC = 1
 	}
@@ -141,6 +138,3 @@ func (l *WearLedger) Close() {
 
 // Damage returns the accumulated life fraction consumed.
 func (l *WearLedger) Damage() float64 { return l.damage }
-
-// Excursions returns the number of closed discharge excursions.
-func (l *WearLedger) Excursions() int { return l.count }

@@ -102,19 +102,17 @@ func TestWearLedgerExcursions(t *testing.T) {
 	for _, soc := range []float64{1, 0.9, 0.6, 0.4, 0.7, 1.0} {
 		l.Observe(soc)
 	}
-	if got := l.Excursions(); got != 1 {
-		t.Fatalf("excursions = %d, want 1", got)
-	}
 	want := LFP().DamagePerDischarge(0.6)
 	if math.Abs(l.Damage()-want) > 1e-15 {
 		t.Fatalf("damage = %v, want %v", l.Damage(), want)
 	}
-	// A second dip counts separately.
+	// A second dip is charged separately, at its own depth.
 	for _, soc := range []float64{0.8, 1.0} {
 		l.Observe(soc)
 	}
-	if got := l.Excursions(); got != 2 {
-		t.Fatalf("excursions = %d, want 2", got)
+	want += LFP().DamagePerDischarge(0.2)
+	if math.Abs(l.Damage()-want) > 1e-15 {
+		t.Fatalf("damage after two excursions = %v, want %v", l.Damage(), want)
 	}
 }
 
@@ -124,15 +122,16 @@ func TestWearLedgerCloseFinalizesOpenExcursion(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Observe(0.5)
-	if l.Excursions() != 0 {
-		t.Fatal("open excursion counted early")
+	if l.Damage() != 0 {
+		t.Fatal("open excursion charged early")
 	}
 	l.Close()
-	if l.Excursions() != 1 {
-		t.Fatal("Close did not finalize")
+	want := LFP().DamagePerDischarge(0.5)
+	if l.Damage() != want {
+		t.Fatalf("Close charged %v, want %v", l.Damage(), want)
 	}
 	l.Close() // idempotent
-	if l.Excursions() != 1 {
+	if l.Damage() != want {
 		t.Fatal("Close not idempotent")
 	}
 }

@@ -266,29 +266,9 @@ func (b *Battery) MaxOutputAtSoC(soc float64, dt time.Duration) units.Watts {
 	return p
 }
 
-// EquivalentFullCycles returns the lifetime drained energy expressed in
-// full-capacity cycles — the paper's lifetime criterion allows about 10 per
-// month for LFP without extra battery cost.
-func (b *Battery) EquivalentFullCycles() float64 {
-	return float64(b.discharged) / float64(b.TotalEnergy())
-}
-
 func (b *Battery) efficiency() float64 {
 	if b.cfg.DischargeEfficiency == 0 {
 		return 1
 	}
 	return b.cfg.DischargeEfficiency
-}
-
-// CoverageFraction returns the fraction of servers a coordinator should
-// switch to battery so the batteries carry upsPower out of a group's total
-// server power. The result is clamped to [0, 1].
-//
-// This is the paper's distributed-UPS knob: putting fraction f of a PDU
-// group on battery reduces the PDU draw to (1-f) x server power.
-func CoverageFraction(upsPower, groupServerPower units.Watts) float64 {
-	if groupServerPower <= 0 || upsPower <= 0 {
-		return 0
-	}
-	return units.Clamp(float64(upsPower)/float64(groupServerPower), 0, 1)
 }

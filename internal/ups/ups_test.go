@@ -190,48 +190,6 @@ func TestZeroAndNegativeRequests(t *testing.T) {
 	}
 }
 
-func TestEquivalentFullCycles(t *testing.T) {
-	b := newFull(t, idealConfig())
-	total := float64(b.TotalEnergy())
-	// Drain completely, recharge, drain half.
-	for i := 0; i < 200; i++ {
-		b.Discharge(units.Watts(total), time.Second)
-	}
-	for b.SoC() < 1 {
-		if b.Recharge(units.Watts(total), time.Second) == 0 {
-			break
-		}
-	}
-	for drained := 0.0; drained < total/2; {
-		drained += float64(b.Discharge(units.Watts(total/20), time.Second))
-	}
-	if got := b.EquivalentFullCycles(); got < 1.45 || got > 1.6 {
-		t.Fatalf("EquivalentFullCycles = %v, want ~1.5", got)
-	}
-}
-
-func TestCoverageFraction(t *testing.T) {
-	tests := []struct {
-		name       string
-		ups, group units.Watts
-		want       float64
-	}{
-		{"half", 50, 100, 0.5},
-		{"all", 100, 100, 1},
-		{"over-request clamps", 150, 100, 1},
-		{"zero need", 0, 100, 0},
-		{"negative need", -5, 100, 0},
-		{"zero group power", 50, 0, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := CoverageFraction(tt.ups, tt.group); got != tt.want {
-				t.Fatalf("CoverageFraction(%v, %v) = %v, want %v", tt.ups, tt.group, got, tt.want)
-			}
-		})
-	}
-}
-
 // Property: SoC stays in [MinSoC-eps, 1] and delivered power never exceeds
 // the request under arbitrary interleavings of discharge and recharge.
 func TestBatteryInvariantProperty(t *testing.T) {

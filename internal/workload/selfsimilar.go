@@ -131,13 +131,3 @@ func Episodes(s *trace.Series) []Episode {
 	}
 	return out
 }
-
-// TotalOverCapacity sums the episode durations (the aggregate burst
-// duration, e.g. the MS cut's 16.2 minutes).
-func TotalOverCapacity(episodes []Episode) time.Duration {
-	var total time.Duration
-	for _, e := range episodes {
-		total += e.Duration
-	}
-	return total
-}

@@ -129,7 +129,12 @@ func TestSyntheticMSDayShape(t *testing.T) {
 		t.Fatalf("baseline floor = %v GB/s, want 1-3", min)
 	}
 	// Bursty: several distinct minutes above 4.5 GB/s, but far from all.
-	above := s.TimeAbove(4.5)
+	var above time.Duration
+	for _, v := range s.Samples {
+		if v > 4.5 {
+			above += s.Step
+		}
+	}
 	if above < 10*time.Minute || above > 4*time.Hour {
 		t.Fatalf("time above 4.5 GB/s = %v", above)
 	}
