@@ -119,26 +119,18 @@ func run(args []string) error {
 		debugger = tsdb.NewHandler(store, watchdog)
 	}
 
-	// Geo-fleet mode: the host implements the manager's plant tap, so it is
-	// built first and handed the manager right after.
-	var host *fleet.Host
+	// Parse the geo-fleet spec before the manager starts, so a bad spec
+	// fails before anything runs.
+	var fleetCfg fleet.HostConfig
 	if *fleetSpec != "" {
 		spec, err := fleet.ParseSpec(*fleetSpec)
 		if err != nil {
 			return err
 		}
-		host, err = fleet.NewHost(fleet.HostConfig{
-			Spec:     spec,
-			Registry: reg,
-			Flight:   flight,
-			Store:    store,
-		})
-		if err != nil {
-			return err
-		}
+		fleetCfg = fleet.HostConfig{Spec: spec, Registry: reg, Flight: flight, Store: store}
 	}
 
-	cfg := service.Config{
+	mgr := service.NewManager(service.Config{
 		MaxSessions: *maxSessions,
 		IdleTTL:     *idleTTL,
 		QueueDepth:  *queueDepth,
@@ -146,13 +138,16 @@ func run(args []string) error {
 		Ops:         ops,
 		Flight:      flight,
 		SlowStep:    *slowStep,
-	}.WithDurability(*stateDir, *snapEvery).WithPlant(plant, watchdog, 0)
-	if host != nil {
-		cfg = cfg.WithTap(host)
-	}
-	mgr := service.NewManager(cfg)
-	if host != nil {
-		host.AttachManager(mgr)
+	}.WithDurability(*stateDir, *snapEvery).WithPlant(plant, watchdog, 0))
+	// Geo-fleet mode: the host is a client of the manager, routing creates
+	// into it and reading its sessions' plant state.
+	var host *fleet.Host
+	if *fleetSpec != "" {
+		var err error
+		if host, err = fleet.NewHost(fleetCfg, mgr); err != nil {
+			mgr.Close()
+			return err
+		}
 	}
 	// stop ends the manager's and the host's background loops; every
 	// return from here on calls it exactly once.

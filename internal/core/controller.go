@@ -447,10 +447,6 @@ func (c *Controller) Split() EnergySplit { return c.split }
 // Dead reports whether an uncontrolled trip has shut the facility down.
 func (c *Controller) Dead() bool { return c.dead }
 
-// BudgetTotal returns the additional-energy budget estimated at the start
-// of the current burst event (zero outside bursts).
-func (c *Controller) BudgetTotal() units.Joules { return c.budgetTotal }
-
 // state builds the strategy snapshot for this tick. The remaining-budget
 // estimate walks every breaker and store, so it is only computed for
 // strategies that actually read it (Heuristic, and anything from outside

@@ -354,11 +354,11 @@ func TestTESRechargesAfterBurst(t *testing.T) {
 
 func TestBudgetEstimatedAtBurstStart(t *testing.T) {
 	f := newFacility(t, facilityOpts{})
-	if got := f.ctl.BudgetTotal(); got != 0 {
+	if got := f.ctl.DumpState().BudgetTotal; got != 0 {
 		t.Fatalf("budget before burst = %v, want 0", got)
 	}
 	f.ctl.Tick(2.0, time.Second)
-	budget := f.ctl.BudgetTotal()
+	budget := f.ctl.DumpState().BudgetTotal
 	if budget <= 0 {
 		t.Fatal("budget not estimated at burst start")
 	}

@@ -14,9 +14,11 @@
 //   - the simulation fleet (New/Run): N sim.Engines stepped in lockstep
 //     under a seeded burst schedule, bit-identical serial or parallel —
 //     the substrate of the E16 experiment and the determinism tests;
-//   - the daemon Host: the -fleet mode of dcsprintd, routing live
-//     sessions of a service.Manager across DC profiles and folding
-//     per-DC ledgers into fleet.*{dc="..."} time series.
+//   - the daemon Host: the -fleet mode of dcsprintd, a client of one
+//     service.Manager that routes live sessions across DC profiles, frees
+//     a DC slot once the manager no longer hosts its session, reads the
+//     placed sessions' plant state through Manager.Probes once per fold,
+//     and folds per-DC ledgers into fleet.*{dc="..."} time series.
 package fleet
 
 import (

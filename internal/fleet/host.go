@@ -26,16 +26,19 @@ var hostSeries = []string{
 	tsdb.SeriesFleetMinUPSSoC,
 }
 
-// binding ties a live session to its serving DC and retains the session's
-// latest plant probe — the daemon-side ledger feed. The host's refresh loop
+// foldEvery is the host's fold cadence: how often it reads the manager's
+// plant probes into the placed sessions and appends the per-DC folds.
+const foldEvery = time.Second
+
+// placement is one session the host routed: its serving DC and the last
+// plant probe the fold read for it — the daemon-side ledger feed. The fold
 // pulls Manager.Probes, each session's Engine.Plant read under its session
-// lock, and writes the results here on the FoldEvery cadence, so the step
-// hot path pays nothing for the fleet control plane. Every field is
-// guarded by Host.mu.
-type binding struct {
-	dc   int // serving DC index; -1 until bound (or never, for non-fleet sessions)
+// lock, so neither the step hot path nor a create pays for the fleet
+// control plane. Every field is guarded by Host.mu.
+type placement struct {
+	dc   int // serving DC index
 	last sim.PlantSample
-	have bool
+	have bool // last holds a probe: the session has stepped
 	dead bool
 }
 
@@ -59,25 +62,22 @@ type HostConfig struct {
 	Flight *telemetry.FlightRecorder
 	// Store receives the per-DC fleet.*{dc="..."} folds. Nil disables.
 	Store *tsdb.Store
-	// FoldEvery is the per-DC fold cadence. Zero means 1 second.
-	FoldEvery time.Duration
 }
 
-// Host is the daemon face of the fleet control plane: it implements
-// service.PlantTap to keep per-DC ledgers fed from live engines, routes
-// session creation across DC profiles through the Router, and folds the
-// ledgers into per-DC time series. Wire it as the manager's Tap, then
-// AttachManager once the manager exists.
+// Host is the daemon face of the fleet control plane, a client of one
+// service.Manager: it routes session creation across DC profiles through
+// the Router, keeps per-DC ledgers fed from the live engines of the
+// sessions it placed, and folds the ledgers into per-DC time series.
 type Host struct {
 	cfg      HostConfig
+	mgr      *service.Manager
 	profiles []Profile
 
-	mu       sync.Mutex // guards router, bindings and their fields, dcs bookkeeping, rr
-	router   *Router
-	mgr      *service.Manager
-	bindings map[string]*binding
-	dcs      []*hostDC
-	rr       int
+	mu     sync.Mutex // guards router, placed and their fields, dcs bookkeeping, rr
+	router *Router
+	placed map[string]*placement
+	dcs    []*hostDC
+	rr     int
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -88,17 +88,16 @@ type Host struct {
 	mRejected *telemetry.Counter
 }
 
-// NewHost builds a host fleet from cfg and starts its fold loop.
-func NewHost(cfg HostConfig) (*Host, error) {
+// NewHost builds a host fleet from cfg that routes into mgr and starts its
+// fold loop. The manager is closed by its own owner.
+func NewHost(cfg HostConfig, mgr *service.Manager) (*Host, error) {
 	profiles, err := cfg.Spec.Profiles()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.FoldEvery <= 0 {
-		cfg.FoldEvery = time.Second
-	}
 	h := &Host{
 		cfg:      cfg,
+		mgr:      mgr,
 		profiles: profiles,
 		router: NewRouter(RouterConfig{
 			Seed:     cfg.Spec.Seed,
@@ -106,9 +105,9 @@ func NewHost(cfg HostConfig) (*Host, error) {
 			HopRTT:   cfg.Spec.HopRTT,
 			HopCost:  cfg.Spec.HopCost,
 		}),
-		bindings: make(map[string]*binding),
-		dcs:      make([]*hostDC, len(profiles)),
-		stop:     make(chan struct{}),
+		placed: make(map[string]*placement),
+		dcs:    make([]*hostDC, len(profiles)),
+		stop:   make(chan struct{}),
 	}
 	for i, p := range profiles {
 		d := &hostDC{profile: p}
@@ -140,14 +139,6 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	return h, nil
 }
 
-// AttachManager hands the host the manager it routes into. The manager must
-// have been built with the host as its Config.Tap.
-func (h *Host) AttachManager(m *service.Manager) {
-	h.mu.Lock()
-	h.mgr = m
-	h.mu.Unlock()
-}
-
 // Profiles returns the host fleet's DC profiles.
 func (h *Host) Profiles() []Profile { return h.profiles }
 
@@ -157,68 +148,32 @@ func (h *Host) Close() {
 	h.wg.Wait()
 }
 
-// Session implements service.PlantTap: every installed session gets a
-// binding that the probe refresh fills from Manager.Probes. The serving DC
-// is bound right after Create returns; sessions created outside the fleet
-// API stay unbound and never feed a ledger.
-func (h *Host) Session(id string) {
-	b := &binding{dc: -1}
-	h.mu.Lock()
-	h.bindings[id] = b
-	h.mu.Unlock()
-}
-
-// Drop implements service.PlantTap.
-func (h *Host) Drop(id string) {
-	h.mu.Lock()
-	if b := h.bindings[id]; b != nil {
-		delete(h.bindings, id)
-		if b.dc >= 0 {
-			h.dcs[b.dc].sessions--
+// ledgersLocked derives the current per-DC ledgers. It first forgets every
+// placed session the manager no longer hosts — finished, evicted or shut
+// down — and frees its DC slot, so no decision reads a slot held by a
+// session that is gone. Caller holds h.mu.
+func (h *Host) ledgersLocked() []Ledger {
+	for id, p := range h.placed {
+		if _, err := h.mgr.Info(id); errors.Is(err, service.ErrNotFound) {
+			delete(h.placed, id)
+			h.dcs[p.dc].sessions--
 		}
 	}
-	h.mu.Unlock()
-}
-
-// ledgersLocked derives the current per-DC ledgers. Caller holds h.mu.
-func (h *Host) ledgersLocked() []Ledger {
 	out := make([]Ledger, len(h.dcs))
 	for i, d := range h.dcs {
 		out[i] = FreshLedger(d.profile.ID, d.sessions, d.profile.AdmitCap)
 	}
-	for _, b := range h.bindings {
-		if b.dc < 0 || !b.have {
+	for _, p := range h.placed {
+		if !p.have {
 			continue
 		}
-		m := LedgerOf(h.dcs[b.dc].profile.ID, b.last)
+		m := LedgerOf(h.dcs[p.dc].profile.ID, p.last)
 		// A member riding its breaker accumulator to the trip point has
 		// taken the facility down: the DC admits nothing until it clears.
-		m.Dead = b.dead || b.last.BreakerStress >= 1
-		out[b.dc].Fold(m)
+		m.Dead = p.dead || p.last.BreakerStress >= 1
+		out[p.dc].Fold(m)
 	}
 	return out
-}
-
-// refreshProbes pulls the latest per-session plant state out of the
-// manager's live engines and writes it into the bindings — the ledger
-// feed's only sample source.
-func (h *Host) refreshProbes() {
-	h.mu.Lock()
-	mgr := h.mgr
-	h.mu.Unlock()
-	if mgr == nil {
-		return
-	}
-	probes := mgr.Probes()
-	h.mu.Lock()
-	for _, p := range probes {
-		b := h.bindings[p.ID]
-		if b == nil {
-			continue
-		}
-		b.last, b.have, b.dead = p.Sample, true, p.Dead
-	}
-	h.mu.Unlock()
 }
 
 // RoutedSession is the fleet create response: the session plus where the
@@ -240,11 +195,6 @@ type RoutedSession struct {
 // battery) overrides the spec — a session inherits the plant it lands on.
 func (h *Host) CreateSession(spec service.ScenarioSpec) (*RoutedSession, error) {
 	h.mu.Lock()
-	mgr := h.mgr
-	if mgr == nil {
-		h.mu.Unlock()
-		return nil, errors.New("fleet: host has no manager attached")
-	}
 	home := h.rr % len(h.dcs)
 	h.rr++
 	ledgers := h.ledgersLocked()
@@ -273,7 +223,7 @@ func (h *Host) CreateSession(spec service.ScenarioSpec) (*RoutedSession, error) 
 	spec.TESMinutes = profile.TESMinutes
 	spec.BatteryAh = profile.BatteryAh
 
-	sess, err := mgr.Create(spec)
+	sess, err := h.mgr.Create(spec)
 	if err != nil {
 		h.mu.Lock()
 		h.dcs[serving].sessions--
@@ -285,9 +235,7 @@ func (h *Host) CreateSession(spec service.ScenarioSpec) (*RoutedSession, error) 
 		return nil, err
 	}
 	h.mu.Lock()
-	if b := h.bindings[sess.ID]; b != nil {
-		b.dc = serving
-	}
+	h.placed[sess.ID] = &placement{dc: serving}
 	h.mu.Unlock()
 	if h.mRouted != nil {
 		h.mRouted.Inc()
@@ -325,42 +273,53 @@ func (h *Host) dcIndex(id string) int {
 	return -1
 }
 
-// foldLoop refreshes the ledger probes from the manager's live engines and
-// appends the per-DC ledger folds on the FoldEvery cadence.
+// foldLoop folds the ledgers every foldEvery until Close.
 func (h *Host) foldLoop() {
 	defer h.wg.Done()
-	t := time.NewTicker(h.cfg.FoldEvery)
+	t := time.NewTicker(foldEvery)
 	defer t.Stop()
 	for {
 		select {
 		case <-h.stop:
 			return
 		case now := <-t.C:
-			h.refreshProbes()
-			ts := now.UnixMilli()
-			h.mu.Lock()
-			ledgers := h.ledgersLocked()
-			h.mu.Unlock()
-			for i, l := range ledgers {
-				d := h.dcs[i]
-				if d.series == nil {
-					continue
-				}
-				vals := [...]float64{
-					float64(l.Sessions),
-					1 - l.BreakerHeadroom,
-					l.ThermalMarginC,
-					l.UPSSoC,
-				}
-				for j, s := range d.series {
-					s.Append(ts, vals[j])
-				}
-				if reg := h.cfg.Registry; reg != nil {
-					reg.GaugeWith("dcsprint_fleet_dc_sessions",
-						"Live sessions served by the DC",
-						telemetry.Labels{"dc": l.DC}).Set(float64(l.Sessions))
-				}
-			}
+			h.fold(now)
+		}
+	}
+}
+
+// fold reads the latest plant state of the placed sessions out of the
+// manager's live engines — the ledger feed's only sample source — and
+// appends the per-DC ledger folds at now.
+func (h *Host) fold(now time.Time) {
+	probes := h.mgr.Probes()
+	h.mu.Lock()
+	for _, pr := range probes {
+		if p := h.placed[pr.ID]; p != nil {
+			p.last, p.have, p.dead = pr.Sample, true, pr.Dead
+		}
+	}
+	ledgers := h.ledgersLocked()
+	h.mu.Unlock()
+	ts := now.UnixMilli()
+	for i, l := range ledgers {
+		d := h.dcs[i]
+		if d.series == nil {
+			continue
+		}
+		vals := [...]float64{
+			float64(l.Sessions),
+			1 - l.BreakerHeadroom,
+			l.ThermalMarginC,
+			l.UPSSoC,
+		}
+		for j, s := range d.series {
+			s.Append(ts, vals[j])
+		}
+		if reg := h.cfg.Registry; reg != nil {
+			reg.GaugeWith("dcsprint_fleet_dc_sessions",
+				"Live sessions served by the DC",
+				telemetry.Labels{"dc": l.DC}).Set(float64(l.Sessions))
 		}
 	}
 }

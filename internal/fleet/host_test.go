@@ -14,24 +14,24 @@ import (
 	"dcsprint/internal/tsdb"
 )
 
-// newTestHost wires a host fleet the way cmd/dcsprintd -fleet does: host
-// first, manager with the host as Tap, then AttachManager.
-func newTestHost(t *testing.T, spec Spec) (*Host, *service.Manager, *tsdb.Store) {
+// newTestHost wires a host fleet the way cmd/dcsprintd -fleet does: the
+// manager first, then the host routing into it. cfg's Registry is replaced
+// by one the host shares.
+func newTestHost(t *testing.T, spec Spec, cfg service.Config) (*Host, *service.Manager, *tsdb.Store) {
 	t.Helper()
-	reg := telemetry.NewRegistry()
+	cfg.Registry = telemetry.NewRegistry()
 	store := tsdb.New(tsdb.Options{MaxSeries: 4096})
+	mgr := service.NewManager(cfg)
 	h, err := NewHost(HostConfig{
-		Spec:      spec,
-		Registry:  reg,
-		Flight:    telemetry.NewFlightRecorder(service.NumShards, 64),
-		Store:     store,
-		FoldEvery: 10 * time.Millisecond,
-	})
+		Spec:     spec,
+		Registry: cfg.Registry,
+		Flight:   telemetry.NewFlightRecorder(service.NumShards, 64),
+		Store:    store,
+	}, mgr)
 	if err != nil {
+		mgr.Close()
 		t.Fatal(err)
 	}
-	mgr := service.NewManager(service.Config{Registry: reg}.WithTap(h))
-	h.AttachManager(mgr)
 	t.Cleanup(func() {
 		mgr.Close()
 		h.Close()
@@ -47,7 +47,7 @@ func TestHostRoutesAndSpills(t *testing.T) {
 	// 4 DCs, hot dc-00 with one admission slot: the round-robin homes a
 	// quarter of the sessions on it, so everything past its first must
 	// spill to a sibling.
-	h, mgr, _ := newTestHost(t, Spec{DCs: 4, Seed: 1, Replicas: 1, HotDC: 0, AdmitCap: 64})
+	h, mgr, _ := newTestHost(t, Spec{DCs: 4, Seed: 1, Replicas: 1, HotDC: 0, AdmitCap: 64}, service.Config{})
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
 	c := &Client{Base: srv.URL}
@@ -98,7 +98,7 @@ func TestHostRoutesAndSpills(t *testing.T) {
 }
 
 func TestHostStatusEndpointAndSeries(t *testing.T) {
-	h, _, store := newTestHost(t, Spec{DCs: 3, Seed: 2})
+	h, _, store := newTestHost(t, Spec{DCs: 3, Seed: 2}, service.Config{})
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
 	c := &Client{Base: srv.URL}
@@ -112,24 +112,53 @@ func TestHostStatusEndpointAndSeries(t *testing.T) {
 	if len(st.DCs) != 3 || st.Sessions != 1 {
 		t.Fatalf("status %+v", st)
 	}
-	// The fold loop (10ms cadence) labels per-DC series into the store.
-	deadline := time.Now().Add(2 * time.Second)
+	// A fold labels per-DC series into the store.
+	h.fold(time.Now())
 	want := tsdb.DCSeriesName(tsdb.SeriesFleetSessions, "dc-00")
-	for {
-		if s := store.Lookup(want); s != nil && s.Appended() > 0 {
-			break
+	if s := store.Lookup(want); s == nil || s.Appended() == 0 {
+		t.Fatalf("series %q never appended; store has %v", want, store.Names())
+	}
+}
+
+// TestHostFoldFeedsServingLedger: the serving DC's ledger reads its
+// session's plant state once a fold has read the probes, and only then;
+// the DCs serving nothing keep fresh ledgers.
+func TestHostFoldFeedsServingLedger(t *testing.T) {
+	h, mgr, _ := newTestHost(t, Spec{DCs: 3, Seed: 7}, service.Config{})
+	rs, err := h.CreateSession(streamingSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		if _, err := mgr.Step(rs.ID, 2); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("series %q never appended; store has %v", want, store.Names())
+	}
+	fresh := FreshLedger("", 0, 0)
+	isFresh := func(dc DCStatus) bool {
+		return dc.BreakerStress == 0 && dc.UPSSoC == fresh.UPSSoC &&
+			dc.ThermalMarginC == fresh.ThermalMarginC && !dc.Dead
+	}
+	for _, dc := range h.Status().DCs {
+		if !isFresh(dc) {
+			t.Fatalf("%s read plant state before any fold: %+v", dc.ID, dc)
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	h.fold(time.Now())
+	for _, dc := range h.Status().DCs {
+		switch {
+		case dc.ID == rs.DC && !(dc.BreakerStress > 0 || dc.UPSSoC < 1):
+			t.Fatalf("serving %s shows no sprint after a fold: %+v", dc.ID, dc)
+		case dc.ID != rs.DC && !isFresh(dc):
+			t.Fatalf("idle %s lost its fresh ledger: %+v", dc.ID, dc)
+		}
 	}
 }
 
 func TestHostRejectsWhenFleetExhausted(t *testing.T) {
 	// Every DC capped at 1 and filled: the next create must 429 with a
 	// Retry-After hint rather than land anywhere.
-	h, _, _ := newTestHost(t, Spec{DCs: 2, Seed: 3, AdmitCap: 1})
+	h, _, _ := newTestHost(t, Spec{DCs: 2, Seed: 3, AdmitCap: 1}, service.Config{})
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
 	c := &Client{Base: srv.URL, MaxAttempts: 1}
@@ -167,7 +196,7 @@ func (spaces) Read(p []byte) (int, error) {
 // anything else is a 400, and a body over the 64 MiB cap is a 413. A
 // rejected body opens no session.
 func TestHostCreateBodies(t *testing.T) {
-	h, mgr, _ := newTestHost(t, Spec{DCs: 2, Seed: 6})
+	h, mgr, _ := newTestHost(t, Spec{DCs: 2, Seed: 6}, service.Config{})
 	handler := h.Handler()
 	live := 0
 	for _, c := range []struct {
@@ -200,7 +229,7 @@ func TestHostCreateBodies(t *testing.T) {
 }
 
 func TestHostDropFreesSlot(t *testing.T) {
-	h, mgr, _ := newTestHost(t, Spec{DCs: 1, Seed: 4, AdmitCap: 1})
+	h, mgr, _ := newTestHost(t, Spec{DCs: 1, Seed: 4, AdmitCap: 1}, service.Config{})
 	rs, err := h.CreateSession(streamingSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -216,8 +245,27 @@ func TestHostDropFreesSlot(t *testing.T) {
 	}
 }
 
+func TestHostEvictionFreesSlot(t *testing.T) {
+	h, mgr, _ := newTestHost(t, Spec{DCs: 1, Seed: 4, AdmitCap: 1},
+		service.Config{IdleTTL: 50 * time.Millisecond})
+	if _, err := h.CreateSession(streamingSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.CreateSession(streamingSpec()); err == nil {
+		t.Fatal("second create fit a 1-slot fleet")
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(mgr.List()) > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("idle session never evicted")
+		}
+	}
+	if _, err := h.CreateSession(streamingSpec()); err != nil {
+		t.Fatalf("slot not freed after eviction: %v", err)
+	}
+}
+
 func TestHostProfileOverridesSpec(t *testing.T) {
-	h, mgr, _ := newTestHost(t, Spec{DCs: 1, Seed: 5})
+	h, mgr, _ := newTestHost(t, Spec{DCs: 1, Seed: 5}, service.Config{})
 	profile := h.Profiles()[0]
 	rs, err := h.CreateSession(streamingSpec())
 	if err != nil {

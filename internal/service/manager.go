@@ -65,20 +65,6 @@ type PlantOptions struct {
 	Watchdog *tsdb.Watchdog
 	// Every is the fleet sampling cadence. Zero means 1 second.
 	Every time.Duration
-	// Tap is told when sessions come and go (the fleet control plane's
-	// ledger feed, which reads their plant state through Manager.Probes).
-	// Nil disables it; see PlantTap.
-	Tap PlantTap
-}
-
-// PlantTap follows the session lifecycle alongside Config.Plant.Sink:
-// Session is called when a session is installed, Drop when it leaves. The
-// fleet control plane uses a tap to bind sessions to its per-DC capacity
-// ledgers without the service layer importing it, and pulls their plant
-// state through Manager.Probes, so the step hot path pays nothing for it.
-type PlantTap interface {
-	Session(id string)
-	Drop(id string)
 }
 
 // Config sizes a Manager. Zero values take defaults.
@@ -119,17 +105,9 @@ func (c Config) WithDurability(stateDir string, snapshotEvery int) Config {
 	return c
 }
 
-// WithPlant returns a copy of c with the plant-observability knobs set,
-// preserving any tap already configured.
+// WithPlant returns a copy of c with the plant-observability knobs set.
 func (c Config) WithPlant(sink *tsdb.PlantSink, watchdog *tsdb.Watchdog, every time.Duration) Config {
-	c.Plant.Sink, c.Plant.Watchdog, c.Plant.Every = sink, watchdog, every
-	return c
-}
-
-// WithTap returns a copy of c with the plant tap set, preserving the other
-// plant knobs.
-func (c Config) WithTap(tap PlantTap) Config {
-	c.Plant.Tap = tap
+	c.Plant = PlantOptions{Sink: sink, Watchdog: watchdog, Every: every}
 	return c
 }
 
@@ -448,23 +426,18 @@ func (m *Manager) release() {
 }
 
 // installOpts carries the optional pieces of a session install: recovery
-// reuses the journaled id and seeds the idempotency cache; journaled creates
-// attach the write-ahead journal.
+// reuses the journaled id and seeds the idempotency cache.
 type installOpts struct {
-	id string // empty generates a fresh id
-	// recovered marks a session rebuilt from its journal, which an install
-	// losing the race with Close keeps on disk for the next Recover.
-	recovered bool
-	jn        *durability.Journal
-	specJSON  []byte
-	base      []byte // journal's base checkpoint bytes (delta-chain key)
-	lastDec   Decision
-	haveLast  bool
+	id       string // empty generates a fresh id
+	lastDec  Decision
+	haveLast bool
 }
 
 // install registers a freshly built engine as a live session, or reports
-// ErrClosed when Close has begun.
-func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) (*session, error) {
+// ErrClosed when Close has begun. With durability on, the session's journal
+// is written only once the session is in the map, so a Recover that lists
+// the journal always finds the session live and leaves it alone.
+func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts, tc TraceContext) (*session, error) {
 	id := opts.id
 	if id == "" {
 		id = newSessionID()
@@ -476,9 +449,6 @@ func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) 
 		sh:       m.shardOf(id),
 		eng:      eng,
 		interval: eng.Interval(),
-		jn:       opts.jn,
-		specJSON: opts.specJSON,
-		base:     opts.base,
 		lastDec:  opts.lastDec,
 		haveLast: opts.haveLast,
 	}
@@ -489,9 +459,6 @@ func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) 
 	s.touch()
 	if m.cfg.Plant.Sink != nil {
 		eng.AttachPlantRecorder(m.cfg.Plant.Sink.Session(s.id))
-	}
-	if m.cfg.Plant.Tap != nil {
-		m.cfg.Plant.Tap.Session(s.id)
 	}
 	sh := s.sh
 	sh.mu.Lock()
@@ -504,11 +471,17 @@ func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) 
 	m.mu.Unlock()
 	if closed {
 		// Close may have swept this shard before the session landed in it,
-		// so retire it here. A fresh session's id never reached its client,
-		// so its journal goes too.
-		s.dropJournal.Store(!opts.recovered)
+		// so retire it here. No journal has been written for it yet, so a
+		// recovered session's journal stays on disk for the next Recover.
 		s.close()
 		return nil, ErrClosed
+	}
+	if m.cfg.Durability.StateDir != "" {
+		s.mu.Lock()
+		if s.closeErr == nil {
+			s.jn, s.specJSON, s.base = m.openJournal(s.id, spec, eng, tc)
+		}
+		s.mu.Unlock()
 	}
 	return s, nil
 }
@@ -519,9 +492,6 @@ func (m *Manager) install(spec ScenarioSpec, eng *sim.Engine, opts installOpts) 
 // should not take the control plane down with it — but are counted and land
 // in the flight recorder.
 func (m *Manager) openJournal(id string, spec ScenarioSpec, eng *sim.Engine, tc TraceContext) (*durability.Journal, []byte, []byte) {
-	if m.cfg.Durability.StateDir == "" {
-		return nil, nil, nil
-	}
 	specJSON, err := json.Marshal(spec)
 	if err == nil {
 		var jn *durability.Journal
@@ -567,9 +537,7 @@ func (m *Manager) CreateTraced(spec ScenarioSpec, tc TraceContext) (*Session, er
 		m.release()
 		return nil, err
 	}
-	id := newSessionID()
-	jn, specJSON, base := m.openJournal(id, spec, eng, tc)
-	s, err := m.install(spec, eng, installOpts{id: id, jn: jn, specJSON: specJSON, base: base})
+	s, err := m.install(spec, eng, installOpts{}, tc)
 	if err != nil {
 		return nil, err
 	}
@@ -608,9 +576,7 @@ func (m *Manager) RestoreTraced(doc SnapshotDoc, tc TraceContext) (*Session, err
 		m.flight(telemetry.EventRestoreFail, "", tc, err.Error())
 		return nil, err
 	}
-	id := newSessionID()
-	jn, specJSON, base := m.openJournal(id, doc.Spec, eng, tc)
-	s, err := m.install(doc.Spec, eng, installOpts{id: id, jn: jn, specJSON: specJSON, base: base})
+	s, err := m.install(doc.Spec, eng, installOpts{}, tc)
 	if err != nil {
 		m.flight(telemetry.EventRestoreFail, "", tc, err.Error())
 		return nil, err
@@ -727,12 +693,10 @@ func (m *Manager) recoverOne(id string) error {
 		m.flight(telemetry.EventRestoreFail, id, TraceContext{}, err.Error())
 		return err
 	}
-	// Re-checkpoint at the replayed tick so the next crash replays only new
-	// ticks, and so a torn tail already truncated by Load is not re-read.
-	jn, specJSON, base := m.openJournal(id, spec, eng, TraceContext{})
-	if _, err := m.install(spec, eng, installOpts{
-		id: id, recovered: true, jn: jn, specJSON: specJSON, base: base, lastDec: lastDec, haveLast: haveLast,
-	}); err != nil {
+	// install re-checkpoints at the replayed tick so the next crash replays
+	// only new ticks, and so a torn tail already truncated by Load is not
+	// re-read.
+	if _, err := m.install(spec, eng, installOpts{id: id, lastDec: lastDec, haveLast: haveLast}, TraceContext{}); err != nil {
 		m.metrics.recoveryFails.Inc()
 		m.flight(telemetry.EventRestoreFail, id, TraceContext{}, err.Error())
 		return err
@@ -864,9 +828,6 @@ func (m *Manager) drop(s *session) {
 	m.release()
 	if m.cfg.Plant.Sink != nil {
 		m.cfg.Plant.Sink.Drop(s.id)
-	}
-	if m.cfg.Plant.Tap != nil {
-		m.cfg.Plant.Tap.Drop(s.id)
 	}
 }
 

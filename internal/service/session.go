@@ -230,7 +230,8 @@ func (s *session) close() {
 // retireAndUnlock removes a live session from service: engine released,
 // journal detached (kept or removed per dropJournal), later callers told
 // err. The caller holds mu; it is released before the session leaves the
-// map and the plant taps, so no tap runs under the session lock.
+// map and the plant sink, so the sink's Drop never runs under the session
+// lock.
 func (s *session) retireAndUnlock(err error) {
 	s.eng = nil
 	s.closeJournal()
