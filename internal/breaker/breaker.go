@@ -36,6 +36,10 @@ type Breaker struct {
 	tripped bool
 	load    units.Watts // last observed load
 
+	// changes, when set, counts the changes made by Derate, Reset and
+	// SetState (see TrackChanges).
+	changes *uint64
+
 	// maxFor is MaxLoadFor's last answer with every input it read: a
 	// controller asks for one reserve on every tick, and the rating, curve
 	// and accumulator rarely move between ticks. It is a memo, not state,
@@ -74,6 +78,20 @@ func (b *Breaker) Tripped() bool { return b.tripped }
 // Load returns the load observed by the most recent Step.
 func (b *Breaker) Load() units.Watts { return b.load }
 
+// TrackChanges makes every later Derate, Reset and SetState add one to *n:
+// the changes a lockstep neighbour does not see (see Lockstep), which a
+// power tree counts to know when its lockstep runs may no longer hold.
+// Step and Follow, which a tree applies to a whole run alike, are not
+// counted.
+func (b *Breaker) TrackChanges(n *uint64) { b.changes = n }
+
+// changed counts one change for TrackChanges.
+func (b *Breaker) changed() {
+	if b.changes != nil {
+		*b.changes++
+	}
+}
+
 // Derate permanently reduces the rating to frac of its current value — an
 // aged or heat-soaked breaker that can no longer carry its nameplate. The
 // thermal accumulator and trip state are preserved; frac outside (0, 1],
@@ -83,6 +101,7 @@ func (b *Breaker) Derate(frac float64) {
 		return
 	}
 	b.Rated = units.Watts(float64(b.Rated) * frac)
+	b.changed()
 }
 
 // Reset closes a tripped breaker and clears its thermal state. In a real
@@ -92,6 +111,7 @@ func (b *Breaker) Reset() {
 	b.tripped = false
 	b.acc = 0
 	b.load = 0
+	b.changed()
 }
 
 // Step advances the breaker by dt under the given load. It returns

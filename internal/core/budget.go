@@ -81,12 +81,19 @@ func TESElectricBudget(tank *tes.Tank, coolCfg cooling.Config) units.Joules {
 // the CBs"). The DC-level breaker tolerance is not double-counted: server
 // power flows through both levels, and the PDU level is the binding one for
 // server power, while the DC-level tolerance is consumed by cooling
-// overhead.
+// overhead. The first group of each of the tree's lockstep runs
+// (power.Tree.Runs) is read once and added for every member, in group
+// order.
 func EstimateBudget(tree *power.Tree, tank *tes.Tank, coolCfg cooling.Config, reserve time.Duration) units.Joules {
 	var total units.Joules
-	for _, p := range tree.PDUs {
-		total += CBExtraBudget(p.Breaker, reserve)
-		total += p.UPS.Available()
+	runs := tree.Runs()
+	for g := 0; g < len(tree.PDUs); {
+		p := tree.PDUs[g]
+		cb, avail := CBExtraBudget(p.Breaker, reserve), p.UPS.Available()
+		for end := runs[g]; g < end; g++ {
+			total += cb
+			total += avail
+		}
 	}
 	total += TESElectricBudget(tank, coolCfg)
 	return total

@@ -139,6 +139,12 @@ type Controller struct {
 	// the server model and the tree's shape.
 	maxDegree   float64
 	degreePower units.Watts
+	// constBound is set when the strategy's bound never changes (see
+	// constantBound); bound is then its clamped bound and capCores the
+	// per-server core cap it allows, both resolved once in New.
+	constBound bool
+	bound      float64
+	capCores   int
 
 	burstActive bool
 	sprintTime  time.Duration // cumulative over-capacity time this event
@@ -201,11 +207,6 @@ type scratch struct {
 	// flowRuns holds the tick's lockstep runs split where planRecharge
 	// gives members of one run different recharges.
 	flowRuns []int
-	// singles makes every group its own run.
-	singles []int
-	// committed is the lockstep runs of the flow the last tick committed,
-	// singles when it committed none; see Controller.Runs.
-	committed []int
 
 	ctx planContext
 
@@ -287,15 +288,11 @@ func newScratch(nPDU int) scratch {
 		watts = watts[nPDU:]
 		return s
 	}
-	ints := make([]int, 5*nPDU)
+	ints := make([]int, 4*nPDU)
 	nextInts := func() []int {
 		s := ints[:nPDU:nPDU]
 		ints = ints[nPDU:]
 		return s
-	}
-	singles := nextInts()
-	for g := range singles {
-		singles[g] = g + 1
 	}
 	return scratch{
 		groups:      make([]groupPlan, nPDU),
@@ -306,8 +303,6 @@ func newScratch(nPDU int) scratch {
 		allocIdx:    nextInts()[:0],
 		upsRecharge: next(),
 		flowRuns:    nextInts(),
-		singles:     singles,
-		committed:   singles,
 		ctx: planContext{
 			pduMax: next(),
 			upsMax: next(),
@@ -359,7 +354,7 @@ func New(cfg Config, tree *power.Tree, room *cooling.Room, tank *tes.Tank) (*Con
 		return nil, err
 	}
 	servers := len(tree.PDUs) * tree.PDUs[0].Servers
-	return &Controller{
+	c := &Controller{
 		cfg:           cfg,
 		srv:           server.NewModel(cfg.Server),
 		needBudget:    ReadsBudget(cfg.Strategy),
@@ -375,7 +370,14 @@ func New(cfg Config, tree *power.Tree, room *cooling.Room, tank *tes.Tank) (*Con
 		tesDelay: cooling.TESActivationDelay(
 			cfg.Server.PeakNormalPower(), cfg.Server.MaxAdditionalPower()),
 		buf: newScratch(len(tree.PDUs)),
-	}, nil
+	}
+	if _, ok := cfg.Strategy.(constantBound); ok {
+		c.constBound = true
+		st := State{MaxDegree: c.maxDegree, DegreePower: c.degreePower}
+		c.bound = units.Clamp(cfg.Strategy.UpperBound(st), 1, c.maxDegree)
+		c.capCores = cfg.Server.CoresForDegree(c.bound)
+	}
+	return c, nil
 }
 
 // normalizeWeights validates per-group weights and scales them to mean 1.
@@ -433,24 +435,16 @@ func (c *Controller) chipCoreCap() int {
 	return n
 }
 
-// Runs returns the lockstep runs of the PDU groups as the last tick left
-// them (see power.Tree.Partition), for scans over the tree right after the
-// tick: runs[g] is one past the last group of the run starting at group g.
-// Before the first tick, and after a tick that stepped no flow, every group
-// is its own run. The runs hold only until a breaker or battery is next
-// changed outside the controller.
-func (c *Controller) Runs() []int { return c.buf.committed }
-
 // Split returns the additional-energy provenance accumulated so far.
 func (c *Controller) Split() EnergySplit { return c.split }
 
 // Dead reports whether an uncontrolled trip has shut the facility down.
 func (c *Controller) Dead() bool { return c.dead }
 
-// state builds the strategy snapshot for this tick. The remaining-budget
-// estimate walks every breaker and store, so it is only computed for
-// strategies that actually read it (Heuristic, and anything from outside
-// the package).
+// state builds the strategy snapshot for this tick, for a strategy whose
+// bound is not constant. The remaining-budget estimate reads every breaker
+// and store, so it is only computed for strategies that actually read it
+// (Heuristic, and anything from outside the package).
 func (c *Controller) state(demand float64) State {
 	avg := 1.0
 	if c.degreeTicks > 0 {
@@ -478,7 +472,9 @@ func (c *Controller) groupSize() units.Watts { return units.Watts(c.tree.PDUs[0]
 // Tick advances the controller by dt under the given normalized demand with
 // an unconstrained utility supply.
 func (c *Controller) Tick(demand float64, dt time.Duration) TickResult {
-	return c.TickInput(Input{Demand: demand}, dt)
+	var res TickResult
+	c.TickInput(Input{Demand: demand}, dt, &res)
+	return res
 }
 
 // SanitizeDemand is the demand a tick serves for a raw demand signal: a
@@ -491,8 +487,9 @@ func SanitizeDemand(d float64) float64 {
 	return d
 }
 
-// TickInput advances the controller by dt under the given environment.
-func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
+// TickInput advances the controller by dt under the given environment and
+// writes the tick's result to res.
+func (c *Controller) TickInput(in Input, dt time.Duration, res *TickResult) {
 	// Sanitize the environment: a corrupt demand signal reads as full
 	// normal load, a corrupt or negative supply limit as no limit
 	// information at all.
@@ -501,13 +498,14 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 		in.SupplyLimit = 0
 	}
 	demand := in.Demand
-	c.buf.committed = c.buf.singles
 	if dt <= 0 {
-		return TickResult{Demand: demand, Dead: c.dead}
+		*res = TickResult{Demand: demand, Dead: c.dead}
+		return
 	}
 	if c.dead {
 		c.now += dt
-		return TickResult{Demand: demand, Dead: true, RoomTemp: c.room.Temperature()}
+		*res = TickResult{Demand: demand, Dead: true, RoomTemp: c.room.Temperature()}
+		return
 	}
 	c.now += dt
 
@@ -536,7 +534,8 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 	}
 
 	if c.cfg.Uncontrolled {
-		return c.tickUncontrolled(demand, dt)
+		c.tickUncontrolled(demand, dt, res)
+		return
 	}
 
 	// Generator dispatch policy: start on any curtailment below the
@@ -571,11 +570,15 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 		c.supervise(dt)
 	}
 
-	bound := units.Clamp(c.cfg.Strategy.UpperBound(c.state(demand)), 1, c.maxDegree)
+	bound, capCores := c.bound, c.capCores
+	if !c.constBound {
+		bound = units.Clamp(c.cfg.Strategy.UpperBound(c.state(demand)), 1, c.maxDegree)
+		capCores = c.cfg.Server.CoresForDegree(bound)
+	}
 	if c.sensors != nil && bound > c.degradeCap {
 		bound = c.degradeCap
+		capCores = c.cfg.Server.CoresForDegree(bound)
 	}
-	capCores := c.cfg.Server.CoresForDegree(bound)
 	if chipCap := c.chipCoreCap(); capCores > chipCap {
 		capCores = chipCap
 	}
@@ -591,7 +594,7 @@ func (c *Controller) TickInput(in Input, dt time.Duration) TickResult {
 	if p == nil {
 		p, _ = c.plan(c.cfg.Server.NormalCores, in, dt, true)
 	}
-	return c.commit(p, in, bound, dt)
+	c.commit(p, in, bound, dt, res)
 }
 
 // searchCap returns the plan at the largest cap in [NormalCores, capCores]
@@ -686,7 +689,9 @@ func (c *Controller) partition(demand float64) {
 	if c.sensors != nil {
 		// Planning reads each group's sensed state of charge, which no
 		// comparison of the physical state covers.
-		copy(ctx.runs, c.buf.singles)
+		for g := range ctx.runs {
+			ctx.runs[g] = g + 1
+		}
 		return
 	}
 	c.tree.Partition(ctx.runs, ctx.rowOf)
@@ -932,13 +937,12 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 	cbAlloc := breaker.AllocateInto(c.buf.alloc, c.buf.allocIdx, runs, serverBudget, wants)
 
 	// PDU level: whatever the breaker share cannot carry rides the UPS;
-	// a group whose battery cannot cover the difference sheds cores.
-	flow := power.Flow{
-		PDUServer: c.buf.flowServer,
-		PDUUPS:    c.buf.flowUPS,
-		Cooling:   chillerElec,
-		Runs:      runs,
-	}
+	// a group whose battery cannot cover the difference sheds cores. The
+	// plan is assembled field by field in the scratch plan, which a
+	// literal would build aside and copy.
+	p := &c.buf.built
+	flow := &p.flow
+	flow.PDUServer, flow.PDUUPS, flow.Cooling, flow.Runs = c.buf.flowServer, c.buf.flowUPS, chillerElec, runs
 	// A cut depends only on the group's operating point and its budget, so
 	// a group that starts where the last cut group started, with the same
 	// budget, takes that cut: alike groups are cut once. The same pass
@@ -1001,21 +1005,11 @@ func (c *Controller) plan(capCores int, in Input, dt time.Duration, force bool) 
 	}
 
 	// Assemble the result from the (possibly reduced) groups.
-	p := &c.buf.built
-	*p = plan{
-		flow:          flow,
-		chillerElec:   chillerElec,
-		chillerAbsorb: chillerAbsorb,
-		tesAbsorb:     tesAbsorb,
-		tesOn:         tesOn,
-		heatAbsorbed:  heatAbsorbed,
-		thermalShed:   thermalShed,
-		delivered:     deliveredSum / float64(nPDU),
-		maxCores:      maxCores,
-		meanDegree:    degreeSum / float64(nPDU),
-		heatGen:       heatGen,
-		sprinting:     maxCores > srv.NormalCores,
-	}
+	p.chillerElec, p.chillerAbsorb, p.tesAbsorb, p.tesOn = chillerElec, chillerAbsorb, tesAbsorb, tesOn
+	p.heatAbsorbed, p.thermalShed, p.heatGen = heatAbsorbed, thermalShed, heatGen
+	p.delivered, p.meanDegree = deliveredSum/float64(nPDU), degreeSum/float64(nPDU)
+	p.maxCores, p.sprinting = maxCores, maxCores > srv.NormalCores
+	p.upsRecharge, p.tesRecharge = nil, 0
 	// Recompute the absorption for the possibly reduced heat: the chiller
 	// only removes what exists, and the tank must not drain faster than
 	// the servers actually dissipate.
@@ -1111,10 +1105,10 @@ func (c *Controller) splitRun(p *plan, head, at int) {
 
 // commit executes a plan: steps the breakers, batteries, tank and room,
 // accumulates burst bookkeeping and the energy split, and reports the tick
-// under the strategy's bound.
-func (c *Controller) commit(p *plan, in Input, bound float64, dt time.Duration) TickResult {
+// under the strategy's bound in res.
+func (c *Controller) commit(p *plan, in Input, bound float64, dt time.Duration, res *TickResult) {
 	demand := in.Demand
-	flow := p.flow
+	flow := &p.flow
 
 	// Apply recharge loads before stepping the breakers.
 	coolingPower := p.chillerElec
@@ -1189,7 +1183,6 @@ func (c *Controller) commit(p *plan, in Input, bound float64, dt time.Duration) 
 	}
 
 	err := c.tree.Step(flow, dt)
-	c.buf.committed = runs
 	// Discharge the tank before stepping the room: the room must see the
 	// absorption that actually happened (a stuck valve or leaked tank
 	// delivers less than the plan assumed), so a faulted store shows up
@@ -1257,22 +1250,13 @@ func (c *Controller) commit(p *plan, in Input, bound float64, dt time.Duration) 
 		phase = 1
 	}
 
-	res := TickResult{
-		Demand:       demand,
-		Delivered:    p.delivered,
-		ActiveCores:  p.maxCores,
-		Degree:       p.meanDegree,
-		Bound:        bound,
-		Phase:        phase,
-		ITPower:      p.heatGen,
-		CoolingPower: coolingPower,
-		DCLoad:       dcLoad,
-		PDULoad:      maxPDULoad,
-		UPSPower:     upsTotal,
-		GenPower:     genUsed,
-		TESHeatRate:  tesRate,
-		RoomTemp:     c.room.Temperature(),
-	}
+	// Cleared and filled in place: a literal would be built aside and
+	// copied.
+	*res = TickResult{}
+	res.Demand, res.Delivered, res.ActiveCores, res.Degree = demand, p.delivered, p.maxCores, p.meanDegree
+	res.Bound, res.Phase, res.ITPower, res.CoolingPower = bound, phase, p.heatGen, coolingPower
+	res.DCLoad, res.PDULoad, res.UPSPower, res.GenPower = dcLoad, maxPDULoad, upsTotal, genUsed
+	res.TESHeatRate, res.RoomTemp = tesRate, c.room.Temperature()
 	if err != nil {
 		// A trip under the controller indicates the reserve was breached
 		// by an external event; the facility sheds load and the run ends.
@@ -1332,14 +1316,13 @@ func (c *Controller) commit(p *plan, in Input, bound float64, dt time.Duration) 
 			c.emit(EventBreakerTripped, err.Error())
 		}
 	}
-	return res
 }
 
 // tickUncontrolled implements the Fig 8(a) baseline: chip-level sprinting
 // with no data-center-level control — cores follow demand, all power flows
 // through the breakers, the chiller is never helped, and the first trip
 // shuts the facility down.
-func (c *Controller) tickUncontrolled(demand float64, dt time.Duration) TickResult {
+func (c *Controller) tickUncontrolled(demand float64, dt time.Duration, res *TickResult) {
 	srv := c.srv
 	groupSize := c.groupSize()
 	coolNormal := c.cfg.Cooling.NormalCoolingPower()
@@ -1347,7 +1330,7 @@ func (c *Controller) tickUncontrolled(demand float64, dt time.Duration) TickResu
 	nPDU := len(c.tree.PDUs)
 	c.partition(demand)
 	ctx := &c.buf.ctx
-	flow := power.Flow{
+	flow := &power.Flow{
 		PDUServer: c.buf.flowServer,
 		PDUUPS:    c.buf.flowUPS,
 		Cooling:   coolNormal,
@@ -1382,10 +1365,9 @@ func (c *Controller) tickUncontrolled(demand float64, dt time.Duration) TickResu
 	}
 
 	err := c.tree.Step(flow, dt)
-	c.buf.committed = flow.Runs
 	c.room.Step(heatGen, chillerAbsorb, dt)
 
-	res := TickResult{
+	*res = TickResult{
 		Demand:       demand,
 		Delivered:    deliveredSum / float64(nPDU),
 		ActiveCores:  maxCores,
@@ -1411,5 +1393,4 @@ func (c *Controller) tickUncontrolled(demand float64, dt time.Duration) TickResu
 			c.emit(EventOverheated, "room overheated")
 		}
 	}
-	return res
 }

@@ -504,7 +504,8 @@ func TestSupplyLimitBridgedByUPS(t *testing.T) {
 	rated := f.tree.DCBreaker.Rated
 	limit := rated * 55 / 100
 	for i := 0; i < 120; i++ {
-		res := f.ctl.TickInput(Input{Demand: 0.9, SupplyLimit: limit}, time.Second)
+		var res TickResult
+		f.ctl.TickInput(Input{Demand: 0.9, SupplyLimit: limit}, time.Second, &res)
 		if res.Tripped {
 			t.Fatalf("tripped at %d under a curtailment the UPS can bridge", i)
 		}
@@ -529,7 +530,8 @@ func TestSupplyLimitExhaustionDegradesWithoutPanic(t *testing.T) {
 	rated := f.tree.DCBreaker.Rated
 	limit := rated * 30 / 100
 	for i := 0; i < 3600; i++ {
-		res := f.ctl.TickInput(Input{Demand: 0.9, SupplyLimit: limit}, time.Second)
+		var res TickResult
+		f.ctl.TickInput(Input{Demand: 0.9, SupplyLimit: limit}, time.Second, &res)
 		if res.Delivered < 0 || res.Delivered > 0.9+1e-9 {
 			t.Fatalf("delivered out of range at %d: %v", i, res.Delivered)
 		}

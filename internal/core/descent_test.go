@@ -155,7 +155,7 @@ func TestReferenceRunDescentSteps(t *testing.T) {
 	}
 	f := newFacility(t, facilityOpts{servers: 2000})
 	for _, d := range tr.Samples {
-		f.ctl.TickInput(Input{Demand: d}, tr.Step)
+		f.ctl.Tick(d, tr.Step)
 	}
 	const maxSteps = 765 * 11 / 10
 	t.Logf("%d descent steps over %d plan calls", f.ctl.buf.descentSteps, f.ctl.buf.plans)
@@ -165,23 +165,27 @@ func TestReferenceRunDescentSteps(t *testing.T) {
 }
 
 // workCounts are the deterministic work counters of one controller: demand
-// rows built (one DemandPow each), operating points plan computes, and PDU
+// rows built (one DemandPow each), operating points plan computes, PDU
 // groups the tree steps itself (one Breaker.Step and one Battery.Discharge
-// each) rather than copies from a lockstep neighbour.
-type workCounts struct{ pows, points, steps int }
+// each) rather than copies from a lockstep neighbour, and pairs of
+// neighbouring groups the partition compares (one Breaker.Lockstep and one
+// Battery.Lockstep each).
+type workCounts struct{ pows, points, steps, comparisons int }
 
 func (f *facility) work() workCounts {
-	return workCounts{f.ctl.buf.demandPows, f.ctl.buf.ctx.points, f.tree.GroupSteps()}
+	return workCounts{f.ctl.buf.demandPows, f.ctl.buf.ctx.points, f.tree.GroupSteps(), f.tree.Comparisons()}
 }
 
 func (w workCounts) minus(o workCounts) workCounts {
-	return workCounts{w.pows - o.pows, w.points - o.points, w.steps - o.steps}
+	return workCounts{w.pows - o.pows, w.points - o.points, w.steps - o.steps, w.comparisons - o.comparisons}
 }
 
 // TestReferenceRunWorkCounts holds the reference run's per-group work. A
 // row is rebuilt only when the demand moves (733 of the 1,800 ticks repeat
 // the last one), and each lockstep run of identical groups computes and
-// steps once: 10 groups, but 2 physics steps per tick on average.
+// steps once: 10 groups, but 2 physics steps per tick on average. The
+// partition compares neighbouring groups only where the last tick's runs
+// end: about 1 comparison per tick, where comparing every pair takes 9.
 func TestReferenceRunWorkCounts(t *testing.T) {
 	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
 	if err != nil {
@@ -189,12 +193,13 @@ func TestReferenceRunWorkCounts(t *testing.T) {
 	}
 	f := newFacility(t, facilityOpts{servers: 2000})
 	for _, d := range tr.Samples {
-		f.ctl.TickInput(Input{Demand: d}, tr.Step)
+		f.ctl.Tick(d, tr.Step)
 	}
-	want := workCounts{pows: 1067, points: 3396, steps: 3706}
+	want := workCounts{pows: 1067, points: 3396, steps: 3706, comparisons: 1911}
 	got := f.work()
-	t.Logf("%d DemandPow calls, %d operating points, %d group steps over %d ticks", got.pows, got.points, got.steps, tr.Len())
-	if got.pows > want.pows || got.points > want.points || got.steps > want.steps {
+	t.Logf("%d DemandPow calls, %d operating points, %d group steps, %d comparisons over %d ticks",
+		got.pows, got.points, got.steps, got.comparisons, tr.Len())
+	if got.pows > want.pows || got.points > want.points || got.steps > want.steps || got.comparisons > want.comparisons {
 		t.Fatalf("work %+v over the reference run, want at most %+v", got, want)
 	}
 }
@@ -228,13 +233,13 @@ func TestPaperScaleWorkPerTick(t *testing.T) {
 	split := -1 // the first tick that leaves the small facility's groups unequal
 	for i, d := range tr.Samples {
 		s0, p0 := small.work(), paper.work()
-		small.ctl.TickInput(Input{Demand: d}, tr.Step)
-		paper.ctl.TickInput(Input{Demand: d}, tr.Step)
+		small.ctl.Tick(d, tr.Step)
+		paper.ctl.Tick(d, tr.Step)
 		s, p := small.work().minus(s0), paper.work().minus(p0)
 		if s.pows != p.pows || s.points != p.points || (split < 0 && s.steps != p.steps) {
 			t.Fatalf("tick %d: 10 groups did %+v, 900 groups %+v", i, s, p)
 		}
-		if runs := small.ctl.Runs(); split < 0 && runs[0] != len(runs) {
+		if runs := small.tree.Runs(); split < 0 && runs[0] != len(runs) {
 			split = i
 		}
 	}

@@ -67,7 +67,7 @@ func TestEventLogRecordsGeneratorLifecycle(t *testing.T) {
 	_ = gen
 	rated := f.tree.DCBreaker.Rated
 	for i := 0; i < 120; i++ {
-		f.ctl.TickInput(Input{Demand: 0.9, SupplyLimit: rated / 2}, time.Second)
+		f.ctl.TickInput(Input{Demand: 0.9, SupplyLimit: rated / 2}, time.Second, new(TickResult))
 	}
 	for i := 0; i < 30; i++ {
 		f.ctl.Tick(0.9, time.Second) // grid restored

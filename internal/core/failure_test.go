@@ -51,7 +51,9 @@ func (f *faultedFacility) tick(demand float64, dt time.Duration) TickResult {
 	if frac := f.inj.SupplyFraction(); frac < 1 {
 		in.SupplyLimit = units.Watts(frac) * f.tree.DCBreaker.Rated
 	}
-	return f.ctl.TickInput(in, dt)
+	var res TickResult
+	f.ctl.TickInput(in, dt, &res)
+	return res
 }
 
 // failGroupBatteries builds the spec lines killing the first n battery
@@ -379,7 +381,8 @@ func TestGeneratorFailureToStart(t *testing.T) {
 	rated := f.tree.DCBreaker.Rated
 	var died bool
 	for i := 0; i < 1200; i++ {
-		res := f.ctl.TickInput(Input{Demand: 0.9, SupplyLimit: rated * 25 / 100}, time.Second)
+		var res TickResult
+		f.ctl.TickInput(Input{Demand: 0.9, SupplyLimit: rated * 25 / 100}, time.Second, &res)
 		if res.Delivered < 0 {
 			t.Fatalf("negative delivery at %d", i)
 		}

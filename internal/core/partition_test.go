@@ -1,0 +1,117 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"dcsprint/internal/faults"
+	"dcsprint/internal/power"
+	"dcsprint/internal/workload"
+)
+
+// fullPartition partitions the tree's PDU groups the way power.Tree.Partition
+// did before it carried the last tick's runs: it compares every pair of
+// neighbouring groups.
+func fullPartition(tree *power.Tree, key []int) []int {
+	runs := make([]int, len(tree.PDUs))
+	head := 0
+	for g := 1; g < len(tree.PDUs); g++ {
+		p, prev := tree.PDUs[g], tree.PDUs[g-1]
+		if key[g] != key[g-1] || !p.Breaker.Lockstep(prev.Breaker) || !p.UPS.Lockstep(prev.UPS) {
+			runs[head] = g
+			head = g
+		}
+	}
+	runs[head] = len(tree.PDUs)
+	return runs
+}
+
+// outsideChanges change PDU breakers and batteries the way no tick does,
+// one minute into a burst.
+var outsideChanges = []struct {
+	name   string
+	change func(tree *power.Tree)
+}{
+	{name: "none"},
+	{name: "tree-reset", change: (*power.Tree).Reset},
+	{name: "breaker-reset", change: func(tree *power.Tree) { tree.PDUs[6].Breaker.Reset() }},
+	{name: "breaker-set-state", change: func(tree *power.Tree) {
+		b := tree.PDUs[2].Breaker.State()
+		b.Acc /= 2
+		if err := tree.PDUs[2].Breaker.SetState(b); err != nil {
+			panic(err)
+		}
+	}},
+	{name: "battery-set-state", change: func(tree *power.Tree) {
+		u := tree.PDUs[7].UPS.State()
+		u.Stored /= 2
+		if err := tree.PDUs[7].UPS.SetState(u); err != nil {
+			panic(err)
+		}
+	}},
+}
+
+// TestPartitionMatchesFullComparison runs every runSplitRows scenario as
+// the golden does, and again under each of outsideChanges. Before every
+// tick, after the row's faults, the partition the tick starts from must
+// equal a comparison of every neighbouring pair of groups, both under the
+// controller's demand rows and under one key for all groups, which leaves
+// every split to the breakers and batteries.
+func TestPartitionMatchesFullComparison(t *testing.T) {
+	if testing.Short() {
+		t.Skip("150 reference runs")
+	}
+	for _, row := range runSplitRows {
+		for _, oc := range outsideChanges {
+			for seed := int64(1); seed <= 5; seed++ {
+				tr, err := workload.SyntheticYahoo(seed, 3.2, 15*time.Minute)
+				if err != nil {
+					t.Fatal(err)
+				}
+				burst := -1
+				for i, d := range tr.Samples {
+					if d > 1 {
+						burst = i
+						break
+					}
+				}
+				opts := row.opts
+				opts.servers = 2000
+				f := newFacility(t, opts)
+				if row.sensed {
+					f.ctl.AttachSensors(faults.NewSensorBus(f.tree, f.room, f.tank))
+				}
+				n := len(f.tree.PDUs)
+				got, flat := make([]int, n), make([]int, n)
+				for i, d := range tr.Samples {
+					if row.mutate != nil {
+						row.mutate(f, i, burst)
+					}
+					if oc.change != nil && i == burst+60 {
+						oc.change(f.tree)
+					}
+					for _, key := range [][]int{f.ctl.buf.ctx.rowOf, flat} {
+						f.tree.Partition(got, key)
+						want := fullPartition(f.tree, key)
+						for g := 0; g < n; g = want[g] {
+							if got[g] != want[g] {
+								t.Fatalf("%s/%s seed %d tick %d key %v: partition %v, full comparison %v",
+									row.name, oc.name, seed, i, key, runsOf(got), runsOf(want))
+							}
+						}
+					}
+					f.ctl.Tick(d, tr.Step)
+				}
+			}
+		}
+	}
+}
+
+// runsOf lists a partition's runs as [first, end) pairs.
+func runsOf(runs []int) [][2]int {
+	var out [][2]int
+	for g := 0; g < len(runs); g = runs[g] {
+		out = append(out, [2]int{g, runs[g]})
+	}
+	return out
+}

@@ -47,7 +47,8 @@ func controllerSafetyRunWeighted(t *testing.T, seed int64, strategy Strategy, wi
 			// Never below what the stores can bridge for a few ticks.
 			in.SupplyLimit = units.Watts(float64(rated) * (0.55 + 0.4*rng.Float64()))
 		}
-		res := f.ctl.TickInput(in, time.Second)
+		var res TickResult
+		f.ctl.TickInput(in, time.Second, &res)
 		if res.Tripped {
 			t.Fatalf("seed %d: tripped at tick %d (demand %.2f)", seed, i, demand)
 		}

@@ -123,7 +123,7 @@ func TestCapSearchMatchesLinearScan(t *testing.T) {
 				}
 			}
 			hint = f.ctl.buf.capHint
-			f.ctl.TickInput(in, time.Second)
+			f.ctl.TickInput(in, time.Second, new(TickResult))
 		}
 	}
 	t.Logf("%d ticks capped below the strategy's cap, %d of them warm-started", capped, warm)
@@ -229,7 +229,7 @@ func TestReferenceRunPlanCalls(t *testing.T) {
 	}
 	f := newFacility(t, facilityOpts{servers: 2000})
 	for _, d := range tr.Samples {
-		f.ctl.TickInput(Input{Demand: d}, tr.Step)
+		f.ctl.Tick(d, tr.Step)
 	}
 	const maxPlans = 2700
 	t.Logf("%d plan calls over %d ticks", f.ctl.buf.plans, tr.Len())

@@ -71,6 +71,12 @@ type Strategy interface {
 // strategy outside this package always gets the full State.
 type budgetFree interface{ budgetFree() }
 
+// constantBound marks built-in strategies whose UpperBound reads no State
+// field but MaxDegree and DegreePower, which never change for a controller:
+// the controller asks them once, in New, rather than building a State on
+// every tick. A strategy outside this package is asked on every tick.
+type constantBound interface{ constantBound() }
+
 // ReadsBudget reports whether the strategy's UpperBound consumes the
 // per-tick State.BudgetLeft estimate.
 func ReadsBudget(s Strategy) bool {
@@ -89,7 +95,8 @@ func (Greedy) Name() string { return "greedy" }
 // UpperBound implements Strategy.
 func (Greedy) UpperBound(st State) float64 { return st.MaxDegree }
 
-func (Greedy) budgetFree() {}
+func (Greedy) budgetFree()    {}
+func (Greedy) constantBound() {}
 
 // FixedBound holds a constant sprinting-degree upper bound. The Oracle
 // strategy is an exhaustive search over FixedBound values with perfect
@@ -105,7 +112,8 @@ func (f FixedBound) Name() string { return "fixed" }
 // UpperBound implements Strategy.
 func (f FixedBound) UpperBound(State) float64 { return f.Bound }
 
-func (FixedBound) budgetFree() {}
+func (FixedBound) budgetFree()    {}
+func (FixedBound) constantBound() {}
 
 // Prediction implements the paper's Prediction strategy: given a predicted
 // burst duration BDu_p, it computes the equivalent burst duration

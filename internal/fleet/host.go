@@ -303,6 +303,11 @@ func (h *Host) fold(now time.Time) {
 	h.mu.Unlock()
 	ts := now.UnixMilli()
 	for i, l := range ledgers {
+		if reg := h.cfg.Registry; reg != nil {
+			reg.GaugeWith("dcsprint_fleet_dc_sessions",
+				"Live sessions served by the DC",
+				telemetry.Labels{"dc": l.DC}).Set(float64(l.Sessions))
+		}
 		d := h.dcs[i]
 		if d.series == nil {
 			continue
@@ -315,11 +320,6 @@ func (h *Host) fold(now time.Time) {
 		}
 		for j, s := range d.series {
 			s.Append(ts, vals[j])
-		}
-		if reg := h.cfg.Registry; reg != nil {
-			reg.GaugeWith("dcsprint_fleet_dc_sessions",
-				"Live sessions served by the DC",
-				telemetry.Labels{"dc": l.DC}).Set(float64(l.Sessions))
 		}
 	}
 }

@@ -155,6 +155,38 @@ func TestHostFoldFeedsServingLedger(t *testing.T) {
 	}
 }
 
+// TestHostFoldSetsSessionGaugeWithoutStore folds a host built without a
+// time-series store (dcsprintd -tsdb-mem 0): the per-DC session gauge must
+// still count the serving DC's session, and 0 for the idle one.
+func TestHostFoldSetsSessionGaugeWithoutStore(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	mgr := service.NewManager(service.Config{Registry: reg})
+	h, err := NewHost(HostConfig{Spec: Spec{DCs: 2, Seed: 5}, Registry: reg}, mgr)
+	if err != nil {
+		mgr.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		mgr.Close()
+		h.Close()
+	})
+	rs, err := h.CreateSession(streamingSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.fold(time.Now())
+	for _, dc := range h.Status().DCs {
+		want := 0.0
+		if dc.ID == rs.DC {
+			want = 1
+		}
+		g := reg.GaugeWith("dcsprint_fleet_dc_sessions", "Live sessions served by the DC", telemetry.Labels{"dc": dc.ID})
+		if got := g.Value(); got != want {
+			t.Fatalf("dcsprint_fleet_dc_sessions{dc=%q} = %v after a fold, want %v", dc.ID, got, want)
+		}
+	}
+}
+
 func TestHostRejectsWhenFleetExhausted(t *testing.T) {
 	// Every DC capped at 1 and filled: the next create must 429 with a
 	// Retry-After hint rather than land anywhere.

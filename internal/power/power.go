@@ -87,9 +87,19 @@ type Tree struct {
 
 	cfg Config
 
+	// runs is the lockstep runs of the flow the last Step stepped, every
+	// group its own run before the first; see Runs.
+	runs []int
+	// changes counts the changes made to PDU breakers and batteries
+	// outside Step (breaker.Breaker.TrackChanges, ups.Battery.TrackChanges);
+	// runs holds while it reads clean.
+	changes, clean uint64
+
 	// groupSteps counts the PDU groups Step has stepped itself rather
-	// than copied from a lockstep neighbour; only work-count tests read it.
-	groupSteps int
+	// than copied from a lockstep neighbour, and comparisons the pairs of
+	// neighbouring groups Partition has compared; only work-count tests
+	// read them.
+	groupSteps, comparisons int
 }
 
 // New builds the tree: one breaker per PDU, one aggregated UPS per PDU
@@ -106,8 +116,9 @@ func New(cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{DCBreaker: dcb, PDUs: make([]*PDU, 0, nPDU), cfg: cfg}
-	for i := 0; i < nPDU; i++ {
+	t := &Tree{DCBreaker: dcb, PDUs: make([]*PDU, nPDU), runs: make([]int, nPDU), cfg: cfg}
+	pdus := make([]PDU, nPDU)
+	for i := range pdus {
 		b, err := breaker.New(fmt.Sprintf("pdu-%d", i), pduRated, cfg.Curve)
 		if err != nil {
 			return nil, err
@@ -116,7 +127,11 @@ func New(cfg Config) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.PDUs = append(t.PDUs, &PDU{Breaker: b, UPS: batt, Servers: cfg.ServersPerPDU})
+		b.TrackChanges(&t.changes)
+		batt.TrackChanges(&t.changes)
+		pdus[i] = PDU{Breaker: b, UPS: batt, Servers: cfg.ServersPerPDU}
+		t.PDUs[i] = &pdus[i]
+		t.runs[i] = i + 1
 	}
 	return t, nil
 }
@@ -128,24 +143,51 @@ func (t *Tree) Config() Config { return t.cfg }
 // adjacent PDU groups whose breakers and batteries are in lockstep
 // (breaker.Lockstep, ups.Lockstep) and whose keys are equal. runs[g] is one
 // past the last group of the run that starts at group g; the entries of
-// the other members are left alone. It costs one comparison per group.
-// runs and key must be as long as PDUs.
+// the other members are left alone. runs and key must be as long as PDUs.
 //
-// The partition holds while breakers and batteries change only a run at a
-// time: stepped, charged or discharged with one request per run, every
-// member stays in lockstep. A fault, a restore or a request to one member
-// alone can break it, and the next Partition finds the new runs.
+// Partition starts from Runs, the runs the last Step left: their members
+// are in lockstep, so it compares neighbouring groups only where one of
+// those runs ends, and keys everywhere. Runs still merge where neighbours
+// have converged. A change Step did not make (a fault, a restore, a reset)
+// makes every group its own run in Runs, and Partition then compares every
+// neighbouring pair.
 func (t *Tree) Partition(runs, key []int) {
-	head, prev := 0, t.PDUs[0]
+	last := t.Runs()
+	head, seam := 0, last[0]
 	for g := 1; g < len(t.PDUs); g++ {
-		p := t.PDUs[g]
-		if key[g] != key[g-1] || !p.Breaker.Lockstep(prev.Breaker) || !p.UPS.Lockstep(prev.UPS) {
+		split := key[g] != key[g-1]
+		if g == seam {
+			seam = last[g]
+			if !split {
+				t.comparisons++
+				p, prev := t.PDUs[g], t.PDUs[g-1]
+				split = !p.Breaker.Lockstep(prev.Breaker) || !p.UPS.Lockstep(prev.UPS)
+			}
+		}
+		if split {
 			runs[head] = g
 			head = g
 		}
-		prev = p
 	}
 	runs[head] = len(t.PDUs)
+}
+
+// Runs returns the lockstep runs of the flow the last Step stepped (see
+// Partition): runs[g] is one past the last group of the run starting at
+// group g. Before the first Step, and after any change to a PDU breaker or
+// battery that Step did not make (Derate, Reset, Fail, Fade, SetState),
+// every group is its own run. The runs stand only while breakers and
+// batteries change a run at a time, as Step changes them: a Discharge,
+// Recharge or Breaker.Step on one member alone, or a direct write to a
+// breaker's exported fields, breaks them unseen.
+func (t *Tree) Runs() []int {
+	if t.changes != t.clean {
+		for g := range t.runs {
+			t.runs[g] = g + 1
+		}
+		t.clean = t.changes
+	}
+	return t.runs
 }
 
 // PeakNormalIT returns the facility's peak IT power without sprinting.
@@ -198,8 +240,9 @@ func (f *Flow) DCLoad() units.Watts {
 // trip encountered (PDU breakers are checked before the DC breaker, as a
 // PDU trip blacks out its group first in a real facility). A lockstep run
 // of the flow is stepped once; its other members follow the first, and the
-// DC load still adds each member's load in group order.
-func (t *Tree) Step(f Flow, dt time.Duration) error {
+// DC load still adds each member's load in group order. The flow's runs
+// become the tree's Runs.
+func (t *Tree) Step(f *Flow, dt time.Duration) error {
 	if len(f.PDUServer) != len(t.PDUs) || len(f.PDUUPS) != len(t.PDUs) {
 		return fmt.Errorf("power: flow width %d/%d, want %d", len(f.PDUServer), len(f.PDUUPS), len(t.PDUs))
 	}
@@ -236,6 +279,8 @@ func (t *Tree) Step(f Flow, dt time.Duration) error {
 	if err := t.DCBreaker.Step(dcLoad+f.Cooling, dt); err != nil && firstErr == nil {
 		firstErr = err
 	}
+	copy(t.runs, f.Runs)
+	t.clean = t.changes
 	return firstErr
 }
 
@@ -243,6 +288,11 @@ func (t *Tree) Step(f Flow, dt time.Duration) error {
 // Battery.Discharge and one Breaker.Step each, rather than copied from a
 // lockstep neighbour: a deterministic count of the tree's physics work.
 func (t *Tree) GroupSteps() int { return t.groupSteps }
+
+// Comparisons returns how many pairs of neighbouring groups Partition has
+// compared, one Breaker.Lockstep and one Battery.Lockstep each: a
+// deterministic count of the partition's work.
+func (t *Tree) Comparisons() int { return t.comparisons }
 
 // Tripped reports whether any breaker in the tree has opened.
 func (t *Tree) Tripped() bool {
@@ -275,9 +325,10 @@ func (t *Tree) StoredUPSEnergy() units.Joules {
 }
 
 // UPSSoC returns the fleet-aggregate battery state of charge in [0, 1].
-// runs are lockstep runs that still hold (see Partition): each run's first
-// battery is read once and counted for every member, in group order.
-func (t *Tree) UPSSoC(runs []int) float64 {
+// Each of Runs' runs has its first battery read once and counted for every
+// member, in group order.
+func (t *Tree) UPSSoC() float64 {
+	runs := t.Runs()
 	var stored, total units.Joules
 	for g := 0; g < len(t.PDUs); {
 		end := runs[g]
@@ -295,9 +346,10 @@ func (t *Tree) UPSSoC(runs []int) float64 {
 }
 
 // MaxStress returns the worst thermal accumulator across the DC and PDU
-// breakers (1.0 trips). runs are lockstep runs that still hold: each run's
-// first breaker speaks for the run.
-func (t *Tree) MaxStress(runs []int) float64 {
+// breakers (1.0 trips). The first breaker of each of Runs' runs speaks for
+// the run.
+func (t *Tree) MaxStress() float64 {
+	runs := t.Runs()
 	stress := t.DCBreaker.Accumulator()
 	for g := 0; g < len(t.PDUs); g = runs[g] {
 		if acc := t.PDUs[g].Breaker.Accumulator(); acc > stress {

@@ -128,7 +128,7 @@ func TestStepNormalOperation(t *testing.T) {
 	// Peak normal: 11 kW per PDU group plus cooling 55 kW x (PUE-1).
 	f := uniformFlow(tree, 11000, 0, 29150)
 	for i := 0; i < 600; i++ {
-		if err := tree.Step(f, time.Second); err != nil {
+		if err := tree.Step(&f, time.Second); err != nil {
 			t.Fatalf("trip at peak normal load after %d s: %v", i, err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestStepPDUTripsOnSustainedOverload(t *testing.T) {
 	var err error
 	secs := 0
 	for ; secs < 300; secs++ {
-		if err = tree.Step(f, time.Second); err != nil {
+		if err = tree.Step(&f, time.Second); err != nil {
 			break
 		}
 	}
@@ -167,7 +167,7 @@ func TestUPSReducesPDULoad(t *testing.T) {
 	f := uniformFlow(tree, 22000, 9000, 0)
 	start := tree.StoredUPSEnergy()
 	for i := 0; i < 60; i++ {
-		if err := tree.Step(f, time.Second); err != nil {
+		if err := tree.Step(&f, time.Second); err != nil {
 			t.Fatalf("tripped despite UPS support: %v", err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestUPSShortfallFallsBackToPDU(t *testing.T) {
 	// Drain the batteries completely first.
 	f := uniformFlow(tree, 22000, 100000, 0)
 	for tree.StoredUPSEnergy() > 0 {
-		_ = tree.Step(f, time.Second)
+		_ = tree.Step(&f, time.Second)
 		if tree.Tripped() {
 			break
 		}
@@ -195,7 +195,7 @@ func TestUPSShortfallFallsBackToPDU(t *testing.T) {
 	var err error
 	secs := 0
 	for ; secs < 300; secs++ {
-		if err = tree.Step(f, time.Second); err != nil {
+		if err = tree.Step(&f, time.Second); err != nil {
 			break
 		}
 	}
@@ -213,7 +213,7 @@ func TestDCBreakerCarriesUPSShortfall(t *testing.T) {
 	// 4 kW planned on every group's battery; group 0's string is dead, so
 	// its 4 kW lands on its PDU feed and must reach the DC feed too.
 	f := uniformFlow(tree, 13000, 4000, 6000)
-	if err := tree.Step(f, time.Second); err != nil {
+	if err := tree.Step(&f, time.Second); err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	var pduSum units.Watts
@@ -234,12 +234,12 @@ func TestDCBreakerCarriesUPSShortfall(t *testing.T) {
 func TestStepFlowWidthMismatch(t *testing.T) {
 	tree := newTree(t, testConfig())
 	f := Flow{PDUServer: make([]units.Watts, 2), PDUUPS: make([]units.Watts, 2), Runs: singles(2)}
-	if err := tree.Step(f, time.Second); err == nil {
+	if err := tree.Step(&f, time.Second); err == nil {
 		t.Fatal("width mismatch accepted")
 	}
 	f = uniformFlow(tree, 0, 0, 0)
 	f.Runs = f.Runs[:2]
-	if err := tree.Step(f, time.Second); err == nil {
+	if err := tree.Step(&f, time.Second); err == nil {
 		t.Fatal("runs width mismatch accepted")
 	}
 }
@@ -252,7 +252,7 @@ func TestDCBreakerSeesCooling(t *testing.T) {
 	var tripped error
 	secs := 0
 	for ; secs < 600; secs++ {
-		if tripped = tree.Step(f, time.Second); tripped != nil {
+		if tripped = tree.Step(&f, time.Second); tripped != nil {
 			break
 		}
 	}
@@ -272,7 +272,7 @@ func TestDCBreakerSeesCooling(t *testing.T) {
 func TestReset(t *testing.T) {
 	tree := newTree(t, testConfig())
 	f := uniformFlow(tree, 80000, 0, 0) // magnetic trip on PDUs
-	_ = tree.Step(f, time.Second)
+	_ = tree.Step(&f, time.Second)
 	if !tree.Tripped() {
 		t.Fatal("setup: expected trip")
 	}
@@ -284,7 +284,7 @@ func TestReset(t *testing.T) {
 
 func TestUPSSoC(t *testing.T) {
 	tree := newTree(t, testConfig())
-	if got := tree.UPSSoC(singles(len(tree.PDUs))); got != 1 {
+	if got := tree.UPSSoC(); got != 1 {
 		t.Fatalf("fresh SoC = %v, want 1", got)
 	}
 	// Drain every group to half charge (respecting the power limit).
@@ -295,7 +295,7 @@ func TestUPSSoC(t *testing.T) {
 			}
 		}
 	}
-	if got := tree.UPSSoC(singles(len(tree.PDUs))); math.Abs(got-0.5) > 0.02 {
+	if got := tree.UPSSoC(); math.Abs(got-0.5) > 0.02 {
 		t.Fatalf("half SoC = %v, want ~0.5", got)
 	}
 }
@@ -366,9 +366,9 @@ func TestStepRunsMatchesEveryGroup(t *testing.T) {
 				f.PDUServer[m], f.PDUUPS[m] = server, ups
 			}
 		}
-		errRun := byRun.Step(f, time.Second)
+		errRun := byRun.Step(&f, time.Second)
 		f.Runs = singles(10)
-		errGroup := byGroup.Step(f, time.Second)
+		errGroup := byGroup.Step(&f, time.Second)
 		if fmt.Sprint(errRun) != fmt.Sprint(errGroup) {
 			t.Fatalf("tick %d: errors %v and %v", tick, errRun, errGroup)
 		}
@@ -382,10 +382,10 @@ func TestStepRunsMatchesEveryGroup(t *testing.T) {
 		if byRun.DCBreaker.State() != byGroup.DCBreaker.State() {
 			t.Fatalf("tick %d: DC breakers %+v and %+v", tick, byRun.DCBreaker.State(), byGroup.DCBreaker.State())
 		}
-		if a, b := byRun.UPSSoC(runs), byGroup.UPSSoC(singles(10)); a != b {
+		if a, b := byRun.UPSSoC(), byGroup.UPSSoC(); a != b {
 			t.Fatalf("tick %d: state of charge %v over runs, %v over groups", tick, a, b)
 		}
-		if a, b := byRun.MaxStress(runs), byGroup.MaxStress(singles(10)); a != b {
+		if a, b := byRun.MaxStress(), byGroup.MaxStress(); a != b {
 			t.Fatalf("tick %d: stress %v over runs, %v over groups", tick, a, b)
 		}
 		if errRun != nil {

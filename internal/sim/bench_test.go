@@ -139,7 +139,7 @@ func TestEngineSnapshotBytes(t *testing.T) {
 // SyntheticYahoo(1, 3.2, 15m) on the default plant, 1800 one-second ticks
 // of idle, burst and recovery. ticks/s is the steady-state planning and
 // physics throughput; allocs/op is the run's setup and history cost, which
-// TestRunReferenceAllocs holds at 89: Finish hands the engine's series to
+// TestRunReferenceAllocs holds at 81: Finish hands the engine's series to
 // the Result without copying them.
 func BenchmarkRunReference(b *testing.B) {
 	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
@@ -184,7 +184,7 @@ func TestRunReferenceAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const maxAllocs = 89
+	const maxAllocs = 81
 	defer noGC()()
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Run(Scenario{Trace: tr}); err != nil {

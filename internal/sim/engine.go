@@ -334,7 +334,7 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) error {
 	if sc.Supply != nil || supFrac < 1 {
 		in.SupplyLimit = units.Watts(supFrac) * e.p.tree.DCBreaker.Rated
 	}
-	*dec = e.p.ctl.TickInput(in, step)
+	e.p.ctl.TickInput(in, step, dec)
 	tick := dec
 	if len(e.required) == cap(e.required) {
 		e.growSeries()
@@ -346,7 +346,7 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) error {
 	e.pduLoad = append(e.pduLoad, float64(tick.PDULoad))
 	e.upsPower = append(e.upsPower, float64(tick.UPSPower))
 	e.genPower = append(e.genPower, float64(tick.GenPower))
-	e.upsSoC = append(e.upsSoC, e.p.tree.UPSSoC(e.p.ctl.Runs()))
+	e.upsSoC = append(e.upsSoC, e.p.tree.UPSSoC())
 	e.coolPower = append(e.coolPower, float64(tick.CoolingPower))
 	e.tesRate = append(e.tesRate, float64(tick.TESHeatRate))
 	e.roomTemp = append(e.roomTemp, float64(tick.RoomTemp))
@@ -377,7 +377,7 @@ func (e *Engine) stepInto(demand float64, dec *TickDecision) error {
 
 // breakerStress returns the worst thermal accumulator across the DC and PDU
 // breakers (1.0 trips), reading each lockstep run the last tick left once.
-func (e *Engine) breakerStress() float64 { return e.p.tree.MaxStress(e.p.ctl.Runs()) }
+func (e *Engine) breakerStress() float64 { return e.p.tree.MaxStress() }
 
 // growSeries doubles the telemetry accumulators' capacity once a streaming
 // session outlives its current buffers, and gives a new streaming engine
@@ -431,7 +431,7 @@ func (e *Engine) plantSample(stress float64) PlantSample {
 	}
 	if e.i == 0 {
 		s.RoomTempC = float64(e.p.room.State().Temp)
-		s.UPSSoC = e.p.tree.UPSSoC(e.p.ctl.Runs())
+		s.UPSSoC = e.p.tree.UPSSoC()
 		return s
 	}
 	i := e.i - 1

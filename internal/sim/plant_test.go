@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"dcsprint/internal/units"
 )
 
 // samplePlant retains every PlantSample it receives.
@@ -192,8 +194,9 @@ func TestPlantProbeIdenticalResults(t *testing.T) {
 // TestScansAfterDeadTickReadEveryGroup kills an uncontrolled facility whose
 // ten PDU groups step as one lockstep run, fades one battery in the middle
 // of that run and steps once more. The dead tick steps no flow, so the
-// lockstep runs it leaves must not stand for the faded group: the recorded
-// state of charge and Plant's must equal a scan of every group.
+// lockstep runs the dying tick left must not stand for the faded group:
+// the recorded state of charge and Plant's must equal a scan of every
+// group.
 func TestScansAfterDeadTickReadEveryGroup(t *testing.T) {
 	eng, err := New(Scenario{Name: "dead", Uncontrolled: true})
 	if err != nil {
@@ -216,18 +219,19 @@ func TestScansAfterDeadTickReadEveryGroup(t *testing.T) {
 			t.Fatalf("Step %d: %v", eng.Tick(), err)
 		}
 	}
-	if runs := eng.p.ctl.Runs(); runs[0] != len(runs) {
+	if runs := tree.Runs(); runs[0] != len(runs) {
 		t.Fatalf("the dying tick left runs %v, want one run of every group", runs)
 	}
 	tree.PDUs[4].UPS.Fade(0.5)
 	if _, err := eng.Step(3); err != nil {
 		t.Fatalf("Step after death: %v", err)
 	}
-	singles := make([]int, len(tree.PDUs))
-	for g := range singles {
-		singles[g] = g + 1
+	var stored, total units.Joules
+	for _, p := range tree.PDUs {
+		stored += p.UPS.Stored()
+		total += p.UPS.TotalEnergy()
 	}
-	want := tree.UPSSoC(singles)
+	want := float64(stored) / float64(total)
 	if got := eng.upsSoC[len(eng.upsSoC)-1]; got != want {
 		t.Fatalf("recorded state of charge %v, want %v from every group", got, want)
 	}

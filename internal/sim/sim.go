@@ -227,8 +227,9 @@ func Run(sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var dec TickDecision
 	for _, demand := range eng.sc.Trace.Samples {
-		if _, err := eng.Step(demand); err != nil {
+		if err := eng.stepInto(demand, &dec); err != nil {
 			return nil, err
 		}
 	}

@@ -57,5 +57,6 @@ func (b *Battery) SetState(s State) error {
 	b.stored = s.Stored
 	b.discharged = s.Discharged
 	b.failed = s.Failed
+	b.changed()
 	return nil
 }

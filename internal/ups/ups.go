@@ -89,6 +89,10 @@ type Battery struct {
 	stored     units.Joules // current stored energy
 	discharged units.Joules // lifetime total drained, for cycle accounting
 	failed     bool         // a failed string delivers and accepts nothing
+
+	// changes, when set, counts the changes made by Fail, Fade and
+	// SetState (see TrackChanges).
+	changes *uint64
 }
 
 // New returns a fully charged battery.
@@ -171,6 +175,20 @@ func (b *Battery) Follow(o *Battery) {
 	b.stored, b.discharged = o.stored, o.discharged
 }
 
+// TrackChanges makes every later Fail, Fade and SetState add one to *n: the
+// changes a lockstep neighbour does not see (see Lockstep), which a power
+// tree counts to know when its lockstep runs may no longer hold. Discharge,
+// Recharge and Follow, which a tree applies to a whole run alike, are not
+// counted.
+func (b *Battery) TrackChanges(n *uint64) { b.changes = n }
+
+// changed counts one change for TrackChanges.
+func (b *Battery) changed() {
+	if b.changes != nil {
+		*b.changes++
+	}
+}
+
 // Discharge drains the battery to deliver the requested power for dt and
 // returns the power actually delivered, which may be lower when the battery
 // is empty or power-limited. Requests that are not positive deliver zero.
@@ -224,6 +242,7 @@ func (b *Battery) Recharge(request units.Watts, dt time.Duration) units.Watts {
 func (b *Battery) Fail() {
 	b.failed = true
 	b.stored = 0
+	b.changed()
 }
 
 // Failed reports whether the string has been killed by Fail.
@@ -244,6 +263,7 @@ func (b *Battery) Fade(frac float64) {
 	if b.stored > b.TotalEnergy() {
 		b.stored = b.TotalEnergy()
 	}
+	b.changed()
 }
 
 // MaxOutputAtSoC returns the greatest power the battery could deliver for
