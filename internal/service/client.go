@@ -426,6 +426,7 @@ type Stream struct {
 	br      *bufio.Reader // resp.Body, read a line at a time
 	buf     []byte        // the outgoing line, reused
 	line    StepLine      // the incoming line, reused
+	dec     stepDecoder   // the incoming lines' memo; a resumed stream starts empty
 	c       *Client
 	session string
 	lastRID string
@@ -698,7 +699,7 @@ func (s *Stream) stepRaw(demand float64, rid string) (Decision, error) {
 		return Decision{}, err
 	}
 	line := &s.line
-	if err := decodeStepLine(raw, line); err != nil {
+	if err := s.dec.decodeStepLine(raw, line); err != nil {
 		return Decision{}, err
 	}
 	if line.Err != "" {

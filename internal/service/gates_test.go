@@ -15,35 +15,37 @@ import (
 )
 
 // stepWireRoundTrip is one lockstep round trip's codec work with reused
-// buffers: encode and decode a request line, then a decision line.
+// buffers: encode and decode a request line, then a decision line. Calls
+// walk the seed-1 reference session's 1,800 lines in order through one
+// stream's memos, and start a new stream, with empty memos, at its end.
 func stepWireRoundTrip(tb testing.TB) func() {
-	seq := int64(901)
-	req := StepRequest{Demand: 3.2000000000000006, Seq: &seq, RID: "t4a1b2c3d4e5f60718.902"}
-	line := StepLine{RID: req.RID, Decision: &Decision{
-		Tick: 901, Demand: 3.2000000000000006, Delivered: 2.2870318612157416, Degree: 1.6285714285714286,
-		Bound: 2.0514285714285713, Phase: 2, ActiveCores: 3257, ITPowerW: 488413.2857142857,
-		CoolingPowerW: 138245.37142857144, DCLoadW: 626658.6571428571, PDULoadW: 48841.32857142857,
-		UPSPowerW: 43275.87, GenPowerW: 0, TESHeatRateW: 12345.678, RoomTempC: 24.99999999,
-	}}
+	reqs, lines := refStepLines(tb)
 	var (
-		buf     []byte
-		gotReq  StepRequest
-		gotLine StepLine
-		err     error
+		buf         []byte
+		enc         stepEncoder
+		reqDec, dec stepDecoder
+		gotReq      StepRequest
+		gotLine     StepLine
+		err         error
+		i           int
 	)
 	return func() {
-		if buf, err = appendStepRequest(buf[:0], &req); err != nil {
+		if i == len(lines) {
+			i, enc, reqDec, dec = 0, stepEncoder{}, stepDecoder{}, stepDecoder{}
+		}
+		if buf, err = appendStepRequest(buf[:0], &reqs[i]); err != nil {
 			tb.Fatal(err)
 		}
-		if err = decodeStepRequest(buf[:len(buf)-1], &gotReq); err != nil {
+		if err = reqDec.decodeStepRequest(buf[:len(buf)-1], &gotReq); err != nil {
 			tb.Fatal(err)
 		}
-		if buf, err = appendStepLine(buf[:0], &line); err != nil {
+		if buf, err = enc.appendStepLine(buf[:0], &lines[i]); err != nil {
 			tb.Fatal(err)
 		}
-		if err = decodeStepLine(buf[:len(buf)-1], &gotLine); err != nil {
+		if err = dec.decodeStepLine(buf[:len(buf)-1], &gotLine); err != nil {
 			tb.Fatal(err)
 		}
+		i++
 	}
 }
 
@@ -51,6 +53,7 @@ func stepWireRoundTrip(tb testing.TB) func() {
 func BenchmarkStepWire(b *testing.B) {
 	roundTrip := stepWireRoundTrip(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		roundTrip()
 	}

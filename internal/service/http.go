@@ -289,16 +289,19 @@ func (m *Manager) handleSteps(w http.ResponseWriter, r *http.Request) {
 		func(context.Context) { m.stepLoop(w, r, rc, id, tc) })
 }
 
-// stepLoop serves a steps stream's lines after the greeting.
+// stepLoop serves a steps stream's lines after the greeting. The stream's
+// encoder and decoder memos live and die with it.
 func (m *Manager) stepLoop(w http.ResponseWriter, r *http.Request, rc *http.ResponseController, id string, tc TraceContext) {
 	br := newLineReader(r.Body)
 	var (
 		in  StepRequest
 		buf []byte
+		enc stepEncoder
+		dec stepDecoder
 	)
 	send := func(l *StepLine) bool {
 		var err error
-		if buf, err = appendStepLine(buf[:0], l); err != nil {
+		if buf, err = enc.appendStepLine(buf[:0], l); err != nil {
 			return false
 		}
 		if _, err = w.Write(buf); err != nil {
@@ -309,7 +312,7 @@ func (m *Manager) stepLoop(w http.ResponseWriter, r *http.Request, rc *http.Resp
 	for {
 		raw, err := readLine(br)
 		if err == nil {
-			err = decodeStepRequest(raw, &in)
+			err = dec.decodeStepRequest(raw, &in)
 		} else if !errors.Is(err, errStepLineTooLong) {
 			// EOF is the client closing its side; anything else is a
 			// broken connection — either way the stream is over.

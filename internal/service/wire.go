@@ -22,7 +22,16 @@ import (
 // encoding/json's Encoder would, so the wire format is encoding/json's.
 // Decoding scans the shapes those encoders emit — scalars, strings,
 // number arrays, the known keys in any order — and hands every other
-// input to json.Unmarshal, which stays the reference semantics.
+// input to json.Unmarshal, which stays the reference semantics. The
+// scanner predicts each object's keys in the order its encoder writes
+// them, so a canonical line is walked without scanning a key.
+//
+// A steps stream's lines repeat most of their float fields from one tick
+// to the next, so each end of a stream keeps a memo of the last line's
+// float fields: the server's stepEncoder copies the bytes it wrote for an
+// unchanged value, and a stepDecoder reuses the value of an unchanged
+// literal. A memo is working state for one direction of one stream; snapshots
+// never see it, and a new stream starts with an empty one.
 
 // maxStepLine caps one line of the steps stream, newline included. A
 // canonical request is under 100 bytes and a decision line under 500.
@@ -86,10 +95,86 @@ func appendStepRequest(b []byte, in *StepRequest) ([]byte, error) {
 	return append(b, '}', '\n'), nil
 }
 
-// appendStepLine appends l's NDJSON line, newline included: the embedded
-// Decision's fields first, then the line's own, as encoding/json orders an
-// embedded struct.
-func appendStepLine(b []byte, l *StepLine) ([]byte, error) {
+// The keys of a decision or error line, in the order appendStepLine writes
+// them: the embedded Decision's fields first, then the line's own, as
+// encoding/json orders an embedded struct. A float key's index is also its
+// slot in a stream's memo.
+const (
+	keyTick = iota
+	keyDemand
+	keyDelivered
+	keyDegree
+	keyBound
+	keyPhase
+	keyActiveCores
+	keyITPowerW
+	keyCoolingPowerW
+	keyDCLoadW
+	keyPDULoadW
+	keyUPSPowerW
+	keyGenPowerW
+	keyTESHeatRateW
+	keyRoomTempC
+	keyTripped
+	keyDead
+	keyRID
+	keyError
+	keyCode
+	keyRetryAfterMs
+)
+
+var stepLineKeys = []string{
+	keyTick: "tick", keyDemand: "demand", keyDelivered: "delivered", keyDegree: "degree",
+	keyBound: "bound", keyPhase: "phase", keyActiveCores: "active_cores", keyITPowerW: "it_power_w",
+	keyCoolingPowerW: "cooling_power_w", keyDCLoadW: "dc_load_w", keyPDULoadW: "pdu_load_w",
+	keyUPSPowerW: "ups_power_w", keyGenPowerW: "gen_power_w", keyTESHeatRateW: "tes_heat_rate_w",
+	keyRoomTempC: "room_temp_c", keyTripped: "tripped", keyDead: "dead", keyRID: "rid",
+	keyError: "error", keyCode: "code", keyRetryAfterMs: "retry_after_ms",
+}
+
+// The keys of a request line, in the order appendStepRequest writes them.
+const (
+	reqDemand = iota
+	reqSeq
+	reqRID
+)
+
+var stepRequestKeys = []string{reqDemand: "demand", reqSeq: "seq", reqRID: "rid"}
+
+// memoLit is the longest literal a memo slot holds. appendFloat writes at
+// most 25 bytes (-0.0000010000000000000002); a longer literal, which only a
+// non-canonical line carries, is parsed every time it comes.
+const memoLit = 31
+
+// memoSlot pairs a float field's last value with the literal that carried
+// it. Each slot is consistent on its own, so a line that fails halfway
+// leaves the memo correct for the lines after it.
+type memoSlot struct {
+	f   float64
+	n   uint8 // the literal's length; 0 while the slot is empty
+	lit [memoLit]byte
+}
+
+// stepEncoder is the encoder's memo for one steps stream: the bytes
+// appendFloat wrote for each float field of the last line. A field whose
+// value has the same bits copies them instead of being formatted again.
+type stepEncoder struct {
+	last [keyRoomTempC + 1]memoSlot
+	hits int // fields copied from the memo; only tests read it
+}
+
+// stepDecoder is the decoder's memo for one steps stream: each float
+// field's last literal and its value. A field whose literal repeats takes
+// that value instead of being parsed again. The literals are the input's
+// and need not be canonical (1.50), so a decoder's memo never feeds an
+// encoder.
+type stepDecoder struct {
+	last [keyRoomTempC + 1]memoSlot
+	hits int // fields taken from the memo; only tests read it
+}
+
+// appendStepLine appends l's NDJSON line, newline included.
+func (e *stepEncoder) appendStepLine(b []byte, l *StepLine) ([]byte, error) {
 	start := len(b)
 	b = append(b, '{')
 	if d := l.Decision; d != nil {
@@ -99,20 +184,20 @@ func appendStepLine(b []byte, l *StepLine) ([]byte, error) {
 		}
 		b = append(b, `"tick":`...)
 		b = strconv.AppendInt(b, int64(d.Tick), 10)
-		b = appendFloatField(b, "demand", d.Demand)
-		b = appendFloatField(b, "delivered", d.Delivered)
-		b = appendFloatField(b, "degree", d.Degree)
-		b = appendFloatField(b, "bound", d.Bound)
+		b = e.appendFloatField(b, keyDemand, d.Demand)
+		b = e.appendFloatField(b, keyDelivered, d.Delivered)
+		b = e.appendFloatField(b, keyDegree, d.Degree)
+		b = e.appendFloatField(b, keyBound, d.Bound)
 		b = appendIntField(b, "phase", int64(d.Phase))
 		b = appendIntField(b, "active_cores", int64(d.ActiveCores))
-		b = appendFloatField(b, "it_power_w", d.ITPowerW)
-		b = appendFloatField(b, "cooling_power_w", d.CoolingPowerW)
-		b = appendFloatField(b, "dc_load_w", d.DCLoadW)
-		b = appendFloatField(b, "pdu_load_w", d.PDULoadW)
-		b = appendFloatField(b, "ups_power_w", d.UPSPowerW)
-		b = appendFloatField(b, "gen_power_w", d.GenPowerW)
-		b = appendFloatField(b, "tes_heat_rate_w", d.TESHeatRateW)
-		b = appendFloatField(b, "room_temp_c", d.RoomTempC)
+		b = e.appendFloatField(b, keyITPowerW, d.ITPowerW)
+		b = e.appendFloatField(b, keyCoolingPowerW, d.CoolingPowerW)
+		b = e.appendFloatField(b, keyDCLoadW, d.DCLoadW)
+		b = e.appendFloatField(b, keyPDULoadW, d.PDULoadW)
+		b = e.appendFloatField(b, keyUPSPowerW, d.UPSPowerW)
+		b = e.appendFloatField(b, keyGenPowerW, d.GenPowerW)
+		b = e.appendFloatField(b, keyTESHeatRateW, d.TESHeatRateW)
+		b = e.appendFloatField(b, keyRoomTempC, d.RoomTempC)
 		if d.Tripped {
 			b = append(b, `,"tripped":true`...)
 		}
@@ -291,6 +376,26 @@ func appendFloats(b []byte, fs []float64) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
+// appendFloatField appends float field k of a decision line, copying the
+// bytes written for the field last time when f has the same bits.
+func (e *stepEncoder) appendFloatField(b []byte, k int, f float64) []byte {
+	b = append(b, ',', '"')
+	b = append(b, stepLineKeys[k]...)
+	b = append(b, '"', ':')
+	m := &e.last[k]
+	if m.n > 0 && math.Float64bits(m.f) == math.Float64bits(f) {
+		e.hits++
+		return append(b, m.lit[:m.n]...)
+	}
+	start := len(b)
+	b = appendFloat(b, f)
+	if n := len(b) - start; n <= memoLit {
+		m.f, m.n = f, uint8(n)
+		copy(m.lit[:], b[start:])
+	}
+	return b
+}
+
 func appendFloatField(b []byte, k string, f float64) []byte {
 	b = append(b, ',', '"')
 	b = append(b, k...)
@@ -381,11 +486,12 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// decodeStepRequest decodes one input line into *in as json.Unmarshal
-// would into a zero StepRequest.
-func decodeStepRequest(line []byte, in *StepRequest) error {
+// decodeStepRequest decodes one input line of the stream into *in as
+// json.Unmarshal would into a zero StepRequest.
+func (dec *stepDecoder) decodeStepRequest(line []byte, in *StepRequest) error {
 	*in = StepRequest{}
-	if scanStepRequest(line, in) {
+	s := scanner{b: line}
+	if s.stepRequest(in, dec) {
 		return nil
 	}
 	*in = StepRequest{}
@@ -399,13 +505,12 @@ func malformed(err error) error {
 	return nil
 }
 
-func scanStepRequest(line []byte, in *StepRequest) bool {
-	s := scanner{b: line}
-	return s.object(func(key []byte) bool {
-		switch string(key) {
-		case "demand":
-			return s.setFloat(&in.Demand)
-		case "seq":
+func (s *scanner) stepRequest(in *StepRequest, dec *stepDecoder) bool {
+	return s.object(stepRequestKeys, func(k int) bool {
+		switch k {
+		case reqDemand:
+			return dec.setFloat(s, k, &in.Demand)
+		case reqSeq:
 			if s.lit("null") {
 				in.Seq = nil
 				return true
@@ -414,85 +519,105 @@ func scanStepRequest(line []byte, in *StepRequest) bool {
 				in.Seq = new(int64)
 			}
 			return s.setInt64(in.Seq)
-		case "rid":
+		case reqRID:
 			return s.setString(&in.RID)
 		}
 		return false
 	}) && s.end()
 }
 
-// decodeStepLine decodes one output line into *l as json.Unmarshal would
-// into a zero StepLine: any Decision key allocates the Decision, null
-// included.
-func decodeStepLine(line []byte, l *StepLine) error {
+// decodeStepLine decodes one output line of the stream into *l as
+// json.Unmarshal would into a zero StepLine: any Decision key allocates the
+// Decision, null included.
+func (dec *stepDecoder) decodeStepLine(line []byte, l *StepLine) error {
 	*l = StepLine{}
-	if scanStepLine(line, l) {
+	s := scanner{b: line}
+	if s.stepLine(l, dec) {
 		return nil
 	}
 	*l = StepLine{}
 	return malformed(json.Unmarshal(line, l))
 }
 
-func scanStepLine(line []byte, l *StepLine) bool {
-	s := scanner{b: line}
-	return s.object(func(key []byte) bool {
-		switch string(key) {
-		case "rid":
+func (s *scanner) stepLine(l *StepLine, dec *stepDecoder) bool {
+	return s.object(stepLineKeys, func(k int) bool {
+		switch k {
+		case keyRID:
 			return s.setString(&l.RID)
-		case "error":
+		case keyError:
 			return s.setString(&l.Err)
-		case "code":
+		case keyCode:
 			return s.setInt(&l.Code)
-		case "retry_after_ms":
+		case keyRetryAfterMs:
 			return s.setInt64(&l.RetryAfterMs)
 		}
 		if l.Decision == nil {
 			l.Decision = new(Decision)
 		}
-		return s.setDecisionField(key, l.Decision)
+		d := l.Decision
+		switch k {
+		case keyTick:
+			return s.setInt(&d.Tick)
+		case keyPhase:
+			return s.setInt(&d.Phase)
+		case keyActiveCores:
+			return s.setInt(&d.ActiveCores)
+		case keyTripped:
+			return s.setBool(&d.Tripped)
+		case keyDead:
+			return s.setBool(&d.Dead)
+		case keyDemand:
+			return dec.setFloat(s, k, &d.Demand)
+		case keyDelivered:
+			return dec.setFloat(s, k, &d.Delivered)
+		case keyDegree:
+			return dec.setFloat(s, k, &d.Degree)
+		case keyBound:
+			return dec.setFloat(s, k, &d.Bound)
+		case keyITPowerW:
+			return dec.setFloat(s, k, &d.ITPowerW)
+		case keyCoolingPowerW:
+			return dec.setFloat(s, k, &d.CoolingPowerW)
+		case keyDCLoadW:
+			return dec.setFloat(s, k, &d.DCLoadW)
+		case keyPDULoadW:
+			return dec.setFloat(s, k, &d.PDULoadW)
+		case keyUPSPowerW:
+			return dec.setFloat(s, k, &d.UPSPowerW)
+		case keyGenPowerW:
+			return dec.setFloat(s, k, &d.GenPowerW)
+		case keyTESHeatRateW:
+			return dec.setFloat(s, k, &d.TESHeatRateW)
+		case keyRoomTempC:
+			return dec.setFloat(s, k, &d.RoomTempC)
+		}
+		return false
 	}) && s.end()
 }
 
-// setDecisionField stores the value at the cursor into the Decision field
-// key names, or reports false for a key Decision does not have.
-func (s *scanner) setDecisionField(key []byte, d *Decision) bool {
-	switch string(key) {
-	case "tick":
-		return s.setInt(&d.Tick)
-	case "demand":
-		return s.setFloat(&d.Demand)
-	case "delivered":
-		return s.setFloat(&d.Delivered)
-	case "degree":
-		return s.setFloat(&d.Degree)
-	case "bound":
-		return s.setFloat(&d.Bound)
-	case "phase":
-		return s.setInt(&d.Phase)
-	case "active_cores":
-		return s.setInt(&d.ActiveCores)
-	case "it_power_w":
-		return s.setFloat(&d.ITPowerW)
-	case "cooling_power_w":
-		return s.setFloat(&d.CoolingPowerW)
-	case "dc_load_w":
-		return s.setFloat(&d.DCLoadW)
-	case "pdu_load_w":
-		return s.setFloat(&d.PDULoadW)
-	case "ups_power_w":
-		return s.setFloat(&d.UPSPowerW)
-	case "gen_power_w":
-		return s.setFloat(&d.GenPowerW)
-	case "tes_heat_rate_w":
-		return s.setFloat(&d.TESHeatRateW)
-	case "room_temp_c":
-		return s.setFloat(&d.RoomTempC)
-	case "tripped":
-		return s.setBool(&d.Tripped)
-	case "dead":
-		return s.setBool(&d.Dead)
+// setFloat is scanner.setFloat for float field k of a stream's line: a
+// literal that repeats the one the field carried last takes its value
+// without being parsed.
+func (dec *stepDecoder) setFloat(s *scanner, k int, dst *float64) bool {
+	m := &dec.last[k]
+	if s.repeat(m.lit[:m.n]) {
+		*dst = m.f
+		dec.hits++
+		return true
 	}
-	return false
+	if s.lit("null") {
+		return true
+	}
+	lit, f, ok := s.float()
+	if !ok {
+		return false
+	}
+	*dst = f
+	if len(lit) <= memoLit {
+		m.f, m.n = f, uint8(len(lit))
+		copy(m.lit[:], lit)
+	}
+	return true
 }
 
 // decodeResultView decodes a finish reply into *v as json.Unmarshal would
@@ -506,14 +631,26 @@ func decodeResultView(data []byte, v *ResultView) error {
 	return json.Unmarshal(data, v)
 }
 
+// The keys of a finish reply's objects, in the order appendResultView
+// writes them.
+var (
+	resultViewKeys = []string{"name", "step_ns", "ticks", "avg_burst_performance", "improvement",
+		"sprint_sustained_ns", "tripped_at_ns", "dead", "aborts", "max_breaker_stress", "excess_served",
+		"faults_applied", "split_ups_j", "split_tes_j", "split_cb_overload_j", "dc_rated_w", "pdu_rated_w",
+		"events", "telemetry"}
+	telemetryKeys = []string{"required", "achieved", "degree", "dc_load_w", "pdu_load_w", "ups_power_w",
+		"gen_power_w", "ups_soc", "cooling_power_w", "tes_rate_w", "room_temp_c", "phase"}
+	eventKeys = []string{"time_ns", "kind", "name", "detail", "from", "to"}
+)
+
 // scanResultView accepts the shape appendResultView writes, with its keys
 // in any order and any whitespace. A second "events" key is left to
 // json.Unmarshal, which decodes it into the first one's elements.
 func scanResultView(data []byte, v *ResultView) bool {
 	s := scanner{b: data}
 	events := false
-	return s.object(func(key []byte) bool {
-		switch string(key) {
+	return s.object(resultViewKeys, func(k int) bool {
+		switch resultViewKeys[k] {
 		case "name":
 			return s.setString(&v.Name)
 		case "step_ns":
@@ -555,16 +692,16 @@ func scanResultView(data []byte, v *ResultView) bool {
 			events = true
 			return s.setEvents(&v.Events)
 		case "telemetry":
-			return s.lit("null") || s.object(func(key []byte) bool {
-				return s.setTelemetryField(key, &v.Telemetry)
+			return s.lit("null") || s.object(telemetryKeys, func(k int) bool {
+				return s.setTelemetryField(telemetryKeys[k], &v.Telemetry)
 			})
 		}
 		return false
 	}) && s.end()
 }
 
-func (s *scanner) setTelemetryField(key []byte, t *TelemetryView) bool {
-	switch string(key) {
+func (s *scanner) setTelemetryField(key string, t *TelemetryView) bool {
+	switch key {
 	case "required":
 		return setNumbers(s, &t.Required, parseFloat)
 	case "achieved":
@@ -603,8 +740,8 @@ func (s *scanner) setEvents(dst *[]EventView) bool {
 	ok := s.array(func() bool {
 		evs = append(evs, EventView{})
 		ev := &evs[len(evs)-1]
-		return s.object(func(key []byte) bool {
-			switch string(key) {
+		return s.object(eventKeys, func(k int) bool {
+			switch eventKeys[k] {
 			case "time_ns":
 				return s.setInt64(&ev.TimeNs)
 			case "kind":
@@ -633,6 +770,8 @@ func (s *scanner) setEvents(dst *[]EventView) bool {
 type scanner struct {
 	b []byte
 	i int
+
+	scanned int // keys found by scanning rather than by prediction; only tests read it
 }
 
 func (s *scanner) ws() {
@@ -665,9 +804,17 @@ func (s *scanner) end() bool {
 	return s.i == len(s.b)
 }
 
-// object walks an object, calling member with each key once the cursor is
-// on its value; member consumes the value.
-func (s *scanner) object(member func(key []byte) bool) bool {
+// object walks an object whose keys are among keys, calling member with
+// each key's index once the cursor is on its value; member consumes the
+// value. Any other key, or one with an escape, makes it report false.
+//
+// keys lists the keys in the order the encoder writes them, and object
+// predicts the next key from that order: it looks for it among the keys
+// after the last one, with one literal compare each, before it scans a
+// string and looks it up. So an object in that order, any of its optional
+// keys left out, is walked without scanning a key; reordered, repeated or
+// escaped keys still decode through the scan.
+func (s *scanner) object(keys []string, member func(k int) bool) bool {
 	s.ws()
 	if !s.at('{') {
 		return false
@@ -676,17 +823,18 @@ func (s *scanner) object(member func(key []byte) bool) bool {
 	if s.at('}') {
 		return true
 	}
-	for {
-		key, esc, ok := s.str()
-		if !ok || esc {
+	for next := 0; ; {
+		k := s.key(keys, next)
+		if k < 0 {
 			return false
 		}
+		next = k + 1
 		s.ws()
 		if !s.at(':') {
 			return false
 		}
 		s.ws()
-		if !member(key) {
+		if !member(k) {
 			return false
 		}
 		s.ws()
@@ -698,6 +846,39 @@ func (s *scanner) object(member func(key []byte) bool) bool {
 		}
 		s.ws()
 	}
+}
+
+// key consumes the key at the cursor and returns its index in keys, or -1
+// for a key outside keys, an escaped one or no string at all. It first
+// tries keys[next:] in order, as object predicts them.
+func (s *scanner) key(keys []string, next int) int {
+	for k := next; k < len(keys); k++ {
+		if s.quoted(keys[k]) {
+			return k
+		}
+	}
+	raw, esc, ok := s.str()
+	if !ok || esc {
+		return -1
+	}
+	s.scanned++
+	for k, key := range keys {
+		if string(raw) == key {
+			return k
+		}
+	}
+	return -1
+}
+
+// quoted consumes the string "key" if it is next.
+func (s *scanner) quoted(key string) bool {
+	rest := s.b[s.i:]
+	n := len(key) + 2
+	if len(rest) < n || rest[0] != '"' || rest[n-1] != '"' || string(rest[1:n-1]) != key {
+		return false
+	}
+	s.i += n
+	return true
 }
 
 // array walks an array, calling elem with the cursor on each element;
@@ -856,16 +1037,21 @@ func (s *scanner) setFloat(dst *float64) bool {
 	if s.lit("null") {
 		return true
 	}
+	_, f, ok := s.float()
+	if ok {
+		*dst = f
+	}
+	return ok
+}
+
+// float consumes a number and returns its literal and its value.
+func (s *scanner) float() ([]byte, float64, bool) {
 	lit, ok := s.number()
 	if !ok {
-		return false
+		return nil, 0, false
 	}
 	f, err := parseFloat(lit)
-	if err != nil {
-		return false
-	}
-	*dst = f
-	return true
+	return lit, f, err == nil
 }
 
 func (s *scanner) setInt64(dst *int64) bool {
@@ -953,10 +1139,7 @@ func setNumbers[T float64 | int](s *scanner, dst *[]T, parse func([]byte) (T, er
 		x    T
 	)
 	for {
-		if rest := s.b[s.i:]; len(prev) > 0 && bytes.HasPrefix(rest, prev) &&
-			(len(rest) == len(prev) || !numberByte(rest[len(prev)])) {
-			s.i += len(prev)
-		} else {
+		if !s.repeat(prev) {
 			lit, ok := s.number()
 			if !ok {
 				return false
@@ -978,6 +1161,17 @@ func setNumbers[T float64 | int](s *scanner, dst *[]T, parse func([]byte) (T, er
 		}
 		s.ws()
 	}
+}
+
+// repeat consumes the number literal prev if it is next, whole: followed
+// by a byte that cannot continue a number, or by nothing.
+func (s *scanner) repeat(prev []byte) bool {
+	rest := s.b[s.i:]
+	if len(prev) == 0 || !bytes.HasPrefix(rest, prev) || len(rest) > len(prev) && numberByte(rest[len(prev)]) {
+		return false
+	}
+	s.i += len(prev)
+	return true
 }
 
 // numberByte reports whether c can continue a number literal.

@@ -90,43 +90,103 @@ func randStepLine(rng *rand.Rand) StepLine {
 	return l
 }
 
+// decisionFloats returns pointers to d's float fields, in wire order.
+func decisionFloats(d *Decision) [12]*float64 {
+	return [...]*float64{&d.Demand, &d.Delivered, &d.Degree, &d.Bound, &d.ITPowerW, &d.CoolingPowerW,
+		&d.DCLoadW, &d.PDULoadW, &d.UPSPowerW, &d.GenPowerW, &d.TESHeatRateW, &d.RoomTempC}
+}
+
+// decodePredicted decodes a line the codec wrote through dec, failing
+// unless it takes the predicted path: every key matched in encoder order,
+// no key scanned and no fallback to json.Unmarshal. A silent fallback
+// would keep every decoded value right and lose the speed.
+func decodePredicted(t *testing.T, line []byte, l *StepLine, dec *stepDecoder) {
+	t.Helper()
+	*l = StepLine{}
+	s := scanner{b: line}
+	if !s.stepLine(l, dec) || s.scanned != 0 {
+		t.Fatalf("line %s left the predicted path (%d keys scanned)", line, s.scanned)
+	}
+}
+
 // TestStepWireMatchesEncoder is the byte-identity property: for random
 // decision lines (tripped, dead and error lines included) and request
 // lines, the codec writes exactly what json.Encoder writes, errors where
-// it errors, and decodes its own output back to the same value.
+// it errors, and decodes its own output back to the same value. The lines
+// run as one stream, through one encoder and one decoder memo per
+// direction: two lines in three repeat some of the previous line's floats
+// or flip a zero's sign, and a NaN or Inf line every 500 must error and
+// leave the memo as it was for the lines after it.
 func TestStepWireMatchesEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	var buf []byte
+	var (
+		buf            []byte
+		enc            stepEncoder
+		dec, reqDec    stepDecoder
+		good           *Decision // the last decision the encoder wrote
+		afterBad       bool
+		prevDemand     float64
+		repeats, flips int
+	)
 	for i := 0; i < 20000; i++ {
 		l := randStepLine(rng)
-		if i%500 == 0 && l.Decision != nil {
-			l.Decision.RoomTempC = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i/500%3]
+		if d := l.Decision; d != nil && good != nil {
+			fs, prev := decisionFloats(d), decisionFloats(good)
+			for j := range fs {
+				switch r := rng.Intn(6); {
+				case afterBad, r < 2:
+					*fs[j] = *prev[j]
+					repeats++
+				case r == 2:
+					*fs[j] = math.Copysign(0, -math.Copysign(1, *prev[j]))
+					flips++
+				}
+			}
+			if i%500 == 0 {
+				d.RoomTempC = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i/500%3]
+			}
 		}
 		want, werr := encoderLine(l)
+		hits := enc.hits
 		var err error
-		buf, err = appendStepLine(buf[:0], &l)
+		buf, err = enc.appendStepLine(append(buf[:0], "x"...), &l)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("line %+v: codec err %v, encoder err %v", l, err, werr)
 		}
 		if err != nil {
+			if string(buf) != "x" || enc.hits != hits {
+				t.Fatalf("line %+v: the failed encode left %q and %d memo hits, want the buffer as it was", l, buf, enc.hits-hits)
+			}
+			// The next line repeats the last good one, so its every float
+			// must come from the memo the failed line left alone.
+			afterBad = true
 			continue
 		}
+		buf = buf[1:]
 		if !bytes.Equal(buf, want) {
 			t.Fatalf("step line differs from json.Encoder:\n got %s\nwant %s", buf, want)
 		}
-		var back StepLine
-		if err := decodeStepLine(buf, &back); err != nil {
-			t.Fatalf("decode %s: %v", buf, err)
+		if afterBad && l.Decision != nil && good != nil {
+			if got := enc.hits - hits; got != 12 {
+				t.Fatalf("line %s after a failed line: %d of 12 floats from the memo", buf, got)
+			}
+			afterBad = false
 		}
+		if l.Decision != nil {
+			good = l.Decision
+		}
+		var back StepLine
+		decodePredicted(t, buf, &back, &dec)
 		var ref StepLine
 		if err := json.Unmarshal(buf, &ref); err != nil {
 			t.Fatalf("unmarshal %s: %v", buf, err)
 		}
-		if !reflect.DeepEqual(back, ref) {
-			t.Fatalf("decode %s:\n got %+v\nwant %+v", buf, back, ref)
-		}
+		sameWireValue(t, buf, back, ref)
 
 		in := StepRequest{Demand: randFloat(rng), RID: randWireString(rng)}
+		if rng.Intn(2) == 0 {
+			in.Demand = prevDemand
+		}
 		if rng.Intn(4) > 0 {
 			seq := rng.Int63n(1<<40) - 2
 			in.Seq = &seq
@@ -139,9 +199,112 @@ func TestStepWireMatchesEncoder(t *testing.T) {
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("request %+v: codec err %v, encoder err %v", in, err, werr)
 		}
-		if err == nil && !bytes.Equal(buf, want) {
+		if err != nil {
+			continue
+		}
+		if !bytes.Equal(buf, want) {
 			t.Fatalf("step request differs from json.Encoder:\n got %s\nwant %s", buf, want)
 		}
+		prevDemand = in.Demand
+		var backIn, refIn StepRequest
+		s := scanner{b: buf}
+		if !s.stepRequest(&backIn, &reqDec) || s.scanned != 0 {
+			t.Fatalf("request %s left the predicted path", buf)
+		}
+		if err := json.Unmarshal(buf, &refIn); err != nil {
+			t.Fatalf("unmarshal %s: %v", buf, err)
+		}
+		sameWireValue(t, buf, backIn, refIn)
+	}
+	if enc.hits == 0 || dec.hits != enc.hits || reqDec.hits == 0 {
+		t.Fatalf("memo hits: encoder %d, decoder %d, request decoder %d; want the decoders' equal to the encoder's and none 0",
+			enc.hits, dec.hits, reqDec.hits)
+	}
+	t.Logf("%d repeated floats, %d zero flips; %d memo hits per direction, %d on requests", repeats, flips, enc.hits, reqDec.hits)
+}
+
+// refStepLines returns the seed-1 reference session's 1,800 request and
+// decision lines, in order: the default plant stepped through the samples
+// of SyntheticYahoo(1, 3.2, 15m), each line with a client's request id.
+func refStepLines(tb testing.TB) ([]StepRequest, []StepLine) {
+	tb.Helper()
+	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
+	if err != nil {
+		tb.Fatalf("SyntheticYahoo: %v", err)
+	}
+	sc, err := ScenarioSpec{}.Build()
+	if err != nil {
+		tb.Fatalf("Build: %v", err)
+	}
+	eng, err := sim.New(sc)
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	n := len(tr.Samples)
+	reqs, lines := make([]StepRequest, n), make([]StepLine, n)
+	seqs, decs := make([]int64, n), make([]Decision, n)
+	for i, demand := range tr.Samples {
+		td, err := eng.Step(demand)
+		if err != nil {
+			tb.Fatalf("Step %d: %v", i, err)
+		}
+		rid := fmt.Sprintf("t4a1b2c3d4e5f60718.%d", i+1)
+		seqs[i], decs[i] = int64(i), decisionOf(i, td)
+		reqs[i] = StepRequest{Demand: demand, Seq: &seqs[i], RID: rid}
+		lines[i] = StepLine{Decision: &decs[i], RID: rid}
+	}
+	return reqs, lines
+}
+
+// TestStepMemoReferenceHits pins the memos' work on the reference session,
+// streamed through one encoder and one decoder per direction: a float
+// field comes from the memo exactly when its bits equal the previous
+// line's, 15,757 of the 21,600 decision fields, and every line takes the
+// predicted path and decodes to what was encoded.
+func TestStepMemoReferenceHits(t *testing.T) {
+	reqs, lines := refStepLines(t)
+	const wantHits = 15757
+	same, sameDemand := 0, 0
+	for i := 1; i < len(lines); i++ {
+		fs, prev := decisionFloats(lines[i].Decision), decisionFloats(lines[i-1].Decision)
+		for j := range fs {
+			if math.Float64bits(*fs[j]) == math.Float64bits(*prev[j]) {
+				same++
+			}
+		}
+		if math.Float64bits(reqs[i].Demand) == math.Float64bits(reqs[i-1].Demand) {
+			sameDemand++
+		}
+	}
+	var (
+		buf         []byte
+		enc         stepEncoder
+		dec, reqDec stepDecoder
+		err         error
+	)
+	for i := range lines {
+		if buf, err = appendStepRequest(buf[:0], &reqs[i]); err != nil {
+			t.Fatalf("appendStepRequest: %v", err)
+		}
+		var in StepRequest
+		s := scanner{b: buf}
+		if !s.stepRequest(&in, &reqDec) || s.scanned != 0 {
+			t.Fatalf("request %s left the predicted path", buf)
+		}
+		sameWireValue(t, buf, in, reqs[i])
+		if buf, err = enc.appendStepLine(buf[:0], &lines[i]); err != nil {
+			t.Fatalf("appendStepLine: %v", err)
+		}
+		var l StepLine
+		decodePredicted(t, buf, &l, &dec)
+		sameWireValue(t, buf, l, lines[i])
+	}
+	if enc.hits != same || dec.hits != same || reqDec.hits != sameDemand {
+		t.Fatalf("memo hits: encoder %d, decoder %d, request decoder %d; want %d bit-equal consecutive fields and %d demands",
+			enc.hits, dec.hits, reqDec.hits, same, sameDemand)
+	}
+	if same != wantHits {
+		t.Fatalf("the reference session has %d bit-equal consecutive fields, want %d", same, wantHits)
 	}
 }
 
@@ -177,10 +340,55 @@ var wireSeeds = []string{
 // every input — value and whether it errors — and an accepted request
 // re-encodes to json.Encoder's bytes, which decode and encode back to
 // themselves.
-func FuzzStepRequestWire(f *testing.F) { fuzzWire(f, decodeStepRequest, appendStepRequest) }
+func FuzzStepRequestWire(f *testing.F) {
+	fuzzWire(f, func(b []byte, in *StepRequest) error { return new(stepDecoder).decodeStepRequest(b, in) },
+		appendStepRequest)
+}
 
-// FuzzStepLineWire is FuzzStepRequestWire for decision and error lines.
-func FuzzStepLineWire(f *testing.F) { fuzzWire(f, decodeStepLine, appendStepLine) }
+// FuzzStepLineWire is FuzzStepRequestWire for decision and error lines,
+// each as the first line of a stream, through empty memos.
+func FuzzStepLineWire(f *testing.F) {
+	fuzzWire(f, func(b []byte, l *StepLine) error { return new(stepDecoder).decodeStepLine(b, l) },
+		func(b []byte, l *StepLine) ([]byte, error) { return new(stepEncoder).appendStepLine(b, l) })
+}
+
+// FuzzStepLineStream splits its input at newlines and decodes every line
+// through one decoder memo, as a client reads a stream: each line must
+// decode as json.Unmarshal decodes it into a zero StepLine, value and
+// error, whatever literals the lines before it left in the memo.
+func FuzzStepLineStream(f *testing.F) {
+	// Seeds stay short. The fuzzer minimises each new input it finds, at a
+	// cost that grows with the square of the input's length, and seeds of
+	// a few full decision lines kept a 10 s run minimising instead of
+	// fuzzing.
+	//
+	// Canonical lines that repeat some literals, change others and flip a
+	// zero's sign, as one encoder streams them.
+	f.Add([]byte(`{"tick":1,"demand":1.5,"degree":1.25,"bound":2,"room_temp_c":-0,"rid":"a"}
+{"tick":2,"demand":1.5,"degree":1.3,"bound":2,"room_temp_c":0,"tripped":true}`))
+	// The same values as other literals, a literal that only starts like
+	// the last one, and lines the scanner hands on.
+	f.Add([]byte(`{"demand":1.5,"bound":2}
+{"demand":1.50,"bound":2.0}
+{"demand":15e-1,"bound":20}
+{"demand":1.5 ,"bound":null}
+{"demand":1.5x}`))
+	f.Add([]byte(`{"demand":1.5,"demand":1.25,"Bound":3}
+{"room_temp_c":22,"demand":"1.5"}
+{"demand":1.25,"error":"x","code":429}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var dec stepDecoder
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			var got, want StepLine
+			err := dec.decodeStepLine(line, &got)
+			werr := json.Unmarshal(line, &want)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("%q: decode err %v, json.Unmarshal err %v", line, err, werr)
+			}
+			sameWireValue(t, line, got, want)
+		}
+	})
+}
 
 func fuzzWire[T any](f *testing.F, decode func([]byte, *T) error, encode func([]byte, *T) ([]byte, error), seeds ...[]byte) {
 	for _, s := range wireSeeds {
