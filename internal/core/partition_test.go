@@ -56,7 +56,8 @@ var outsideChanges = []struct {
 // tick, after the row's faults, the partition the tick starts from must
 // equal a comparison of every neighbouring pair of groups, both under the
 // controller's demand rows and under one key for all groups, which leaves
-// every split to the breakers and batteries.
+// every split to the breakers and batteries. Every row but the oneRun row
+// must split the groups on some tick, so the comparison covers seams.
 func TestPartitionMatchesFullComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("150 reference runs")
@@ -83,6 +84,7 @@ func TestPartitionMatchesFullComparison(t *testing.T) {
 				}
 				n := len(f.tree.PDUs)
 				got, flat := make([]int, n), make([]int, n)
+				split := false
 				for i, d := range tr.Samples {
 					if row.mutate != nil {
 						row.mutate(f, i, burst)
@@ -92,6 +94,7 @@ func TestPartitionMatchesFullComparison(t *testing.T) {
 					}
 					for _, key := range [][]int{f.ctl.buf.ctx.rowOf, flat} {
 						f.tree.Partition(got, key)
+						split = split || got[0] != n
 						want := fullPartition(f.tree, key)
 						for g := 0; g < n; g = want[g] {
 							if got[g] != want[g] {
@@ -101,6 +104,9 @@ func TestPartitionMatchesFullComparison(t *testing.T) {
 						}
 					}
 					f.ctl.Tick(d, tr.Step)
+				}
+				if !row.oneRun && !split {
+					t.Fatalf("%s/%s seed %d: no tick split the groups", row.name, oc.name, seed)
 				}
 			}
 		}

@@ -1,0 +1,80 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"dcsprint/internal/units"
+)
+
+// rechargeCheck checks each recharge plan against planRecharge's rules. A
+// group's cap, worked out here from its own PDU and battery rather than
+// its run's first, is its PDU's spare capped at what fills its battery
+// this tick. Then:
+//   - every group's recharge lies between 0 and its cap;
+//   - the members of one of the tick's lockstep runs get bit-equal
+//     recharges;
+//   - the recharges, summed member by member in group order, never exceed
+//     the DC spare;
+//   - when the caps overrun the DC spare the plan is scaled and the TES
+//     recharges nothing; otherwise every group takes its cap in full.
+//
+// It records the first broken rule in err, and counts the plans it saw and
+// the scaled ones.
+type rechargeCheck struct {
+	plans, scaled int
+	err           error
+}
+
+func (rc *rechargeCheck) check(c *Controller, p *plan, dcSpare units.Watts, dt time.Duration) {
+	rc.plans++
+	runs, rech := c.buf.ctx.runs, p.upsRecharge
+	left, sum := dcSpare, units.Watts(0)
+	short := -1 // the first group that takes less than its cap
+	fail := func(format string, args ...any) {
+		if rc.err == nil {
+			rc.err = fmt.Errorf("recharge plan %d: "+format, append([]any{rc.plans}, args...)...)
+		}
+	}
+	for head := 0; head < len(runs); head = runs[head] {
+		for g := head; g < runs[head]; g++ {
+			pdu := c.tree.PDUs[g]
+			room := pdu.UPS.TotalEnergy() - pdu.UPS.Stored()
+			cap := max(0, min(pdu.Breaker.Rated-p.flow.PDULoad(g), room.Over(dt)))
+			if rech[g] < 0 || rech[g] > cap {
+				fail("group %d recharges %v, outside [0, %v]", g, rech[g], cap)
+			}
+			if math.Float64bits(float64(rech[g])) != math.Float64bits(float64(rech[head])) {
+				fail("group %d recharges %v, its run's first group %d %v", g, rech[g], head, rech[head])
+			}
+			left -= cap
+			sum += rech[g]
+			if short < 0 && rech[g] != cap {
+				short = g
+			}
+		}
+	}
+	if sum > dcSpare {
+		fail("UPS recharge %g W exceeds the DC spare %g W", float64(sum), float64(dcSpare))
+	}
+	switch {
+	case left >= 0 && short >= 0:
+		fail("group %d takes %v, less than its cap, though the DC spare covers every cap", short, rech[short])
+	case left < 0:
+		rc.scaled++
+		if p.tesRecharge != 0 {
+			fail("TES recharges %g W beside scaled UPS shares", float64(p.tesRecharge))
+		}
+	}
+}
+
+// checkRecharges has every controller check each recharge it plans with
+// the returned rechargeCheck until the test ends.
+func checkRecharges(t testing.TB) *rechargeCheck {
+	rc := &rechargeCheck{}
+	rechargeHook = rc.check
+	t.Cleanup(func() { rechargeHook = nil })
+	return rc
+}

@@ -22,18 +22,21 @@ var updateRunSplits = flag.Bool("update-run-splits", false, "rewrite testdata/ru
 
 // runSplitRows are scenarios in which neighbouring PDU groups stop being
 // identical part-way through a run, and some become identical again: the
-// groups' weights differ, the DC breaker's spare ends part-way through a
-// recharge, a breaker is derated or a battery fails or fades mid-burst, or
-// a sensor plane is attached. Each runs the reference duty cycle on a
-// 10-group facility; mutate, when set, runs before the tick it names.
+// groups' weights differ, a breaker is derated or a battery fails or fades
+// mid-burst, or a sensor plane is attached. Each runs the reference duty
+// cycle on a 10-group facility; mutate, when set, runs before the tick it
+// names. The oneRun row is the exception: its DC breaker's spare runs short
+// during recharge, and the shares that spare is split into must keep its
+// identical groups one lockstep run.
 var runSplitRows = []struct {
 	name   string
 	opts   facilityOpts
 	sensed bool
+	oneRun bool
 	mutate func(f *facility, tick, burst int)
 }{
 	{name: "weights-halves", opts: facilityOpts{weights: []float64{0.8, 0.8, 0.8, 0.8, 0.8, 1.2, 1.2, 1.2, 1.2, 1.2}}},
-	{name: "dc-spare", opts: facilityOpts{dcHeadroom: 0.04}},
+	{name: "dc-spare", opts: facilityOpts{dcHeadroom: 0.04}, oneRun: true},
 	{name: "derate-mid-burst", mutate: func(f *facility, tick, burst int) {
 		if tick == burst+60 {
 			f.tree.PDUs[3].Breaker.Derate(0.9)
@@ -112,11 +115,13 @@ func boolInt(b bool) int64 {
 // TestRunSplitDigestsGolden pins, bit for bit, controller runs in which the
 // PDU groups split apart and merge again (see runSplitRows): one SHA-256
 // line per row and seed. Each row also checks that its scenario does what
-// it names, so the golden cannot silently stop covering it.
+// it names, so the golden cannot silently stop covering it, and every
+// recharge plan of every tick keeps rechargeCheck's rules.
 func TestRunSplitDigestsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30 reference runs")
 	}
+	rc := checkRecharges(t)
 	var b strings.Builder
 	for _, row := range runSplitRows {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -141,19 +146,26 @@ func TestRunSplitDigestsGolden(t *testing.T) {
 				f.ctl.AttachSensors(faults.NewSensorBus(f.tree, f.room, f.tank))
 			}
 			ticks := make([]TickResult, 0, tr.Len())
-			unevenRecharge := false
+			*rc = rechargeCheck{}
+			split := false
 			for i, d := range tr.Samples {
 				if row.mutate != nil {
 					row.mutate(f, i, burst)
 				}
-				before := f.tree.PDUs[0].UPS.Stored() == f.tree.PDUs[9].UPS.Stored()
 				ticks = append(ticks, f.ctl.Tick(d, tr.Step))
-				if before && f.tree.PDUs[0].UPS.Stored() > f.tree.PDUs[9].UPS.Stored() {
-					unevenRecharge = true
+				if runs := f.tree.Runs(); runs[0] != len(runs) {
+					split = true
 				}
 			}
-			if row.name == "dc-spare" && !unevenRecharge {
-				t.Fatalf("seed %d: the DC spare never ran out part-way through a recharge", seed)
+			if rc.err != nil {
+				t.Fatalf("%s seed %d: %v", row.name, seed, rc.err)
+			}
+			switch {
+			case row.oneRun && (split || rc.scaled == 0):
+				t.Fatalf("%s seed %d: %d of %d recharge plans scaled, groups split %v; want the DC spare to run short and the groups to stay one run",
+					row.name, seed, rc.scaled, rc.plans, split)
+			case !row.oneRun && !split:
+				t.Fatalf("%s seed %d: no tick split the groups", row.name, seed)
 			}
 			fmt.Fprintf(&b, "%s/seed%02d %s\n", row.name, seed, runSplitDigest(f, ticks))
 		}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -413,47 +414,68 @@ func TestRemoveDeletesDeltas(t *testing.T) {
 	}
 }
 
-// FuzzDeltaChain throws arbitrary bytes at the chain decoder via Load. It
-// must never panic, every frame it returns must carry a valid CRC, and the
-// returned frames must be a prefix of what a well-formed file would hold.
-func FuzzDeltaChain(f *testing.F) {
-	frame := func(payload []byte) []byte {
-		var buf []byte
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = append(buf, payload...)
-		return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	}
-	good := append(frame([]byte("delta-one")), frame([]byte("delta-two"))...)
-	f.Add(good)
-	f.Add(good[:len(good)-3])                   // torn tail
-	f.Add(append(good, 0xFF, 0xFF, 0xFF, 0x7F)) // hostile length
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
+// deltaFrame frames one delta payload as the chain file holds it.
+func deltaFrame(payload []byte) []byte {
+	var buf []byte
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+}
+
+// deltaChainSeeds are chain files FuzzDeltaChain starts from and
+// TestLoadDecodesDeltaChain loads: a well-formed chain, a torn tail, a
+// hostile length and an empty file.
+func deltaChainSeeds() [][]byte {
+	good := append(deltaFrame([]byte("delta-one")), deltaFrame([]byte("delta-two"))...)
+	return [][]byte{good, good[:len(good)-3], append(good, 0xFF, 0xFF, 0xFF, 0x7F), {}}
+}
+
+// TestLoadDecodesDeltaChain writes each seed chain beside a snapshot and
+// requires Load to return exactly the frames and torn flag decodeDeltas
+// returns for the same bytes, so FuzzDeltaChain can fuzz the decoder in
+// memory.
+func TestLoadDecodesDeltaChain(t *testing.T) {
+	for i, raw := range deltaChainSeeds() {
 		dir := t.TempDir()
-		j, err := Open(dir, "fz")
-		if err != nil {
-			t.Skip()
-		}
-		if err := j.WriteSnapshot([]byte(`{}`), []byte("s"), 0); err != nil {
-			t.Skip()
-		}
+		j := writeJournal(t, dir, "dc", []byte(`{}`), []byte("s"), 0, 0)
 		j.Close()
-		if err := os.WriteFile(filepath.Join(dir, "fz.delta"), raw, 0o644); err != nil {
-			t.Skip()
+		if err := os.WriteFile(filepath.Join(dir, "dc.delta"), raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		st, err := Load(dir, "fz")
+		st, err := Load(dir, "dc")
 		if err != nil {
-			return
+			t.Fatalf("seed %d: Load: %v", i, err)
 		}
-		total := 0
-		for i, fr := range st.Deltas {
+		frames, torn := decodeDeltas(raw)
+		if !reflect.DeepEqual(st.Deltas, frames) || st.TornDelta != torn {
+			t.Fatalf("seed %d: Load returned %q torn %v, decodeDeltas %q torn %v", i, st.Deltas, st.TornDelta, frames, torn)
+		}
+	}
+}
+
+// FuzzDeltaChain throws arbitrary bytes at the chain decoder. It must never
+// panic, every frame it returns must be non-empty, and the returned frames,
+// framed again, must be a prefix of the input; an untorn chain is all of
+// it. Load hands the file's bytes to the same decoder
+// (TestLoadDecodesDeltaChain).
+func FuzzDeltaChain(f *testing.F) {
+	for _, raw := range deltaChainSeeds() {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		frames, torn := decodeDeltas(raw)
+		var framed []byte
+		for i, fr := range frames {
 			if len(fr) == 0 {
 				t.Fatalf("frame %d empty", i)
 			}
-			total += len(fr) + deltaFrameOverhead
+			framed = append(framed, deltaFrame(fr)...)
 		}
-		if total > len(raw) {
-			t.Fatalf("%d framed bytes from a %d-byte chain", total, len(raw))
+		if !bytes.HasPrefix(raw, framed) {
+			t.Fatalf("%d frames are not a prefix of the %d-byte chain", len(frames), len(raw))
+		}
+		if !torn && len(framed) != len(raw) {
+			t.Fatalf("untorn chain decoded %d of %d bytes", len(framed), len(raw))
 		}
 	})
 }

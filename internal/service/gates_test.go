@@ -10,8 +10,10 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"dcsprint/internal/telemetry"
+	"dcsprint/internal/workload"
 )
 
 // stepWireRoundTrip is one lockstep round trip's codec work with reused
@@ -103,8 +105,14 @@ func TestServiceSessionAllocs(t *testing.T) {
 }
 
 // streamStep is one lockstep StepContext round trip through the real
-// client and server over loopback, on a stream warmed by 100 steps.
+// client and server over loopback, on a stream warmed by 100 steps. The
+// steps walk the seed-1 reference trace's demands, cycling, so they mix
+// idle, sprint and recharge ticks as the benchmark's stream workload does.
 func streamStep(tb testing.TB) func() {
+	tr, err := workload.SyntheticYahoo(1, 3.2, 15*time.Minute)
+	if err != nil {
+		tb.Fatalf("SyntheticYahoo: %v", err)
+	}
 	m := NewManager(Config{Registry: telemetry.NewRegistry()})
 	tb.Cleanup(m.Close)
 	srv := httptest.NewServer(m.Handler())
@@ -120,10 +128,12 @@ func streamStep(tb testing.TB) func() {
 		tb.Fatalf("Stream: %v", err)
 	}
 	tb.Cleanup(func() { st.Close() })
+	i := 0
 	step := func() {
-		if _, err := st.StepContext(ctx, 1.5); err != nil {
+		if _, err := st.StepContext(ctx, tr.Samples[i]); err != nil {
 			tb.Fatalf("StepContext: %v", err)
 		}
+		i = (i + 1) % len(tr.Samples)
 	}
 	for i := 0; i < 100; i++ {
 		step()
