@@ -21,14 +21,14 @@ import (
 // Negative demands are treated as zero.
 //
 // runs partitions the children into runs of equal demand: runs[i] is one
-// past the last child of the run that starts at child i, and only a run's
-// first demand is read. Equal demands always receive equal shares, so each
-// run is allocated once, as one child counted once per member, and its
-// share copied to the other members. The budget still gives up each
-// member's share in child order, so the result is bit for bit what a walk
-// over every child, each its own run, computes.
+// past the last child of the run that starts at child i. Only a run's first
+// demand is read and only its first entry of out written: equal demands
+// always receive equal shares, so each run is allocated once, as one child
+// counted once per member. The budget still gives up each member's share
+// in child order, so the result is bit for bit what a walk over every
+// child, each its own run, computes.
 func AllocateInto(out []units.Watts, idx []int, runs []int, budget units.Watts, demands []units.Watts) []units.Watts {
-	for i := range out {
+	for i := 0; i < len(out); i = runs[i] {
 		out[i] = 0
 	}
 	if budget <= 0 || len(demands) == 0 {
@@ -45,43 +45,40 @@ func AllocateInto(out []units.Watts, idx []int, runs []int, budget units.Watts, 
 	// Iterate: grant each unmet child an equal share, capped by its demand.
 	// Children that hit their cap drop out; their leftover share is
 	// redistributed next round. Terminates because each round either
-	// satisfies at least one child or splits the remainder exactly.
+	// satisfies at least one child or splits the remainder exactly. An
+	// unmet child has been granted nothing yet, so its need is its demand.
 	for len(unmet) > 0 && remaining > 0 {
 		share := remaining / units.Watts(members)
 		if share <= 0 {
 			break
 		}
-		next := unmet[:0]
-		progressed := false
+		capped := 0
 		for _, i := range unmet {
-			need := demands[i] - out[i]
-			if need <= share {
-				out[i] += need
+			if demands[i] <= share {
+				capped++
+			}
+		}
+		if capped == 0 || capped == len(unmet) {
+			// No round follows, so what the grants leave is never read:
+			// every child takes the share, or every child its demand.
+			for _, i := range unmet {
+				out[i] = min(demands[i], share)
+			}
+			break
+		}
+		next := unmet[:0]
+		for _, i := range unmet {
+			if need := demands[i]; need <= share {
+				out[i] = need
 				for m := runs[i] - i; m > 0; m-- {
 					remaining -= need
 				}
 				members -= runs[i] - i
-				progressed = true
 			} else {
 				next = append(next, i)
 			}
 		}
-		if !progressed {
-			// Nobody was capped: split the remainder evenly and stop.
-			for _, i := range next {
-				out[i] += share
-				for m := runs[i] - i; m > 0; m-- {
-					remaining -= share
-				}
-			}
-			break
-		}
 		unmet = next
-	}
-	for i := 0; i < len(out); i = runs[i] {
-		for m := i + 1; m < runs[i]; m++ {
-			out[m] = out[i]
-		}
 	}
 	return out
 }

@@ -126,9 +126,50 @@ func TestAllocateInvariantsProperty(t *testing.T) {
 	}
 }
 
+// referenceAllocate is the water-fill child by child, each child its own
+// run, giving up every grant from the remaining budget as it is made.
+func referenceAllocate(budget units.Watts, demands []units.Watts) []units.Watts {
+	out := make([]units.Watts, len(demands))
+	if budget <= 0 {
+		return out
+	}
+	remaining := budget
+	var unmet []int
+	for i, d := range demands {
+		if d > 0 {
+			unmet = append(unmet, i)
+		}
+	}
+	for len(unmet) > 0 && remaining > 0 {
+		share := remaining / units.Watts(len(unmet))
+		if share <= 0 {
+			break
+		}
+		var next []int
+		for _, i := range unmet {
+			if need := demands[i] - out[i]; need <= share {
+				out[i] += need
+				remaining -= need
+			} else {
+				next = append(next, i)
+			}
+		}
+		if len(next) == len(unmet) {
+			for _, i := range next {
+				out[i] += share
+				remaining -= share
+			}
+			break
+		}
+		unmet = next
+	}
+	return out
+}
+
 // TestAllocateRunsMatchesEveryChild allocates random budgets over random
-// runs of equal demands, once a run at a time and once child by child,
-// and requires the two to agree bit for bit.
+// runs of equal demands, once a run at a time and once child by child by
+// referenceAllocate, and requires each run's allocation to equal each of
+// its members' bit for bit.
 func TestAllocateRunsMatchesEveryChild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
@@ -148,11 +189,13 @@ func TestAllocateRunsMatchesEveryChild(t *testing.T) {
 		}
 		budget := units.Watts(rng.Float64() * 1000 * float64(n))
 		got := AllocateInto(make([]units.Watts, n), make([]int, 0, n), runs, budget, demands)
-		want := allocate(budget, demands)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: budget %v demands %v runs %v: child %d gets %v by runs, %v child by child",
-					trial, budget, demands, runs, i, got[i], want[i])
+		want := referenceAllocate(budget, demands)
+		for g := 0; g < n; g = runs[g] {
+			for i := g; i < runs[g]; i++ {
+				if got[g] != want[i] {
+					t.Fatalf("trial %d: budget %v demands %v runs %v: child %d gets %v by runs, %v child by child",
+						trial, budget, demands, runs, i, got[g], want[i])
+				}
 			}
 		}
 	}

@@ -40,6 +40,5 @@ func (b *Breaker) SetState(s State) error {
 	b.acc = s.Acc
 	b.tripped = s.Tripped
 	b.load = s.Load
-	b.changed()
 	return nil
 }

@@ -87,9 +87,9 @@ func TESElectricBudget(tank *tes.Tank, coolCfg cooling.Config) units.Joules {
 func EstimateBudget(tree *power.Tree, tank *tes.Tank, coolCfg cooling.Config, reserve time.Duration) units.Joules {
 	var total units.Joules
 	runs := tree.Runs()
-	for g := 0; g < len(tree.PDUs); {
-		p := tree.PDUs[g]
-		cb, avail := CBExtraBudget(p.Breaker, reserve), p.UPS.Available()
+	for g := 0; g < len(runs); {
+		b, u := tree.Run(g)
+		cb, avail := CBExtraBudget(b, reserve), u.Available()
 		for end := runs[g]; g < end; g++ {
 			total += cb
 			total += avail

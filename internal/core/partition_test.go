@@ -11,18 +11,25 @@ import (
 
 // fullPartition partitions the tree's PDU groups the way power.Tree.Partition
 // did before it carried the last tick's runs: it compares every pair of
-// neighbouring groups.
-func fullPartition(tree *power.Tree, key []int) []int {
-	runs := make([]int, len(tree.PDUs))
-	head := 0
-	for g := 1; g < len(tree.PDUs); g++ {
-		p, prev := tree.PDUs[g], tree.PDUs[g-1]
-		if key[g] != key[g-1] || !p.Breaker.Lockstep(prev.Breaker) || !p.UPS.Lockstep(prev.UPS) {
+// neighbouring groups in one class (classes partitions the groups as runs
+// do).
+func fullPartition(tree *power.Tree, classes []int) []int {
+	n := tree.Groups()
+	runs := make([]int, n)
+	head, class := 0, 0
+	for g := 1; g < n; g++ {
+		split := g == classes[class]
+		if split {
+			class = g
+		}
+		p, prev := tree.Breaker(g), tree.Breaker(g-1)
+		u, uprev := tree.UPS(g), tree.UPS(g-1)
+		if split || !p.Lockstep(&prev) || !u.Lockstep(&uprev) {
 			runs[head] = g
 			head = g
 		}
 	}
-	runs[head] = len(tree.PDUs)
+	runs[head] = n
 	return runs
 }
 
@@ -34,18 +41,23 @@ var outsideChanges = []struct {
 }{
 	{name: "none"},
 	{name: "tree-reset", change: (*power.Tree).Reset},
-	{name: "breaker-reset", change: func(tree *power.Tree) { tree.PDUs[6].Breaker.Reset() }},
+	{name: "breaker-reset", change: func(tree *power.Tree) {
+		b, _ := tree.Own(6)
+		b.Reset()
+	}},
 	{name: "breaker-set-state", change: func(tree *power.Tree) {
-		b := tree.PDUs[2].Breaker.State()
-		b.Acc /= 2
-		if err := tree.PDUs[2].Breaker.SetState(b); err != nil {
+		b, _ := tree.Own(2)
+		s := b.State()
+		s.Acc /= 2
+		if err := b.SetState(s); err != nil {
 			panic(err)
 		}
 	}},
 	{name: "battery-set-state", change: func(tree *power.Tree) {
-		u := tree.PDUs[7].UPS.State()
-		u.Stored /= 2
-		if err := tree.PDUs[7].UPS.SetState(u); err != nil {
+		_, u := tree.Own(7)
+		s := u.State()
+		s.Stored /= 2
+		if err := u.SetState(s); err != nil {
 			panic(err)
 		}
 	}},
@@ -55,7 +67,7 @@ var outsideChanges = []struct {
 // the golden does, and again under each of outsideChanges. Before every
 // tick, after the row's faults, the partition the tick starts from must
 // equal a comparison of every neighbouring pair of groups, both under the
-// controller's demand rows and under one key for all groups, which leaves
+// controller's classes and under one class for all groups, which leaves
 // every split to the breakers and batteries. Every row but the oneRun row
 // must split the groups on some tick, so the comparison covers seams.
 func TestPartitionMatchesFullComparison(t *testing.T) {
@@ -82,8 +94,8 @@ func TestPartitionMatchesFullComparison(t *testing.T) {
 				if row.sensed {
 					f.ctl.AttachSensors(faults.NewSensorBus(f.tree, f.room, f.tank))
 				}
-				n := len(f.tree.PDUs)
-				got, flat := make([]int, n), make([]int, n)
+				n := f.tree.Groups()
+				one := []int{n}
 				split := false
 				for i, d := range tr.Samples {
 					if row.mutate != nil {
@@ -92,14 +104,14 @@ func TestPartitionMatchesFullComparison(t *testing.T) {
 					if oc.change != nil && i == burst+60 {
 						oc.change(f.tree)
 					}
-					for _, key := range [][]int{f.ctl.buf.ctx.rowOf, flat} {
-						f.tree.Partition(got, key)
+					for _, classes := range [][]int{f.ctl.buf.ctx.classes, one} {
+						want := fullPartition(f.tree, classes)
+						got := f.tree.Partition(classes)
 						split = split || got[0] != n
-						want := fullPartition(f.tree, key)
 						for g := 0; g < n; g = want[g] {
 							if got[g] != want[g] {
-								t.Fatalf("%s/%s seed %d tick %d key %v: partition %v, full comparison %v",
-									row.name, oc.name, seed, i, key, runsOf(got), runsOf(want))
+								t.Fatalf("%s/%s seed %d tick %d classes %v: partition %v, full comparison %v",
+									row.name, oc.name, seed, i, runsOf(classes), runsOf(got), runsOf(want))
 							}
 						}
 					}
@@ -120,4 +132,14 @@ func runsOf(runs []int) [][2]int {
 		out = append(out, [2]int{g, runs[g]})
 	}
 	return out
+}
+
+// runHead returns the first group of the run in runs that holds group g:
+// the group whose entries of the planning buffers speak for g.
+func runHead(runs []int, g int) int {
+	h := 0
+	for runs[h] <= g {
+		h = runs[h]
+	}
+	return h
 }

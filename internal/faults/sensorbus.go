@@ -151,10 +151,11 @@ func (b *SensorBus) UPSSoC(group int, now time.Duration) Reading {
 	if b.readProbe != nil {
 		b.readProbe("soc")
 	}
-	if group < 0 || group >= len(b.tree.PDUs) {
+	if group < 0 || group >= b.tree.Groups() {
 		return Reading{}
 	}
-	return b.read(&b.socW, group, b.tree.PDUs[group].UPS.SoC(), now)
+	u := b.tree.UPS(group)
+	return b.read(&b.socW, group, u.SoC(), now)
 }
 
 // TESLevel implements Sensors.

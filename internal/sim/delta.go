@@ -86,7 +86,7 @@ func (e *Engine) DeltaSnapshot(base []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: base at tick %d, engine at %d", ErrDeltaBase, bimg.ticks, e.i)
 	}
 	if bimg.dcRated != e.dcRated || bimg.pduRated != e.pduRated ||
-		len(bimg.pduBreakers) != len(e.p.tree.PDUs) {
+		len(bimg.pduBreakers) != e.p.tree.Groups() {
 		return nil, fmt.Errorf("%w: plant shape differs", ErrDeltaBase)
 	}
 	cur := e.captureImage()

@@ -11,30 +11,36 @@ import (
 
 // fullPartition partitions the tree's PDU groups the way power.Tree.Partition
 // did before it carried the last tick's runs: it compares every pair of
-// neighbouring groups.
-func fullPartition(tree *power.Tree, key []int) []int {
-	runs := make([]int, len(tree.PDUs))
-	head := 0
-	for g := 1; g < len(tree.PDUs); g++ {
-		p, prev := tree.PDUs[g], tree.PDUs[g-1]
-		if key[g] != key[g-1] || !p.Breaker.Lockstep(prev.Breaker) || !p.UPS.Lockstep(prev.UPS) {
+// neighbouring groups in one class (classes partitions the groups as runs
+// do).
+func fullPartition(tree *power.Tree, classes []int) []int {
+	n := tree.Groups()
+	runs := make([]int, n)
+	head, class := 0, 0
+	for g := 1; g < n; g++ {
+		split := g == classes[class]
+		if split {
+			class = g
+		}
+		p, prev := tree.Breaker(g), tree.Breaker(g-1)
+		u, uprev := tree.UPS(g), tree.UPS(g-1)
+		if split || !p.Lockstep(&prev) || !u.Lockstep(&uprev) {
 			runs[head] = g
 			head = g
 		}
 	}
-	runs[head] = len(tree.PDUs)
+	runs[head] = n
 	return runs
 }
 
 // checkPartition requires the tree's partition, which compares groups only
-// where the last tick's runs end, to equal the full comparison. One key for
-// every group leaves each split to the breaker and battery comparison.
+// where the last tick's runs end, to equal the full comparison. One class
+// for every group leaves each split to the breaker and battery comparison.
 func checkPartition(t *testing.T, tree *power.Tree, format string, args ...any) {
 	t.Helper()
-	key := make([]int, len(tree.PDUs))
-	got := make([]int, len(tree.PDUs))
-	tree.Partition(got, key)
-	want := fullPartition(tree, key)
+	one := []int{tree.Groups()}
+	want := fullPartition(tree, one)
+	got := tree.Partition(one)
 	for g := 0; g < len(want); g = want[g] {
 		if got[g] != want[g] {
 			t.Fatalf("%s: partition %v, full comparison %v", fmt.Sprintf(format, args...), runsList(got), runsList(want))

@@ -57,6 +57,5 @@ func (b *Battery) SetState(s State) error {
 	b.stored = s.Stored
 	b.discharged = s.Discharged
 	b.failed = s.Failed
-	b.changed()
 	return nil
 }
