@@ -44,7 +44,7 @@ func Default() Config {
 	const excess = 90 // W above sustainable at a full sprint
 	return Config{
 		SustainablePower: 35,
-		PCMCapacity:      units.ForDuration(excess, 30*time.Minute),
+		PCMCapacity:      units.ForDuration(excess, (30 * time.Minute).Seconds()),
 		RefreezeRate:     20,
 	}
 }
@@ -94,7 +94,7 @@ func (t *Thermal) MaxPower(dt time.Duration) units.Watts {
 	if dt <= 0 {
 		return t.cfg.SustainablePower
 	}
-	return t.cfg.SustainablePower + t.Headroom().Over(dt)
+	return t.cfg.SustainablePower + t.Headroom().Over(dt.Seconds())
 }
 
 // Step advances the chip by dt at the given chip power. Power above the
@@ -106,7 +106,7 @@ func (t *Thermal) Step(chipPower units.Watts, dt time.Duration) {
 	}
 	excess := chipPower - t.cfg.SustainablePower
 	if excess > 0 {
-		t.melted += units.ForDuration(excess, dt)
+		t.melted += units.ForDuration(excess, dt.Seconds())
 		if t.melted > t.cfg.PCMCapacity {
 			t.melted = t.cfg.PCMCapacity
 		}
@@ -116,7 +116,7 @@ func (t *Thermal) Step(chipPower units.Watts, dt time.Duration) {
 	if t.cfg.RefreezeRate > 0 && refreeze > t.cfg.RefreezeRate {
 		refreeze = t.cfg.RefreezeRate
 	}
-	t.melted -= units.ForDuration(refreeze, dt)
+	t.melted -= units.ForDuration(refreeze, dt.Seconds())
 	if t.melted < 0 {
 		t.melted = 0
 	}

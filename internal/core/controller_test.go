@@ -559,7 +559,7 @@ func TestChipThermalBoundsSprint(t *testing.T) {
 	excess := srv.PeakSprintPower() - srv.PeakNormalPower()
 	th, err := chip.New(chip.Config{
 		SustainablePower: srv.PeakNormalPower() - srv.NonCPUPower,
-		PCMCapacity:      units.ForDuration(excess, 2*time.Minute),
+		PCMCapacity:      units.ForDuration(excess, 120),
 		RefreezeRate:     excess / 4,
 	})
 	if err != nil {
@@ -586,7 +586,7 @@ func TestChipThermalBoundsSprint(t *testing.T) {
 	}
 	// The reserve policy lands the chip just short of exhaustion — the
 	// whole point: sprinting ends *before* the package is spent.
-	if got := float64(th.Headroom()) / float64(units.ForDuration(excess, 2*time.Minute)); got > 0.05 {
+	if got := float64(th.Headroom()) / float64(units.ForDuration(excess, 120)); got > 0.05 {
 		t.Fatalf("PCM headroom fraction = %v, want nearly spent", got)
 	}
 }

@@ -39,7 +39,7 @@ type Config struct {
 // the 2/3 chiller-power saving.
 func DefaultTank(peakNormalIT units.Watts) Config {
 	return Config{
-		HeatCapacity:          units.ForDuration(peakNormalIT, 12*time.Minute),
+		HeatCapacity:          units.ForDuration(peakNormalIT, (12 * time.Minute).Seconds()),
 		MaxRate:               2 * peakNormalIT,
 		RechargeRate:          peakNormalIT / 4,
 		ChillerSavingFraction: 2.0 / 3.0,
@@ -89,8 +89,9 @@ func (t *Tank) SoC() float64 {
 // Empty reports whether the cold store is exhausted.
 func (t *Tank) Empty() bool { return t.cold <= 0 }
 
-// MaxAbsorb returns the greatest heat rate the tank can take for the next dt.
-func (t *Tank) MaxAbsorb(dt time.Duration) units.Watts {
+// MaxAbsorb returns the greatest heat rate the tank can take for the next
+// dt seconds.
+func (t *Tank) MaxAbsorb(dt float64) units.Watts {
 	if dt <= 0 || t.valveStuck {
 		return 0
 	}
@@ -102,11 +103,11 @@ func (t *Tank) MaxAbsorb(dt time.Duration) units.Watts {
 }
 
 // MaxAbsorbAtSoC returns the greatest heat rate the tank could take for the
-// next dt if its cold fraction were soc — the planning view used by a
+// next dt seconds if its cold fraction were soc — the planning view used by a
 // controller that only trusts a sensed level. It deliberately ignores a
 // stuck valve: the controller must discover that from its telemetry, not
 // from the model's internals.
-func (t *Tank) MaxAbsorbAtSoC(soc float64, dt time.Duration) units.Watts {
+func (t *Tank) MaxAbsorbAtSoC(soc float64, dt float64) units.Watts {
 	if dt <= 0 {
 		return 0
 	}
@@ -138,9 +139,9 @@ func (t *Tank) Drain(heat units.Joules) {
 	}
 }
 
-// Discharge absorbs heat at up to the requested rate for dt and returns the
-// rate actually absorbed.
-func (t *Tank) Discharge(heatRate units.Watts, dt time.Duration) units.Watts {
+// Discharge absorbs heat at up to the requested rate for dt seconds and
+// returns the rate actually absorbed.
+func (t *Tank) Discharge(heatRate units.Watts, dt float64) units.Watts {
 	if heatRate <= 0 || dt <= 0 {
 		return 0
 	}
@@ -158,9 +159,10 @@ func (t *Tank) Discharge(heatRate units.Watts, dt time.Duration) units.Watts {
 	return absorbed
 }
 
-// Recharge re-cools the tank at up to the requested rate for dt (the chiller
-// producing surplus cold coolant) and returns the rate actually stored.
-func (t *Tank) Recharge(rate units.Watts, dt time.Duration) units.Watts {
+// Recharge re-cools the tank at up to the requested rate for dt seconds
+// (the chiller producing surplus cold coolant) and returns the rate
+// actually stored.
+func (t *Tank) Recharge(rate units.Watts, dt float64) units.Watts {
 	if rate <= 0 || dt <= 0 {
 		return 0
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"dcsprint/internal/units"
 )
@@ -25,7 +24,7 @@ func TestDefaultTankTwelveMinutes(t *testing.T) {
 	tank := newTank(t, DefaultTank(peak))
 	mins := 0
 	for ; mins < 30; mins++ {
-		if got := tank.Discharge(peak, time.Minute); got < peak {
+		if got := tank.Discharge(peak, 60); got < peak {
 			break
 		}
 	}
@@ -61,55 +60,55 @@ func TestValidate(t *testing.T) {
 
 func TestDischargeRespectsMaxRate(t *testing.T) {
 	tank := newTank(t, Config{HeatCapacity: 1e6, MaxRate: 100})
-	if got := tank.Discharge(500, time.Second); got != 100 {
+	if got := tank.Discharge(500, 1); got != 100 {
 		t.Fatalf("Discharge = %v, want rate-limited 100", got)
 	}
 }
 
 func TestDischargeDrainsExactly(t *testing.T) {
 	tank := newTank(t, Config{HeatCapacity: 1000})
-	got := tank.Discharge(1500, time.Second)
+	got := tank.Discharge(1500, 1)
 	if math.Abs(float64(got-1000)) > 1e-9 {
 		t.Fatalf("Discharge on low tank = %v, want 1000", got)
 	}
 	if !tank.Empty() {
 		t.Fatal("tank not empty")
 	}
-	if got := tank.Discharge(10, time.Second); got != 0 {
+	if got := tank.Discharge(10, 1); got != 0 {
 		t.Fatalf("Discharge from empty = %v, want 0", got)
 	}
 }
 
 func TestRecharge(t *testing.T) {
 	tank := newTank(t, Config{HeatCapacity: 1000, RechargeRate: 100})
-	tank.Discharge(500, time.Second)
-	if got := tank.Recharge(500, time.Second); got != 100 {
+	tank.Discharge(500, 1)
+	if got := tank.Recharge(500, 1); got != 100 {
 		t.Fatalf("Recharge = %v, want rate-limited 100", got)
 	}
 	// Fill the remaining 400 J of room.
-	if got := tank.Recharge(100, 3*time.Second); got != 100 {
+	if got := tank.Recharge(100, 3); got != 100 {
 		t.Fatalf("Recharge = %v, want 100", got)
 	}
-	if got := tank.Recharge(100, 2*time.Second); math.Abs(float64(got-50)) > 1e-9 {
+	if got := tank.Recharge(100, 2); math.Abs(float64(got-50)) > 1e-9 {
 		t.Fatalf("topping recharge = %v, want 50 (100 J of room over 2 s)", got)
 	}
 	if tank.SoC() != 1 {
 		t.Fatalf("SoC = %v, want 1", tank.SoC())
 	}
-	if got := tank.Recharge(10, time.Second); got != 0 {
+	if got := tank.Recharge(10, 1); got != 0 {
 		t.Fatalf("Recharge when full = %v, want 0", got)
 	}
 }
 
 func TestNonPositiveRequests(t *testing.T) {
 	tank := newTank(t, Config{HeatCapacity: 1000})
-	if tank.Discharge(0, time.Second) != 0 || tank.Discharge(-1, time.Second) != 0 {
+	if tank.Discharge(0, 1) != 0 || tank.Discharge(-1, 1) != 0 {
 		t.Error("non-positive discharge must absorb 0")
 	}
 	if tank.Discharge(10, 0) != 0 {
 		t.Error("zero dt must absorb 0")
 	}
-	if tank.Recharge(0, time.Second) != 0 || tank.Recharge(5, -time.Second) != 0 {
+	if tank.Recharge(0, 1) != 0 || tank.Recharge(5, -1) != 0 {
 		t.Error("non-positive recharge must accept 0")
 	}
 	if tank.MaxAbsorb(0) != 0 {
@@ -146,13 +145,13 @@ func TestTankInvariantProperty(t *testing.T) {
 		var absorbed, recharged float64
 		for _, op := range ops {
 			if op >= 0 {
-				got := tank.Discharge(units.Watts(op), time.Second)
+				got := tank.Discharge(units.Watts(op), 1)
 				if got > units.Watts(op) {
 					return false
 				}
 				absorbed += float64(got)
 			} else {
-				recharged += float64(tank.Recharge(units.Watts(-op), time.Second))
+				recharged += float64(tank.Recharge(units.Watts(-op), 1))
 			}
 			if tank.SoC() < -1e-9 || tank.SoC() > 1+1e-9 {
 				return false

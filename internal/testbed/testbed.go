@@ -170,11 +170,11 @@ func Run(cfg Config, util *trace.Series, policy Policy) (*Result, error) {
 			}
 			if useUPS {
 				half := p / 2
-				drain := units.ForDuration(half, step)
+				drain := units.ForDuration(half, step.Seconds())
 				if drain > battery {
 					// The battery cannot carry a full half-share tick;
 					// deliver what remains and dump the rest on the CB.
-					half = battery.Over(step)
+					half = battery.Over(step.Seconds())
 					drain = battery
 				}
 				battery -= drain
@@ -189,7 +189,7 @@ func Run(cfg Config, util *trace.Series, policy Policy) (*Result, error) {
 				res.OverloadHighPower += step
 			}
 		}
-		if err := cb.Step(load, step); err != nil {
+		if err := cb.Step(load, step.Seconds()); err != nil {
 			res.Tripped = true
 			res.Sustained = time.Duration(i) * step
 			break

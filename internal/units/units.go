@@ -6,10 +6,7 @@
 // every printed number a consistent, human-readable form.
 package units
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Watts is electrical (or thermal) power.
 type Watts float64
@@ -37,18 +34,20 @@ func (ah AmpHours) Energy(voltage float64) Joules {
 	return Joules(float64(ah) * voltage * 3600)
 }
 
-// ForDuration returns the energy delivered by holding power w for d.
-func ForDuration(w Watts, d time.Duration) Joules {
-	return Joules(float64(w) * d.Seconds())
+// ForDuration returns the energy delivered by holding power w for secs
+// seconds. Tick loops take a tick's length in seconds once
+// (time.Duration.Seconds) and pass that float on.
+func ForDuration(w Watts, secs float64) Joules {
+	return Joules(float64(w) * secs)
 }
 
-// Over returns the constant power that delivers energy j over duration d.
-// It returns 0 when d is not positive.
-func (j Joules) Over(d time.Duration) Watts {
-	if d <= 0 {
+// Over returns the constant power that delivers energy j over secs
+// seconds. It returns 0 when secs is not positive.
+func (j Joules) Over(secs float64) Watts {
+	if secs <= 0 {
 		return 0
 	}
-	return Watts(float64(j) / d.Seconds())
+	return Watts(float64(j) / secs)
 }
 
 // WattHours reports the energy in watt-hours.

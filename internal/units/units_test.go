@@ -41,17 +41,17 @@ func TestAmpHoursEnergy(t *testing.T) {
 }
 
 func TestForDurationAndOver(t *testing.T) {
-	e := ForDuration(100, 30*time.Second)
+	e := ForDuration(100, 30)
 	if e != 3000 {
 		t.Fatalf("ForDuration(100W, 30s) = %v, want 3000 J", e)
 	}
-	if p := e.Over(30 * time.Second); p != 100 {
+	if p := e.Over(30); p != 100 {
 		t.Fatalf("Over round-trip = %v, want 100 W", p)
 	}
 	if p := Joules(5).Over(0); p != 0 {
 		t.Fatalf("Over(0) = %v, want 0", p)
 	}
-	if p := Joules(5).Over(-time.Second); p != 0 {
+	if p := Joules(5).Over(-1); p != 0 {
 		t.Fatalf("Over(negative) = %v, want 0", p)
 	}
 }
@@ -142,7 +142,7 @@ func TestEnergyPowerRoundTripProperty(t *testing.T) {
 			return true
 		}
 		p = math.Mod(p, 1e7)
-		d := time.Duration(secs) * time.Second
+		d := float64(secs)
 		back := ForDuration(Watts(p), d).Over(d)
 		return math.Abs(float64(back)-p) < 1e-6*math.Max(1, math.Abs(p))
 	}
