@@ -21,7 +21,7 @@ import (
 	"dcsprint/internal/workload"
 )
 
-var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/run_digests.golden and run_summaries.golden from the current code")
+var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/run_digests.golden, run_summaries.golden and snapshot_digests.golden from the current code")
 
 // digestRows is the scenario matrix TestRunDigestsGolden pins: every variant
 // runs on seeds 1-20 of the reference duty cycle.
